@@ -165,17 +165,9 @@ def _obs_run(args: argparse.Namespace, *, trace: bool):
         cycles=args.cycles,
         warmup_cycles=args.warmup_cycles,
         load=args.load,
-        backend=args.backend,
         obs=obs,
     )
-    result = simulator.run()
-    if simulator.backend_fallback_reason is not None:
-        print(
-            f"note: event backend fell back to cycle "
-            f"({simulator.backend_fallback_reason})",
-            file=sys.stderr,
-        )
-    return obs, result
+    return obs, simulator.run()
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -387,15 +379,6 @@ def _add_obs_workload_args(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=1.2,
         help="offered load as a fraction of interface peak",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("cycle", "event"),
-        default="cycle",
-        help="simulator execution core; 'event' skips provably idle "
-        "cycles and falls back to 'cycle' (with a note) for "
-        "configurations it cannot prove, e.g. with observability "
-        "attached",
     )
 
 

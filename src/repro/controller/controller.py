@@ -177,43 +177,14 @@ class MemoryController:
         for fifo in self._fifo_list:
             fifo.observe_cycle()
 
-    # -- fast-forward support ------------------------------------------------
-
-    def quiescent_until(self, cycle: int) -> int | None:
-        """Earliest cycle >= ``cycle`` at which stepping may do work.
-
-        Returns ``cycle`` itself when the controller is busy (so the
-        caller must step every cycle), a future cycle when the only
-        pending obligation is a scheduled refresh, or None when, absent
-        new client requests, stepping can never do anything again.
-
-        "Work" excludes request retirement on purpose: retiring an
-        in-flight burst at a later cycle is observationally identical
-        (``completed_cycle`` is the recorded burst-end cycle either
-        way, and with an empty window/FIFOs nothing can react to the
-        retirement earlier), so in-flight requests alone do not force
-        per-cycle stepping.
-        """
-        if self.window or self._refresh_draining:
-            return cycle
-        for fifo in self._fifo_list:
-            if len(fifo):
-                return cycle
-        for bank_index in self._close_wanted:
-            # A committed policy precharge still waiting on an open row
-            # resolves within tRAS; step it cycle by cycle.
-            if self.device.bank(bank_index).open_row(cycle) is not None:
-                return cycle
-        if self._refresh is None:
-            return None
-        return self._refresh.quiescent_until(cycle)
+    # -- event-engine support -----------------------------------------------
 
     def skip_idle_cycles(self, cycles: int) -> None:
-        """Account for ``cycles`` idle cycles the simulator skipped.
+        """Account for ``cycles`` inert cycles the event engine skipped.
 
-        Only per-cycle statistics accrue during a quiescent span (FIFO
+        Only per-cycle statistics accrue during an inert span (FIFO
         occupancy observation); command state is untouched, which is
-        exactly what :meth:`quiescent_until` guarantees is safe.
+        exactly what the engine's skip analysis guarantees is safe.
         """
         for fifo in self._fifo_list:
             fifo.observe_cycles(cycles)

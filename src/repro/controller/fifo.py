@@ -84,7 +84,7 @@ class ClientFifo:
     def observe_cycles(self, cycles: int) -> None:
         """Accumulate occupancy statistics for ``cycles`` cycles at once.
 
-        Used by the fast-forward simulator for skipped idle spans, over
+        Used by the event engine for skipped inert spans, over
         which the occupancy is constant by construction.
         """
         if cycles < 0:

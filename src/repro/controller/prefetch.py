@@ -179,14 +179,6 @@ class PrefetchingMemoryController(MemoryController):
             self.prefetch_issued += 1
             free -= 1
 
-    def quiescent_until(self, cycle: int) -> int | None:
-        """Prefetch injection is idle work: queued prefetch targets get
-        injected even when no client request arrives, so the controller
-        is never quiescent while any are pending."""
-        if self._pending_prefetch:
-            return cycle
-        return super().quiescent_until(cycle)
-
     def _candidate_order(self, cycle: int):
         """Demand requests first; prefetches only fill leftover slots."""
         demand = [

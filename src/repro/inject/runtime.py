@@ -26,9 +26,8 @@ All hooks are no-ops when ``injector`` is None or disabled: the
 controller is then command-for-command identical to the baseline, which
 is what :func:`repro.verify.differential.diff_injection_off` pins.
 
-When the injector is *enabled* the controller reports itself
-non-quiescent every cycle, so the simulator's fast-forward path
-degenerates to the naive per-cycle loop — fault draws happen on a
+As a controller subclass it always runs on the simulator's naive
+per-cycle loop (the event engine declines it): fault draws happen on a
 per-cycle clock and must not be skipped over.
 """
 
@@ -73,13 +72,6 @@ class ResilientController(MemoryController):
         if injector is not None and injector.enabled:
             return injector
         return None
-
-    # -- fast-forward: injected runs step every cycle -------------------------
-
-    def quiescent_until(self, cycle: int) -> int | None:
-        if self._active() is not None:
-            return cycle
-        return super().quiescent_until(cycle)
 
     # -- client interface: injected FIFO stalls -------------------------------
 
@@ -360,7 +352,6 @@ def build_injected_simulator(
         config=SimulationConfig(
             cycles=cycles,
             warmup_cycles=warmup_cycles,
-            fast_forward=True,
             check_invariants=check_invariants,
         ),
         obs=obs,

@@ -2,15 +2,15 @@
 
 One :class:`Observability` object rides along with a simulation run and
 receives every interesting event — command issues, request retirements,
-row hits/misses, FIFO pushes/stalls, refresh services and fast-forward
-skip windows.  It fans each event into
+row hits/misses, FIFO pushes/stalls, refresh services and the
+measurement reset.  It fans each event into
 
 * a :class:`~repro.obs.metrics.MetricsRegistry` (counters and bounded
   histograms, exported as a JSON snapshot), and
 * optionally a :class:`~repro.obs.trace.TraceRecorder` (Chrome
   trace-event JSON loadable in Perfetto), with one timeline track per
   bank (row-open spans), per client (request lifetimes), plus command,
-  refresh and fast-forward tracks.
+  refresh and simulator tracks.
 
 The layer is strictly read-only: it never mutates simulator state, and
 with ``obs=None`` (the default everywhere) the only cost is one
@@ -195,23 +195,10 @@ class Observability:
 
     # -- simulator events ----------------------------------------------------
 
-    def on_skip(self, start_cycle: int, skipped: int) -> None:
-        self.metrics.counter("sim.cycles_fast_forwarded").inc(skipped)
-        self.metrics.counter("sim.fast_forward_jumps").inc()
-        self.metrics.histogram("sim.fast_forward_span").record(skipped)
-        if self.trace is not None:
-            self.trace.complete(
-                "fast-forward",
-                "skip",
-                start_cycle,
-                start_cycle + skipped,
-                cycles=skipped,
-            )
-
     def on_measurement_reset(self, cycle: int) -> None:
         self.metrics.counter("sim.measurement_resets").inc()
         if self.trace is not None:
-            self.trace.instant("fast-forward", "measurement-reset", cycle)
+            self.trace.instant("simulator", "measurement-reset", cycle)
 
     def on_run_end(self, total_cycles: int) -> None:
         self.metrics.gauge("sim.total_cycles").set(total_cycles)

@@ -11,7 +11,7 @@ rates line up.
 
 Tracks (Perfetto rows) are lazily allocated by name — one per bank, one
 per client, one for the command bus, one for refresh and one for
-fast-forward windows — and the event count is capped so a runaway run
+simulator markers — and the event count is capped so a runaway run
 degrades to a truncated trace (with a drop counter) instead of
 exhausting memory.
 """

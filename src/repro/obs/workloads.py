@@ -7,7 +7,7 @@ the frame stores, a bitstream buffer client, and a CPU-like random
 client — all sharing one embedded macro.  It is the standard target for
 ``repro trace`` because it exercises every instrumented path: row hits
 (display), row misses and bank conflicts (motion compensation), writes
-(reconstruction), refresh, back-pressure and fast-forward windows.
+(reconstruction), refresh and back-pressure.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ def mpeg2_decoder_simulator(
     load: float = 1.2,
     banks: int = 8,
     page_bits: int = 4096,
-    fast_forward: bool = True,
-    backend: str = "cycle",
     obs=None,
 ) -> MemorySystemSimulator:
     """MPEG2-decoder-style five-client system on a 16-Mbit macro.
@@ -124,8 +122,6 @@ def mpeg2_decoder_simulator(
         config=SimulationConfig(
             cycles=cycles,
             warmup_cycles=warmup_cycles,
-            fast_forward=fast_forward,
-            backend=backend,
         ),
         obs=obs,
     )

@@ -1,11 +1,9 @@
 """Event-driven simulator backend: advance between state changes.
 
-The cycle backend steps every cycle, and its fast-forward path can only
-skip *fully quiescent* spans (empty window, empty FIFOs) — so at high
-load it degenerates to the naive loop.  This engine generalizes the
-skip analysis: a span of cycles may be jumped whenever stepping each of
-them would provably change nothing observable, even while the window is
-full of requests and clients are back-pressured.  What remains is a
+The simulator's default backend.  The naive reference loop steps every
+cycle; this engine jumps any span of cycles where stepping each of them
+would provably change nothing observable, even while the window is full
+of requests and clients are back-pressured.  What remains is a
 timestamp-ordered walk over the cycles where something *can* happen:
 
 * a client's token bucket reaches issue threshold
@@ -42,7 +40,7 @@ differential fuzz corpus exists to catch exactly that.
 
 Configurations outside the analyzed envelope (observability attached,
 live invariant checking, controller subclasses, unknown scheduler or
-arbiter types) transparently fall back to the cycle backend;
+arbiter types) transparently fall back to the naive reference loop;
 ``MemorySystemSimulator.backend_fallback_reason`` records why.
 """
 
@@ -72,7 +70,7 @@ def event_fallback_reason(simulator) -> str | None:
 
     The engine's skip analysis is proven against the stock controller,
     schedulers and arbiters; anything it has not been analyzed for runs
-    on the cycle backend instead of risking silent divergence.
+    on the naive reference loop instead of risking silent divergence.
     """
     if simulator.obs is not None:
         return "observability requires per-cycle events"
@@ -162,7 +160,6 @@ class EventEngine:
                     else:
                         client.tick_many(skipped)
                 controller.skip_idle_cycles(skipped)
-                sim.cycles_fast_forwarded += skipped
                 cycle = target
         if budget_reason is not None:
             return sim._collect(

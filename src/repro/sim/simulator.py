@@ -30,10 +30,6 @@ class SimulationConfig:
         align_to_burst: Align client addresses down to burst boundaries
             (one request = one full burst; realistic for streaming DMA
             engines and the right granularity for bandwidth accounting).
-        fast_forward: Skip provably idle cycles (no client can issue, the
-            controller is quiescent) in one jump instead of stepping them
-            one by one.  Results are bit-identical to the per-cycle loop;
-            set False to force the naive reference loop.
         check_invariants: Live verification mode (:mod:`repro.verify`).
             ``"off"`` (default) adds no machinery; ``"collect"`` streams
             every issued command through an independent protocol oracle
@@ -46,11 +42,12 @@ class SimulationConfig:
             included).  A run hitting the cap stops there and returns a
             truncated-but-valid result (``result.truncated`` set,
             ``truncation_reason == "max_cycles"``); statistics cover
-            the cycles actually simulated.  Deterministic: the naive
-            and fast-forward loops truncate at the same cycle.  None
-            (default) means no cap.
+            the cycles actually simulated.  Deterministic: both
+            backends truncate at the same cycle.  None (default) means
+            no cap.
         max_wall_s: Watchdog wall-clock deadline.  Checked every 512
-            stepped cycles (naive loop) or every event (fast loop); on
+            stepped cycles (``"cycle"`` backend) or after every stepped
+            cycle (``"event"`` backend), never on the final cycle; on
             expiry the run stops and returns a truncated-but-valid
             result with ``truncation_reason == "max_wall_s"``.
             Inherently nondeterministic — use for hang protection in
@@ -63,27 +60,26 @@ class SimulationConfig:
             the run stops and returns a truncated-but-valid result
             with ``truncation_reason == "cancelled"``.  None (default)
             adds no per-cycle work.
-        backend: Execution core.  ``"cycle"`` (default) is the stepped
-            loop (naive or fast-forward per ``fast_forward``);
-            ``"event"`` selects the event-driven engine
-            (:mod:`repro.sim.event_engine`), which advances directly
-            between state-changing timestamps so cost scales with
-            commands issued rather than cycles elapsed.  Results are
-            bit-identical to the cycle backend; configurations the
-            event engine does not support (observability attached,
-            live invariant checking, controller subclasses, custom
-            schedulers/arbiters) fall back to the cycle backend and
-            record why in ``simulator.backend_fallback_reason``.
+        backend: Execution core.  ``"event"`` (default) is the
+            event-driven engine (:mod:`repro.sim.event_engine`), which
+            advances directly between state-changing timestamps so
+            cost scales with commands issued rather than cycles
+            elapsed.  ``"cycle"`` is the naive reference loop that
+            steps every cycle.  Results are bit-identical either way;
+            configurations the event engine does not support
+            (observability attached, live invariant checking,
+            controller subclasses, custom schedulers/arbiters) run on
+            the reference loop and record why in
+            ``simulator.backend_fallback_reason``.
     """
 
     cycles: int = 20_000
     warmup_cycles: int = 1_000
     align_to_burst: bool = True
-    fast_forward: bool = True
     check_invariants: str = "off"
     max_cycles: int | None = None
     max_wall_s: float | None = None
-    backend: str = "cycle"
+    backend: str = "event"
     cancel: object = field(default=None, compare=False)
     #: Distributed trace context (a
     #: :class:`~repro.obs.tracectx.TraceContext` or its dict form)
@@ -128,15 +124,12 @@ class MemorySystemSimulator:
     clients: list[MemoryClient]
     config: SimulationConfig = SimulationConfig()
     #: Optional :class:`~repro.obs.Observability` receiving command,
-    #: retirement, FIFO and fast-forward events.  None (the default)
+    #: retirement, FIFO and refresh events.  None (the default)
     #: costs nothing and results are bit-identical either way.
     obs: object = None
 
     _next_request_id: int = field(default=0, init=False)
     _pending: dict = field(default_factory=dict, init=False)
-    #: Cycles the fast-forward path jumped over instead of stepping
-    #: (diagnostic; 0 after a naive run).
-    cycles_fast_forwarded: int = field(default=0, init=False)
     #: Live checker when ``config.check_invariants != "off"``.
     invariant_checker: object = field(default=None, init=False, repr=False)
     #: :class:`~repro.verify.invariants.InvariantReport` after a checked
@@ -145,7 +138,7 @@ class MemorySystemSimulator:
     #: Backend that actually executed the last :meth:`run` ("cycle" or
     #: "event"); None before the first run.
     backend_used: str | None = field(default=None, init=False)
-    #: Why a requested event backend fell back to the cycle backend;
+    #: Why the event backend fell back to the reference loop;
     #: None when no fallback happened.
     backend_fallback_reason: str | None = field(default=None, init=False)
 
@@ -214,16 +207,10 @@ class MemorySystemSimulator:
     def run(self) -> SimulationResult:
         """Simulate warm-up plus measured cycles and gather statistics.
 
-        With ``config.fast_forward`` (the default) idle spans — no
-        client able to issue, no back-pressured request, controller
-        quiescent — are jumped in one step; the result is bit-identical
-        to the naive per-cycle loop (asserted by the equivalence grid in
-        ``tests/test_sim_fastforward.py``).
-
-        With ``config.backend == "event"`` the event-driven engine is
-        used instead (bit-identical as well; see
-        :mod:`repro.sim.event_engine`), falling back to the cycle
-        backend for unsupported configurations.
+        Runs on the event-driven engine (:mod:`repro.sim.event_engine`)
+        unless ``config.backend == "cycle"`` or the engine declines the
+        configuration; either way the result is bit-identical to the
+        naive reference loop.
         """
         self.backend_fallback_reason = None
         if self.config.backend == "event":
@@ -238,8 +225,6 @@ class MemorySystemSimulator:
                 return EventEngine(self).run()
             self.backend_fallback_reason = reason
         self.backend_used = "cycle"
-        if self.config.fast_forward:
-            return self._run_fast()
         return self._run_naive()
 
     def _budget(self) -> tuple:
@@ -272,6 +257,7 @@ class MemorySystemSimulator:
             if (
                 (deadline is not None or cancel is not None)
                 and (cycle & 511) == 511
+                and cycle + 1 < hard_total
             ):
                 if (
                     deadline is not None
@@ -290,62 +276,6 @@ class MemorySystemSimulator:
             )
         return self._collect(hard_total)
 
-    def _run_fast(self) -> SimulationResult:
-        """Event-skipping loop: identical per-cycle processing, but
-        provably dead cycles are replaced by batched credit/statistics
-        accrual and one clock jump."""
-        hard_total, budget_reason = self._budget()
-        deadline = self._deadline()
-        cancel = self.config.cancel
-        warmup_barrier = self.config.warmup_cycles - 1
-        clients = self.clients
-        controller = self.controller
-        checker = self.invariant_checker
-        cycle = 0
-        while cycle < hard_total:
-            self._drive_clients(cycle)
-            controller.step(cycle)
-            if checker is not None:
-                checker.on_cycle(cycle, self)
-                self._maybe_raise_violations(checker)
-            if cycle == warmup_barrier:
-                self._reset_measurement()
-            cycle += 1
-            if (
-                deadline is not None
-                and cycle < hard_total
-                and time.perf_counter() > deadline
-            ):
-                return self._collect(cycle, truncation=("max_wall_s", cycle))
-            if (
-                cancel is not None
-                and cycle < hard_total
-                and cancel.cancelled
-            ):
-                return self._collect(cycle, truncation=("cancelled", cycle))
-            if cycle >= hard_total:
-                break
-            target = self._next_event_cycle(
-                cycle, hard_total, warmup_barrier
-            )
-            if target > cycle:
-                skipped = target - cycle
-                for client in clients:
-                    client.tick_many(skipped)
-                controller.skip_idle_cycles(skipped)
-                self.cycles_fast_forwarded += skipped
-                if self.obs is not None:
-                    self.obs.on_skip(cycle, skipped)
-                if checker is not None:
-                    checker.on_skip(cycle, skipped, self)
-                    self._maybe_raise_violations(checker)
-                cycle = target
-        if budget_reason is not None:
-            return self._collect(
-                hard_total, truncation=(budget_reason, hard_total)
-            )
-        return self._collect(hard_total)
-
     def _maybe_raise_violations(self, checker) -> None:
         if self.config.check_invariants != "raise" or not checker.violations:
             return
@@ -356,36 +286,6 @@ class MemorySystemSimulator:
             f"invariant violated at cycle {first.cycle}: "
             f"[{first.check}] {first.detail}"
         )
-
-    def _next_event_cycle(
-        self, cycle: int, total: int, warmup_barrier: int
-    ) -> int:
-        """Next cycle that must actually be stepped, starting at ``cycle``.
-
-        A cycle may be skipped only when, on that cycle, every client
-        would merely tick its token bucket and the controller step would
-        be a no-op (plus statistics).  Two cycles are always barriers:
-        the warm-up reset cycle (retirements must not leak across the
-        measurement reset) and the final cycle (so every due burst
-        retires before collection, as in the naive loop).
-        """
-        if self._pending:
-            return cycle  # back-pressure retries and stall accounting
-        quiescent = self.controller.quiescent_until(cycle)
-        if quiescent is not None and quiescent <= cycle:
-            return cycle
-        target = total - 1
-        if cycle <= warmup_barrier:
-            target = min(target, warmup_barrier)
-        if quiescent is not None:
-            target = min(target, quiescent)
-        for client in self.clients:
-            ticks = client.cycles_until_wants(target - cycle)
-            if ticks == 0:
-                return cycle
-            if cycle + ticks < target:
-                target = cycle + ticks
-        return target
 
     def _reset_measurement(self) -> None:
         """Discard warm-up statistics."""

@@ -113,8 +113,8 @@ class MemoryClient:
         simulator neither polls nor ticks, so credit accrual freezes —
         the held request already consumed its credit, and a stalled
         client must not bank extra credit it would burst out once the
-        back-pressure clears.  The fast-forward path relies on exactly
-        these semantics.
+        back-pressure clears.  The event engine relies on exactly these
+        semantics.
         """
         del cycle  # pacing is credit-based, not cycle-pattern-based
         return self._credit + self.rate >= 1.0
@@ -150,7 +150,7 @@ class MemoryClient:
         Bit-identical to calling :meth:`tick` ``cycles`` times — the
         accrual is iterated (not closed-form) so the floating-point
         rounding sequence matches the per-cycle loop exactly, which is
-        what lets the fast-forward simulator reproduce the naive loop's
+        what lets the event engine reproduce the naive loop's
         issue cycles to the cycle.  Token-bucket states recur after
         every issue, so the tick trajectory for each starting credit is
         memoized and steady-state batches cost O(1).

@@ -8,8 +8,8 @@ Three pillars (see :mod:`repro.verify.oracle`,
   streams every controller command through an independent protocol
   oracle and checks simulator-state conservation laws while the
   simulation runs;
-* **differential oracles** — the same workload through fast-forward vs
-  per-cycle simulation, serial vs parallel sweeps and memoized vs cold
+* **differential oracles** — the same workload through the event engine
+  vs per-cycle simulation, serial vs parallel sweeps and memoized vs cold
   evaluators, diffed field by field with first-divergence localization;
 * **seeded fuzzing** — deterministic generators, registered properties
   and shrinking to minimal repros, driven by
@@ -20,10 +20,10 @@ from repro.verify.differential import (
     DifferentialReport,
     FieldDiff,
     FirstDivergence,
+    diff_backend,
     diff_memoized_vs_cold,
     diff_results,
     diff_serial_vs_parallel,
-    diff_simulations,
     diff_values,
     first_command_divergence,
     result_fingerprint,
@@ -54,10 +54,10 @@ __all__ = [
     "LiveInvariantChecker",
     "PROPERTIES",
     "Violation",
+    "diff_backend",
     "diff_memoized_vs_cold",
     "diff_results",
     "diff_serial_vs_parallel",
-    "diff_simulations",
     "diff_values",
     "evaluate_case",
     "first_command_divergence",

@@ -12,9 +12,9 @@ Usage::
 
 ``fuzz`` runs the seeded fuzz harness (failing cases are shrunk and
 printed with a one-line repro command); ``diff`` runs the differential
-oracles — fast-forward vs per-cycle, event backend vs per-cycle, and
-memoized vs cold — on generated configurations; ``properties`` lists
-the registered fuzz properties.
+oracles — event backend vs per-cycle and memoized vs cold — on
+generated configurations; ``properties`` lists the registered fuzz
+properties.
 Also reachable as ``python -m repro.cli verify ...``.
 """
 
@@ -76,35 +76,15 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.verify import fuzz
-    from repro.verify.differential import (
-        diff_backend,
-        diff_memoized_vs_cold,
-        diff_simulations,
-    )
+    from repro.verify.differential import diff_backend, diff_memoized_vs_cold
 
     failures = 0
-    for index in range(args.cases):
-        rng = random.Random(f"{args.seed}:diff:{index}")
-        params = fuzz.gen_sim_case(rng)
-        report = diff_simulations(
-            lambda fast_forward, record_commands: fuzz.build_simulator(
-                params,
-                fast_forward=fast_forward,
-                record_commands=record_commands,
-            ),
-            label=f"sim case {index}: fast-forward vs per-cycle",
-        )
-        print(report.describe())
-        failures += 0 if report.identical else 1
     for index in range(args.cases):
         rng = random.Random(f"{args.seed}:backend:{index}")
         params = fuzz.gen_sim_case(rng)
         report = diff_backend(
             lambda backend, record_commands: fuzz.build_simulator(
-                params,
-                fast_forward=False,
-                backend=backend,
-                record_commands=record_commands,
+                params, backend=backend, record_commands=record_commands
             ),
             label=f"sim case {index}: event backend vs per-cycle",
         )

@@ -7,8 +7,8 @@ turns that promise into machinery:
 * :func:`diff_results` walks two full statistics structures
   field-by-field (dataclasses, dicts, tuples, latency sample lists) and
   returns every differing leaf with its path;
-* :func:`diff_simulations` runs one workload through the fast-forward
-  and the per-cycle loop and, when anything differs, re-runs both with
+* :func:`diff_backend` runs one workload through the event engine and
+  the naive per-cycle loop and, when anything differs, re-runs both with
   command recording to report the **first divergent command cycle** —
   the cycle where the two executions stopped being the same machine;
 * :func:`diff_serial_vs_parallel` compares a process-pool sweep against
@@ -206,38 +206,6 @@ def first_command_divergence(left_log, right_log) -> FirstDivergence | None:
 # -- harnesses ---------------------------------------------------------------
 
 
-def diff_simulations(
-    factory, label: str = "fast-forward vs per-cycle"
-) -> DifferentialReport:
-    """Run one workload through two simulator paths and compare.
-
-    Args:
-        factory: ``factory(fast_forward, record_commands)`` returning a
-            **fresh** :class:`MemorySystemSimulator` for each call; the
-            reference path is ``fast_forward=False``.
-        label: Report label.
-
-    When the end results differ, both paths are re-run with command
-    recording enabled and the report carries the first divergent
-    command (and therefore the first divergent cycle).
-    """
-    reference = factory(False, False).run()
-    optimized = factory(True, False).run()
-    diffs = diff_results(reference, optimized)
-    first = None
-    if diffs:
-        ref_sim = factory(False, True)
-        ref_sim.run()
-        opt_sim = factory(True, True)
-        opt_sim.run()
-        first = first_command_divergence(
-            ref_sim.controller.command_log, opt_sim.controller.command_log
-        )
-    return DifferentialReport(
-        label=label, diffs=diffs, first_divergence=first
-    )
-
-
 def diff_backend(
     factory, label: str = "event backend vs per-cycle"
 ) -> DifferentialReport:
@@ -246,13 +214,11 @@ def diff_backend(
     Args:
         factory: ``factory(backend, record_commands)`` returning a
             **fresh** :class:`MemorySystemSimulator` for each call;
-            the reference is ``backend="cycle"`` (the factory should
-            build it with ``fast_forward=False`` so the reference is
-            the naive stepped loop).
+            the reference is ``backend="cycle"``, the naive loop.
         label: Report label.
 
     Skips gracefully (reports identical) when the event engine fell
-    back to the cycle backend — there is nothing to diff then; the
+    back to the naive loop — there is nothing to diff then; the
     fallback reason is recorded on the simulator.  When results
     differ, both paths re-run with command recording and the report
     localizes the first divergent command cycle.

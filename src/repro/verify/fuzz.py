@@ -6,7 +6,7 @@ pairs and metric matrices; each generated case is run through one of the
 registered *properties* — predicates that must hold on every valid
 input:
 
-* ``sim_differential`` — fast-forward simulation is bit-identical to
+* ``sim_differential`` — event-engine simulation is bit-identical to
   the per-cycle reference on the same workload;
 * ``sim_invariants`` — a live-checked run reports zero protocol/state
   violations and its recorded command trace replays cleanly through
@@ -401,10 +401,9 @@ def build_client(params: dict):
 def build_simulator(
     params: dict,
     *,
-    fast_forward: bool,
+    backend: str = "event",
     record_commands: bool = False,
     check_invariants: str = "off",
-    backend: str = "cycle",
     obs=None,
 ):
     """Instantiate a fresh simulator from a ``gen_sim_case`` dict."""
@@ -438,7 +437,6 @@ def build_simulator(
         controller=controller,
         clients=clients,
         config=SimulationConfig(
-            fast_forward=fast_forward,
             check_invariants=check_invariants,
             backend=backend,
             **params["sim"],
@@ -463,13 +461,11 @@ def build_requirements(params: dict):
 
 
 def check_sim_differential(params: dict) -> list:
-    from repro.verify.differential import diff_simulations
+    from repro.verify.differential import diff_backend
 
-    report = diff_simulations(
-        lambda fast_forward, record_commands: build_simulator(
-            params,
-            fast_forward=fast_forward,
-            record_commands=record_commands,
+    report = diff_backend(
+        lambda backend, record_commands: build_simulator(
+            params, backend=backend, record_commands=record_commands
         )
     )
     return [] if report.identical else [report.describe()]
@@ -479,10 +475,7 @@ def check_sim_invariants(params: dict) -> list:
     from repro.dram.tracecheck import TraceChecker
 
     simulator = build_simulator(
-        params,
-        fast_forward=True,
-        record_commands=True,
-        check_invariants="collect",
+        params, record_commands=True, check_invariants="collect"
     )
     simulator.run()
     messages = []
@@ -939,7 +932,7 @@ def write_failure_trace(failure: "FuzzFailure", directory) -> str | None:
     )
     obs = Observability.create(trace=True)
     try:
-        build_simulator(params, fast_forward=True, obs=obs).run()
+        build_simulator(params, obs=obs).run()
     except Exception:
         pass
     path = pathlib.Path(directory) / (

@@ -9,15 +9,14 @@ a :class:`LiveInvariantChecker` rides along with a simulation run:
   code with the device model);
 * every stepped cycle, simulator-state invariants are checked — FIFO
   conservation, request-issue accounting, token-bucket bounds,
-  refresh-deadline tracking, and completed-request timeline sanity;
-* every fast-forward jump is audited: a skip is only legal from a
-  provably quiescent state, and must not jump over a refresh deadline.
+  refresh-deadline tracking, and completed-request timeline sanity.
 
 Violations are collected into an :class:`InvariantReport` (or raised as
 :class:`~repro.errors.VerificationError` in ``"raise"`` mode).  A clean
-report is the machine-checked form of the fast path's "bit-identical"
-claim: not only do the end results match, every intermediate command was
-legal and every conservation law held on the way there.
+report is the machine-checked form of the reference loop's protocol
+correctness: every command was legal and every conservation law held on
+the way to the result the event engine must reproduce bit for bit.
+(Checked runs always step every cycle: the event engine declines them.)
 """
 
 from __future__ import annotations
@@ -69,13 +68,11 @@ class InvariantReport:
         violations: All violations found, in detection order.
         commands_checked: Commands streamed through the protocol oracle.
         cycles_checked: Stepped cycles on which state was checked.
-        skips_checked: Fast-forward jumps audited.
     """
 
     violations: tuple
     commands_checked: int
     cycles_checked: int
-    skips_checked: int
 
     @property
     def clean(self) -> bool:
@@ -88,8 +85,7 @@ class InvariantReport:
         )
         return (
             f"{self.commands_checked} commands, "
-            f"{self.cycles_checked} cycles, "
-            f"{self.skips_checked} skips checked: {status}"
+            f"{self.cycles_checked} cycles checked: {status}"
         )
 
 
@@ -109,7 +105,6 @@ class LiveInvariantChecker:
     oracle: CommandOracle = field(init=False)
 
     _cycles_checked: int = field(default=0, init=False)
-    _skips_checked: int = field(default=0, init=False)
     _completed_checked: int = field(default=0, init=False)
     _refresh_due_since: int | None = field(default=None, init=False)
     _last_refreshes_issued: int = field(default=0, init=False)
@@ -139,45 +134,6 @@ class LiveInvariantChecker:
         self._check_refresh_deadline(cycle, simulator.controller)
         self._check_completed(cycle, simulator.controller)
 
-    def on_skip(self, cycle: int, skipped: int, simulator) -> None:
-        """Audit one fast-forward jump over ``[cycle, cycle+skipped)``."""
-        self._skips_checked += 1
-        controller = simulator.controller
-        if simulator._pending:
-            self._state_violation(
-                cycle,
-                "skip.pending",
-                f"skipped {skipped} cycles with back-pressured "
-                f"requests held for {sorted(simulator._pending)}",
-            )
-        if controller.window:
-            self._state_violation(
-                cycle,
-                "skip.window",
-                f"skipped {skipped} cycles with {len(controller.window)} "
-                f"requests in the scheduling window",
-            )
-        busy = [
-            name
-            for name, fifo in controller.fifos.items()
-            if len(fifo)
-        ]
-        if busy:
-            self._state_violation(
-                cycle,
-                "skip.fifo",
-                f"skipped {skipped} cycles with queued requests in "
-                f"{busy}",
-            )
-        scheduler = controller.refresh_scheduler
-        if scheduler is not None and scheduler.due(cycle + skipped - 1):
-            self._state_violation(
-                cycle,
-                "skip.refresh_deadline",
-                f"skip to {cycle + skipped} jumps over a refresh due at "
-                f"{scheduler.quiescent_until(cycle)}",
-            )
-
     def on_measurement_reset(self, completed_discarded: int) -> None:
         """The simulator is about to clear warm-up statistics."""
         del completed_discarded
@@ -188,7 +144,6 @@ class LiveInvariantChecker:
             violations=tuple(self.violations),
             commands_checked=self.oracle.commands_seen,
             cycles_checked=self._cycles_checked,
-            skips_checked=self._skips_checked,
         )
 
     # -- individual state checks --------------------------------------------

@@ -1,12 +1,24 @@
 """Tests for repro.experiments: every claim report holds end to end.
 
-These are the cheap analytic experiments; the simulation-heavy ones
-(E5, E10) are exercised at reduced scale here and at full scale in the
-benchmark harness.
+Every experiment E1-E10 runs in full: its claims must hold and its
+report must match the golden fingerprint in
+``tests/data/experiment_goldens.json`` (sha256[:16] of the report's
+canonical JSON).  A fingerprint pins the measured text of every claim,
+so a refactor that moves a reported number fails here even when the
+claim still holds; an intended model change regenerates the golden and
+says why.
+Table rendering re-simulates, so only the cheap analytic tables render
+here.
 """
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.core.store import canonical_text
 from repro.experiments import (
     ALL_EXPERIMENTS,
     e01_interface_power,
@@ -32,14 +44,28 @@ FAST_EXPERIMENTS = [
 ]
 
 
+GOLDENS = json.loads(
+    (Path(__file__).parent / "data" / "experiment_goldens.json").read_text()
+)
+
+
+def report_fingerprint(report) -> str:
+    text = canonical_text(dataclasses.asdict(report))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 @pytest.mark.parametrize(
     "module",
-    FAST_EXPERIMENTS,
+    ALL_EXPERIMENTS,
     ids=lambda m: m.__name__.rsplit(".", 1)[-1],
 )
 def test_experiment_all_claims_hold(module):
     report = module.run()
     assert report.all_hold, report.render()
+    assert report_fingerprint(report) == GOLDENS[report.experiment_id], (
+        f"{report.experiment_id} report drifted from its golden "
+        "fingerprint:\n" + report.render()
+    )
 
 
 @pytest.mark.parametrize(

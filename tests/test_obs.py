@@ -368,23 +368,28 @@ class TestObservabilityIntegration:
             if event["ph"] == "X":
                 assert event["dur"] >= 0
 
-    def test_fast_forward_windows_traced(self):
+    def test_observed_runs_step_every_cycle_identically(self):
+        # Observability needs per-cycle events, so the event engine
+        # declines it; the naive loop it runs on must agree with the
+        # event engine's unobserved result.
         obs = Observability.create(trace=True)
         simulator = mpeg2_decoder_simulator(
             cycles=2_000, warmup_cycles=200, load=0.02, obs=obs
         )
-        simulator.run()
-        assert simulator.cycles_fast_forwarded > 0
-        assert (
-            obs.metrics.value("sim.cycles_fast_forwarded")
-            == simulator.cycles_fast_forwarded
+        observed = simulator.run()
+        assert simulator.backend_used == "cycle"
+        assert "observability" in simulator.backend_fallback_reason
+        plain = mpeg2_decoder_simulator(
+            cycles=2_000, warmup_cycles=200, load=0.02
         )
-        spans = [
+        assert result_fingerprint(plain.run()) == result_fingerprint(observed)
+        assert plain.backend_used == "event"
+        resets = [
             e
             for e in obs.trace.events
-            if e["ph"] == "X" and e["name"] == "skip"
+            if e["ph"] == "i" and e["name"] == "measurement-reset"
         ]
-        assert spans
+        assert len(resets) == 1
 
     def test_metrics_only_mode_has_no_trace(self):
         obs = Observability.create(trace=False)

@@ -28,10 +28,7 @@ def _diff_case(params: dict, **overrides) -> None:
 
     def factory(backend, record_commands):
         return fuzz.build_simulator(
-            params,
-            fast_forward=False,
-            backend=backend,
-            record_commands=record_commands,
+            params, backend=backend, record_commands=record_commands
         )
 
     report = diff_backend(factory)
@@ -75,34 +72,30 @@ def test_backend_bit_identity_refresh_deadline_edges():
         _diff_case(params)
 
 
-def test_backend_matches_fast_forward_reference():
-    """All three execution paths agree: naive, fast-forward, event."""
+def test_backend_default_is_event():
+    """The default configuration runs on the event engine and matches
+    the naive reference loop."""
+    assert SimulationConfig().backend == "event"
     for index in range(5):
         rng = random.Random(f"event-ff:{index}")
         params = fuzz.gen_sim_case(rng)
-        naive = fuzz.build_simulator(params, fast_forward=False).run()
-        fast = fuzz.build_simulator(params, fast_forward=True).run()
-        event = fuzz.build_simulator(
-            params, fast_forward=False, backend="event"
-        ).run()
-        assert result_fingerprint(naive) == result_fingerprint(fast)
-        assert result_fingerprint(naive) == result_fingerprint(event)
+        naive = fuzz.build_simulator(params, backend="cycle").run()
+        default = fuzz.build_simulator(params)
+        assert result_fingerprint(naive) == result_fingerprint(default.run())
+        assert default.backend_used == "event"
 
 
 def test_backend_used_diagnostics():
     rng = random.Random("event-diag")
     params = fuzz.gen_sim_case(rng)
-    cycle_sim = fuzz.build_simulator(params, fast_forward=False)
+    cycle_sim = fuzz.build_simulator(params, backend="cycle")
     cycle_sim.run()
     assert cycle_sim.backend_used == "cycle"
     assert cycle_sim.backend_fallback_reason is None
-    event_sim = fuzz.build_simulator(
-        params, fast_forward=False, backend="event"
-    )
+    event_sim = fuzz.build_simulator(params, backend="event")
     event_sim.run()
     assert event_sim.backend_used == "event"
     assert event_sim.backend_fallback_reason is None
-    assert event_sim.cycles_fast_forwarded >= 0
 
 
 def test_backend_fallback_on_invariant_checking():
@@ -111,17 +104,14 @@ def test_backend_fallback_on_invariant_checking():
     rng = random.Random("event-invariants")
     params = fuzz.gen_sim_case(rng)
     sim = fuzz.build_simulator(
-        params,
-        fast_forward=False,
-        backend="event",
-        check_invariants="collect",
+        params, backend="event", check_invariants="collect"
     )
     reason = event_fallback_reason(sim)
     assert reason is not None and "invariant" in reason
     result = sim.run()
     assert sim.backend_used == "cycle"
     assert sim.backend_fallback_reason == reason
-    reference = fuzz.build_simulator(params, fast_forward=False).run()
+    reference = fuzz.build_simulator(params, backend="cycle").run()
     assert result_fingerprint(result) == result_fingerprint(reference)
 
 
@@ -131,10 +121,7 @@ def test_backend_fallback_on_observability():
     rng = random.Random("event-obs")
     params = fuzz.gen_sim_case(rng)
     sim = fuzz.build_simulator(
-        params,
-        fast_forward=False,
-        backend="event",
-        obs=Observability.create(trace=False),
+        params, backend="event", obs=Observability.create(trace=False)
     )
     assert event_fallback_reason(sim) is not None
     sim.run()
@@ -152,7 +139,7 @@ def test_backend_fallback_on_subclassed_controller():
 
     rng = random.Random("event-subclass")
     params = fuzz.gen_sim_case(rng)
-    sim = fuzz.build_simulator(params, fast_forward=False, backend="event")
+    sim = fuzz.build_simulator(params, backend="event")
     sim.controller.__class__ = TracingController
     reason = event_fallback_reason(sim)
     assert reason is not None and "controller" in reason

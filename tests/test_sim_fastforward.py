@@ -1,13 +1,15 @@
-"""Fast-forward simulator: bit-identity with the naive loop + pacing.
+"""Simulator fast path: bit-identity with the naive loop + pacing.
 
-The event-skipping path must be *observationally indistinguishable*
-from stepping every cycle: same completed requests in the same order,
-same command counts, same latency samples, same FIFO statistics.  The
-grid here crosses client mixes, bank counts, refresh, page policy and
-controller subclasses; any divergence is a bug in the skip-safety
-analysis, not an acceptable approximation.
+The event engine (the default backend) must be *observationally
+indistinguishable* from stepping every cycle (``backend="cycle"``):
+same completed requests in the same order, same command counts, same
+latency samples, same FIFO statistics.  The grid here crosses client
+mixes, bank counts, refresh, page policy and controller subclasses;
+any divergence is a bug in the skip-safety analysis, not an acceptable
+approximation.  Controller subclasses are declined by the engine and
+must say why.
 
-Also pins the token-bucket pacing contract the fast path relies on:
+Also pins the token-bucket pacing contract the engine relies on:
 credit accrual freezes while a client's request is back-pressured.
 """
 
@@ -20,6 +22,7 @@ from repro.controller.rowcache import RowCacheController
 from repro.dram.edram import EDRAMMacro
 from repro.dram.organizations import AddressMapping, MappingScheme
 from repro.errors import ConfigurationError
+from repro.sim.event_engine import EventEngine
 from repro.sim.simulator import MemorySystemSimulator, SimulationConfig
 from repro.traffic.client import MemoryClient
 from repro.traffic.patterns import RandomPattern, SequentialPattern
@@ -60,7 +63,7 @@ def build(
     refresh=True,
     policy=None,
     controller_cls=MemoryController,
-    fast=True,
+    backend="event",
     cycles=3000,
     warmup=300,
     fifo_capacity=8,
@@ -86,7 +89,7 @@ def build(
         controller=controller,
         clients=make_clients(mix, rate),
         config=SimulationConfig(
-            cycles=cycles, warmup_cycles=warmup, fast_forward=fast
+            cycles=cycles, warmup_cycles=warmup, backend=backend
         ),
     )
 
@@ -111,17 +114,17 @@ def fingerprint(result):
 
 
 def assert_equivalent(**kwargs):
-    naive = build(fast=False, **kwargs)
-    fast = build(fast=True, **kwargs)
+    naive = build(backend="cycle", **kwargs)
+    fast = build(backend="event", **kwargs)
     assert fingerprint(naive.run()) == fingerprint(fast.run())
-    assert naive.cycles_fast_forwarded == 0
     return fast
 
 
 class TestFastForwardEquivalence:
     @pytest.mark.parametrize("rate", [0.002, 0.02, 0.1, 0.9])
     def test_load_grid(self, rate):
-        assert_equivalent(rate=rate)
+        fast = assert_equivalent(rate=rate)
+        assert fast.backend_used == "event"
 
     @pytest.mark.parametrize("banks", [1, 4])
     def test_bank_grid(self, banks):
@@ -135,16 +138,20 @@ class TestFastForwardEquivalence:
         assert_equivalent(policy=ClosedPagePolicy(), rate=0.01)
 
     def test_prefetch_controller(self):
-        assert_equivalent(
+        fast = assert_equivalent(
             controller_cls=PrefetchingMemoryController,
             mix="stream",
             rate=0.05,
         )
+        assert fast.backend_used == "cycle"
+        assert "PrefetchingMemoryController" in fast.backend_fallback_reason
 
     def test_rowcache_controller(self):
-        assert_equivalent(
+        fast = assert_equivalent(
             controller_cls=RowCacheController, mix="stream", rate=0.05
         )
+        assert fast.backend_used == "cycle"
+        assert "RowCacheController" in fast.backend_fallback_reason
 
     def test_zero_warmup(self):
         assert_equivalent(warmup=0, rate=0.01)
@@ -152,17 +159,22 @@ class TestFastForwardEquivalence:
     def test_single_stream(self):
         assert_equivalent(mix="stream", rate=0.005)
 
-    def test_fast_path_actually_skips(self):
-        sim = build(rate=0.002, fast=True)
+    def test_fast_path_actually_skips(self, call_cycles):
+        steps = call_cycles(EventEngine, "_step")
+        sim = build(rate=0.002)
         sim.run()
         # At 0.2% offered load the run is overwhelmingly idle; a fast
         # path that never skips is a silently-broken fast path.
-        assert sim.cycles_fast_forwarded > 1000
+        total = sim.config.warmup_cycles + sim.config.cycles
+        assert sim.backend_used == "event"
+        assert total - len(steps) > 1000
 
-    def test_fast_forward_off_steps_every_cycle(self):
-        sim = build(rate=0.002, fast=False)
+    def test_fast_forward_off_steps_every_cycle(self, call_cycles):
+        steps = call_cycles(MemoryController, "step")
+        sim = build(rate=0.002, backend="cycle")
         sim.run()
-        assert sim.cycles_fast_forwarded == 0
+        total = sim.config.warmup_cycles + sim.config.cycles
+        assert steps == list(range(total))
 
     def test_backpressure_equivalence(self):
         # A 1-deep FIFO under load exercises the _pending barrier: the
@@ -186,7 +198,7 @@ class TestPacingContract:
             for _ in range(span):
                 a.tick()
             b.tick_many(span)
-            # Bit-identical, not approximately equal: the fast path
+            # Bit-identical, not approximately equal: the event engine
             # replays the naive loop's float rounding sequence.
             assert a._credit == b._credit
 
@@ -228,7 +240,7 @@ class TestPacingContract:
         no credit while its request is held in the simulator's pending
         slot (the held request already spent its credit; banking more
         would burst out after the stall and distort pacing)."""
-        sim = build(rate=0.5, fifo_capacity=1, fast=False)
+        sim = build(rate=0.5, fifo_capacity=1, backend="cycle")
         client = sim.clients[0]
         observed_frozen = False
         total = sim.config.warmup_cycles + sim.config.cycles

@@ -10,12 +10,12 @@ from repro.sim.simulator import SimulationConfig
 from repro.verify.differential import result_fingerprint
 
 
-def _build(fast_forward, **overrides):
+def _build(backend, cycles=4_000, warmup_cycles=300, **overrides):
     simulator = build_injected_simulator(
-        None, cycles=4_000, warmup_cycles=300, seed=0
+        None, cycles=cycles, warmup_cycles=warmup_cycles, seed=0
     )
     simulator.config = dataclasses.replace(
-        simulator.config, fast_forward=fast_forward, **overrides
+        simulator.config, backend=backend, **overrides
     )
     return simulator
 
@@ -35,7 +35,7 @@ class TestValidation:
 
 class TestMaxCycles:
     def test_truncates_deterministically(self):
-        result = _build(False, max_cycles=2_000).run()
+        result = _build("cycle", max_cycles=2_000).run()
         assert result.truncated
         assert result.truncation_reason == "max_cycles"
         assert result.truncated_at_cycle == 2_000
@@ -45,46 +45,46 @@ class TestMaxCycles:
         assert result.requests_completed > 0
 
     def test_fast_and_naive_truncate_identically(self):
-        naive = _build(False, max_cycles=2_000).run()
-        fast = _build(True, max_cycles=2_000).run()
+        naive = _build("cycle", max_cycles=2_000).run()
+        fast = _build("event", max_cycles=2_000).run()
         assert result_fingerprint(naive) == result_fingerprint(fast)
         assert naive.truncated_at_cycle == fast.truncated_at_cycle
 
     def test_generous_cap_never_truncates(self):
-        result = _build(True, max_cycles=1_000_000).run()
+        result = _build("event", max_cycles=1_000_000).run()
         assert not result.truncated
         assert result.truncation_reason is None
         assert result.truncated_at_cycle is None
         assert result.cycles == 4_000
 
     def test_truncation_before_warmup(self):
-        result = _build(False, max_cycles=100).run()
+        result = _build("cycle", max_cycles=100).run()
         assert result.truncated
         # No measurement reset happened: the short whole-run window is
         # what the statistics cover.
         assert result.cycles == 100
 
     def test_result_stays_usable(self):
-        result = _build(False, max_cycles=1_500).run()
+        result = _build("cycle", max_cycles=1_500).run()
         assert "requests over" in result.summary()
         assert result.sustained_bandwidth_bits_per_s >= 0.0
 
 
 class TestMaxWall:
     def test_expired_deadline_truncates(self):
-        result = _build(False, max_wall_s=0.0).run()
+        result = _build("cycle", max_wall_s=0.0).run()
         assert result.truncated
         assert result.truncation_reason == "max_wall_s"
         assert result.truncated_at_cycle < 4_300
         assert "requests over" in result.summary()
 
     def test_fast_path_also_guarded(self):
-        result = _build(True, max_wall_s=0.0).run()
+        result = _build("event", max_wall_s=0.0).run()
         assert result.truncated
         assert result.truncation_reason == "max_wall_s"
 
     def test_generous_deadline_never_truncates(self):
-        result = _build(True, max_wall_s=60.0).run()
+        result = _build("event", max_wall_s=60.0).run()
         assert not result.truncated
 
 
@@ -94,7 +94,7 @@ class TestCancellation:
 
         token = CancelToken()
         token.cancel("test asked nicely")
-        result = _build(False, cancel=token).run()
+        result = _build("cycle", cancel=token).run()
         assert result.truncated
         assert result.truncation_reason == "cancelled"
         assert result.truncated_at_cycle < 4_300
@@ -104,7 +104,7 @@ class TestCancellation:
 
         token = CancelToken()
         token.cancel("test asked nicely")
-        result = _build(True, cancel=token).run()
+        result = _build("event", cancel=token).run()
         assert result.truncated
         assert result.truncation_reason == "cancelled"
 
@@ -114,23 +114,39 @@ class TestCancellation:
         class _Flag:
             cancelled = True
 
-        result = _build(False, cancel=_Flag()).run()
+        result = _build("cycle", cancel=_Flag()).run()
         assert result.truncation_reason == "cancelled"
 
     def test_uncancelled_token_changes_nothing(self):
         from repro.serve.resilience import CancelToken
 
-        clean = _build(True).run()
-        watched = _build(True, cancel=CancelToken()).run()
+        clean = _build("event").run()
+        watched = _build("event", cancel=CancelToken()).run()
         assert not watched.truncated
         assert result_fingerprint(clean) == result_fingerprint(watched)
+
+    def test_naive_watchdog_skips_the_final_cycle(self):
+        # 512 total cycles: the naive loop's first every-512-cycles
+        # watchdog check falls on the final cycle, where the run is
+        # already complete and must be reported as such.
+        from repro.serve.resilience import CancelToken
+
+        token = CancelToken()
+        token.cancel("too late to matter")
+        result = _build(
+            "cycle", cycles=448, warmup_cycles=64, cancel=token
+        ).run()
+        assert not result.truncated
+        assert result.truncation_reason is None
+        assert result.truncated_at_cycle is None
+        assert result.cycles == 448
 
 
 class TestFingerprintExclusion:
     def test_truncation_fields_not_fingerprinted(self):
         # The fingerprint is the bit-identity surface; wall-clock
         # truncation metadata must never enter it.
-        full = _build(True).run()
+        full = _build("event").run()
         fingerprint = result_fingerprint(full)
         flat = repr(fingerprint)
         assert "truncat" not in flat

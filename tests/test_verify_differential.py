@@ -1,6 +1,6 @@
 """Differential oracles: fast vs per-cycle, serial vs parallel, diffing.
 
-The acceptance surface of the verification subsystem: the fast-forward
+The acceptance surface of the verification subsystem: the event-engine
 simulator must be bit-identical to the per-cycle reference on a broad
 sample of *fuzz-generated* configurations (not just hand-picked ones),
 the process-pool sweep must match its serial reference, and when two
@@ -21,9 +21,9 @@ from repro.verify.differential import (
     DifferentialReport,
     FieldDiff,
     FirstDivergence,
+    diff_backend,
     diff_memoized_vs_cold,
     diff_serial_vs_parallel,
-    diff_simulations,
     diff_values,
     first_command_divergence,
     result_fingerprint,
@@ -40,11 +40,9 @@ class TestFastForwardDifferential:
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     def test_fast_forward_matches_per_cycle(self, seed):
         params = gen_sim_case(random.Random(seed))
-        report = diff_simulations(
-            lambda fast_forward, record_commands: build_simulator(
-                params,
-                fast_forward=fast_forward,
-                record_commands=record_commands,
+        report = diff_backend(
+            lambda backend, record_commands: build_simulator(
+                params, backend=backend, record_commands=record_commands
             )
         )
         assert report.identical, report.describe()
@@ -81,15 +79,13 @@ class TestFastForwardDifferential:
             ],
         }
 
-        def factory(fast_forward, record_commands):
-            params = other if fast_forward else base
+        def factory(backend, record_commands):
+            params = other if backend == "event" else base
             return build_simulator(
-                params,
-                fast_forward=fast_forward,
-                record_commands=record_commands,
+                params, backend=backend, record_commands=record_commands
             )
 
-        report = diff_simulations(factory, label="seed 1 vs seed 2")
+        report = diff_backend(factory, label="seed 1 vs seed 2")
         assert not report.identical
         assert report.diffs, "different workloads must differ somewhere"
         divergence = report.first_divergence
@@ -230,7 +226,7 @@ class TestMemoizedVsCold:
 class TestResultFingerprint:
     def test_fingerprint_equals_iff_results_identical(self):
         params = gen_sim_case(random.Random("diffsuite:fingerprint"))
-        first = build_simulator(params, fast_forward=True).run()
-        second = build_simulator(params, fast_forward=True).run()
+        first = build_simulator(params).run()
+        second = build_simulator(params).run()
         assert result_fingerprint(first) == result_fingerprint(second)
         assert hash(result_fingerprint(first)) is not None  # hashable

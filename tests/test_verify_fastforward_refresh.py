@@ -1,13 +1,14 @@
-"""Edge cases at the fast-forward x refresh boundary.
+"""Edge cases at the event-engine x refresh boundary.
 
-The riskiest interaction in the event-skipping fast path: an idle span
-the simulator wants to jump over that *contains a refresh deadline*.
-The skip target must be capped at the scheduler's quiescent point so
-the controller wakes up exactly when refresh is due — never a cycle
-late.  These tests pin the off-by-one surface: deadlines strictly
-inside a skipped window, the quiescent cycle landing exactly on the
-deadline (integer and fractional intervals), and bit-identity with the
-per-cycle loop across a retention sweep.
+The riskiest interaction in the event engine's skipping: an idle span
+the engine wants to jump over that *contains a refresh deadline*.  The
+skip target must be capped at the scheduler's quiescent point so the
+controller wakes up exactly when refresh is due — never a cycle late.
+These tests pin the off-by-one surface: deadlines strictly inside a
+skipped window, the quiescent cycle landing exactly on the deadline
+(integer and fractional intervals), and bit-identity with the per-cycle
+loop across a retention sweep.  A spy on ``EventEngine._step`` proves
+the engine really skipped.
 """
 
 import math
@@ -16,6 +17,7 @@ import pytest
 
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.timing import PC100_TIMING
+from repro.sim.event_engine import EventEngine
 from repro.verify.differential import result_fingerprint
 from repro.verify.fuzz import build_simulator
 
@@ -65,12 +67,18 @@ def idle_params(retention_cycles, cycles=900, rate=0.004, n_rows=16):
     }
 
 
+@pytest.fixture
+def stepped(call_cycles):
+    """Cycles the event engine actually stepped (the rest it skipped)."""
+    return call_cycles(EventEngine, "_step")
+
+
 def fingerprints(params):
-    naive = build_simulator(params, fast_forward=False)
-    fast = build_simulator(params, fast_forward=True)
+    naive = build_simulator(params, backend="cycle")
+    fast = build_simulator(params)
     naive_result = naive.run()
     fast_result = fast.run()
-    assert naive.cycles_fast_forwarded == 0
+    assert fast.backend_used == "event"
     return (
         result_fingerprint(naive_result),
         result_fingerprint(fast_result),
@@ -79,15 +87,33 @@ def fingerprints(params):
 
 
 class TestDeadlineInsideSkippedWindow:
-    def test_refresh_fires_despite_long_idle_skips(self):
+    def test_refresh_fires_despite_long_idle_skips(self, stepped):
         # Interval of 100 cycles, requests ~250 cycles apart: most
         # refresh deadlines sit strictly inside skipped idle windows.
         params = idle_params(retention_cycles=1600)
         naive_fp, fast_fp, fast = fingerprints(params)
         assert naive_fp == fast_fp
-        assert fast.cycles_fast_forwarded > 100
-        result = build_simulator(params, fast_forward=True).run()
+        assert fast.config.cycles - len(stepped) > 100
+        result = build_simulator(params).run()
         assert result.refreshes >= 5
+
+    def test_engine_wakes_exactly_at_each_refresh(self, stepped):
+        # Every refresh must issue exactly at its deadline, on a cycle
+        # the engine stepped: a skip that overshoots the deadline would
+        # issue it late.
+        params = idle_params(retention_cycles=1600, rate=0.0005)
+        simulator = build_simulator(params, record_commands=True)
+        simulator.run()
+        refreshes = [
+            command.cycle
+            for command in simulator.controller.command_log
+            if command.kind.value == "REF"
+        ]
+        assert len(refreshes) >= 5
+        assert set(refreshes) <= set(stepped)
+        interval = simulator.controller._refresh.interval_cycles
+        for index, cycle in enumerate(refreshes):
+            assert cycle == math.ceil(index * interval)
 
     @pytest.mark.parametrize(
         "retention_cycles", [130, 399, 400, 1000, 4096, 9999]
@@ -100,17 +126,6 @@ class TestDeadlineInsideSkippedWindow:
             idle_params(retention_cycles=retention_cycles)
         )
         assert naive_fp == fast_fp
-
-    def test_skips_stay_clean_under_live_invariants(self):
-        simulator = build_simulator(
-            idle_params(retention_cycles=1600),
-            fast_forward=True,
-            check_invariants="raise",
-        )
-        simulator.run()  # skip.refresh_deadline would raise here
-        report = simulator.invariant_report
-        assert report.clean
-        assert report.skips_checked > 0
 
 
 class TestQuiescentExactlyAtDeadline:
@@ -164,12 +179,15 @@ class TestQuiescentExactlyAtDeadline:
 
     def test_controller_quiescence_is_capped_by_refresh(self):
         params = idle_params(retention_cycles=1600)
-        simulator = build_simulator(params, fast_forward=True)
+        simulator = build_simulator(params)
         controller = simulator.controller
         scheduler = controller._refresh
-        # Idle controller, no traffic: its only future obligation is
-        # the refresh deadline, and it must report exactly that cycle.
-        assert controller.quiescent_until(0) == scheduler.quiescent_until(0)
-        cycle = controller.quiescent_until(0)
-        controller.step(cycle)
-        assert controller.refreshes_issued + scheduler.refreshes_issued > 0
+        scheduler.mark_issued(0)
+        # Idle controller, next request ~250 cycles out: its only
+        # earlier obligation is the refresh deadline, and the engine's
+        # skip must stop exactly there.
+        engine = EventEngine(simulator)
+        deadline = scheduler.quiescent_until(1)
+        assert engine._skip_target(1, 10_000, -1) == deadline
+        controller.step(deadline)
+        assert controller.refreshes_issued == 1

@@ -92,9 +92,11 @@ class TestCleanRuns:
     @pytest.mark.parametrize("fast", [False, True])
     @pytest.mark.parametrize("rate", [0.01, 0.8])
     def test_collect_mode_reports_clean(self, fast, rate):
+        # Either requested backend runs checked simulations on the
+        # naive loop; both must come out clean.
         simulator = build_simulator(
             sim_params(rate=rate),
-            fast_forward=fast,
+            backend="event" if fast else "cycle",
             check_invariants="collect",
         )
         simulator.run()
@@ -102,29 +104,18 @@ class TestCleanRuns:
         assert report.clean, report.summary()
         assert report.commands_checked > 0
         assert report.cycles_checked > 0
-
-    def test_fast_forward_skips_are_audited(self):
-        simulator = build_simulator(
-            sim_params(rate=0.01),
-            fast_forward=True,
-            check_invariants="collect",
-        )
-        simulator.run()
-        assert simulator.cycles_fast_forwarded > 0
-        report = simulator.invariant_report
-        assert report.skips_checked > 0
-        assert report.clean, report.summary()
+        assert simulator.backend_used == "cycle"
 
     def test_raise_mode_is_silent_on_clean_runs(self):
         simulator = build_simulator(
-            sim_params(), fast_forward=True, check_invariants="raise"
+            sim_params(), check_invariants="raise"
         )
         simulator.run()  # must not raise
         assert simulator.invariant_report.clean
 
     def test_off_mode_attaches_no_checker(self):
         simulator = build_simulator(
-            sim_params(), fast_forward=True, check_invariants="off"
+            sim_params(), check_invariants="off"
         )
         simulator.run()
         assert simulator.invariant_report is None
@@ -133,15 +124,15 @@ class TestCleanRuns:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             build_simulator(
-                sim_params(), fast_forward=True, check_invariants="loud"
+                sim_params(), check_invariants="loud"
             )
 
     def test_checking_does_not_perturb_results(self):
         from repro.verify.differential import result_fingerprint
 
-        plain = build_simulator(sim_params(), fast_forward=True).run()
+        plain = build_simulator(sim_params()).run()
         checked = build_simulator(
-            sim_params(), fast_forward=True, check_invariants="collect"
+            sim_params(), check_invariants="collect"
         ).run()
         assert result_fingerprint(plain) == result_fingerprint(checked)
 
@@ -149,7 +140,7 @@ class TestCleanRuns:
 class TestInjectedTrcdBug:
     def test_collect_mode_catches_the_mutation(self, trcd_bug):
         simulator = build_simulator(
-            sim_params(), fast_forward=True, check_invariants="collect"
+            sim_params(), check_invariants="collect"
         )
         simulator.run()
         report = simulator.invariant_report
@@ -161,7 +152,7 @@ class TestInjectedTrcdBug:
 
     def test_raise_mode_raises_verification_error(self, trcd_bug):
         simulator = build_simulator(
-            sim_params(), fast_forward=True, check_invariants="raise"
+            sim_params(), check_invariants="raise"
         )
         with pytest.raises(VerificationError):
             simulator.run()
@@ -169,7 +160,7 @@ class TestInjectedTrcdBug:
     def test_unchecked_run_sails_through(self, trcd_bug):
         # The point of the oracle: without it the mutated device model
         # accepts its own illegal schedule without complaint.
-        simulator = build_simulator(sim_params(), fast_forward=True)
+        simulator = build_simulator(sim_params())
         simulator.run()
         assert simulator.invariant_report is None
 

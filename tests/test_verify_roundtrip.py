@@ -18,10 +18,10 @@ from repro.dram.tracecheck import TraceChecker, check_controller_log
 from repro.verify.fuzz import build_simulator, gen_sim_case
 
 
-def run_recorded(params, fast_forward=True):
+def run_recorded(params, backend="event"):
     params = {**params, "sim": {**params["sim"], "warmup_cycles": 0}}
     simulator = build_simulator(
-        params, fast_forward=fast_forward, record_commands=True
+        params, backend=backend, record_commands=True
     )
     result = simulator.run()
     return simulator, result
@@ -65,8 +65,8 @@ class TestTraceRoundTrip:
 
     def test_naive_and_fast_logs_are_the_same_trace(self):
         params = gen_sim_case(random.Random("roundtrip:paths"))
-        fast_sim, _ = run_recorded(params, fast_forward=True)
-        naive_sim, _ = run_recorded(params, fast_forward=False)
+        fast_sim, _ = run_recorded(params, backend="event")
+        naive_sim, _ = run_recorded(params, backend="cycle")
         assert (
             fast_sim.controller.command_log
             == naive_sim.controller.command_log
