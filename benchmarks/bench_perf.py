@@ -44,6 +44,12 @@ implementations and writes ``BENCH_perf.json``:
   identity metadata, never data); the section reports the tracing
   overhead ratio (documented budget: < 5% over the untraced ledgered
   run).
+* **dft_flow** — a lot of E09's Section 6 test flow (64x64 dies,
+  March C-, seed 42) with the cell-by-cell reference march
+  (:func:`repro.verify.march_reference`) vs the default fault-sparse
+  ``MarchTest.run``.  The two lots' ``FlowResult`` must be equal before
+  any timing is reported; the section reports ms/die on each path and
+  the speedup (the documented target is >= 50x).
 * **serve_cache** — the E10 MPEG2 exploration submitted twice to an
   in-process exploration service: cold (full execution) vs warm (a
   content-addressed cache hit).  The responses must be byte-identical
@@ -80,6 +86,8 @@ from repro.core.explorer import DesignSpaceExplorer
 from repro.core.parallel import ParallelConfig
 from repro.core.sweep import Sweep
 from repro.controller.controller import ControllerConfig, MemoryController
+from repro.dft.flow import TestFlow
+from repro.dft.march import MARCH_C_MINUS, MarchTest
 from repro.dram.device import DRAMDevice
 from repro.dram.edram import EDRAMMacro
 from repro.dram.organizations import (
@@ -95,6 +103,7 @@ from repro.traffic.client import ClientKind, MemoryClient
 from repro.traffic.patterns import RandomPattern, SequentialPattern
 from repro.units import MBIT
 from repro.verify.differential import result_fingerprint
+from repro.verify.march import march_reference
 
 #: Per-client request rate of the low-load scenario (display-refresh-
 #: style duty cycle where idle-cycle skipping matters most).
@@ -272,6 +281,38 @@ def bench_event_engine(
         )
     section["identical"] = True
     report.add("event_engine", **section)
+
+
+class _ReferenceMarch(MarchTest):
+    """A march that runs as the cell-by-cell reference walk."""
+
+    run = march_reference
+
+
+def bench_dft_flow(report: PerfReport, smoke: bool = False) -> None:
+    """E09's lot on the reference march vs the fault-sparse march."""
+    dies = 12 if smoke else 24
+    fast_flow = TestFlow(mean_faults_per_die=1.2)
+    reference_flow = dataclasses.replace(
+        fast_flow,
+        test=_ReferenceMarch(MARCH_C_MINUS.name, MARCH_C_MINUS.elements),
+    )
+    reference_s, reference = measure(
+        lambda: reference_flow.run_lot(dies, seed=42)
+    )
+    fast_s, fast = measure(lambda: fast_flow.run_lot(dies, seed=42), 5)
+    if fast != reference:
+        raise AssertionError(
+            f"fault-sparse march lot {fast} != reference lot {reference}"
+        )
+    report.add(
+        "dft_flow",
+        dies=dies,
+        reference_ms_per_die=1e3 * reference_s / dies,
+        fast_ms_per_die=1e3 * fast_s / dies,
+        speedup=reference_s / fast_s,
+        identical=True,
+    )
 
 
 def bench_design_space(report: PerfReport) -> None:
@@ -1064,6 +1105,7 @@ def run(
             report, cycles=16_000, warmup=1_000, trace_out=trace_out
         )
         bench_injection(report, cycles=8_000, warmup=500)
+    bench_dft_flow(report, smoke=smoke)
     bench_design_space(report)
     bench_batched_design_space(report)
     bench_parallel_sweep(report)
@@ -1089,6 +1131,9 @@ def test_perf_smoke() -> None:
     assert event["identical"]
     assert event["low_speedup"] > 1.0, event
     assert event["high_speedup"] > 1.0, event
+    dft = report.sections["dft_flow"]
+    assert dft["identical"]
+    assert dft["speedup"] > 1.0, dft
     batched = report.sections["batched_design_space"]
     assert batched["identical"]
     assert batched["speedup"] > 1.0, batched

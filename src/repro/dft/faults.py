@@ -158,6 +158,22 @@ class FaultyArray:
 
     # -- ground truth --------------------------------------------------------
 
+    def footprint(self) -> np.ndarray:
+        """Mask of the cells that can behave unlike a healthy cell.
+
+        Every stuck-at, transition and retention cell (line faults
+        included) plus every coupling aggressor and victim.  Aggressors
+        outside the array are left out: no access ever reaches them.
+        Any other cell reads back exactly what was last written to it.
+        """
+        mask = self._stuck0 | self._stuck1 | self._transition | self._retention
+        for (row, col), victims in self._couplings.items():
+            if 0 <= row < self.rows and 0 <= col < self.cols:
+                mask[row, col] = True
+            for victim in victims:
+                mask[victim] = True
+        return mask
+
     def faulty_cells(self) -> set:
         """Ground-truth set of (row, col) cells belonging to any fault."""
         cells: set = set()

@@ -21,6 +21,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.dft.faults import FaultyArray
 
@@ -104,41 +106,80 @@ class MarchTest:
 
         Returns a :class:`MarchResult` with the failing cells observed
         (cells where any read returned the unexpected value).
+
+        Only the array's fault footprint (:meth:`FaultyArray.footprint`)
+        goes through :meth:`FaultyArray.read` / :meth:`~FaultyArray.write`,
+        in each element's address order, so coupling faults see the
+        aggressor/victim sequence of a full walk.  Every other cell reads
+        back what was last written to it, so all healthy cells holding
+        one value share one outcome: each such group replays the
+        operation sequence once and is updated in bulk.  Failing cells
+        enter ``failing_cells`` in the order a full cell-by-cell walk
+        first flags them (:func:`repro.verify.march_reference` is that
+        walk).
         """
-        failing: set = set()
-        operations = 0
+        footprint = array.footprint()
+        cells = [tuple(cell) for cell in np.argwhere(footprint).tolist()]
+        first_fail: dict = {}
         for index, element in enumerate(self.elements):
-            coords = self._addresses(array, element.direction)
-            for row, col in coords:
+            order = (
+                reversed(cells)
+                if element.direction is Direction.DOWN
+                else cells
+            )
+            for row, col in order:
                 for op in element.operations:
-                    operations += 1
                     if op == "w0":
                         array.write(row, col, False)
                     elif op == "w1":
                         array.write(row, col, True)
-                    elif op == "r0":
-                        if array.read(row, col) is not False:
-                            failing.add((row, col))
-                    elif op == "r1":
-                        if array.read(row, col) is not True:
-                            failing.add((row, col))
+                    elif array.read(row, col) is not (op == "r1"):
+                        first_fail.setdefault((row, col), index)
             if self.pause_after_element == index and pause_s > 0:
                 array.pause(pause_s)
+        flagged = [
+            (index, row, col) for (row, col), index in first_fail.items()
+        ]
+        data, healthy = array._data, ~footprint
+        groups = [
+            (value, healthy & (data == value)) for value in (False, True)
+        ]
+        for value, group in groups:
+            final, index = self._replay(value)
+            data[group] = final
+            if index is not None:
+                flagged.extend(
+                    (index, row, col)
+                    for row, col in np.argwhere(group).tolist()
+                )
+        flagged.sort(key=lambda hit: self._walk_rank(hit, array.cols))
         return MarchResult(
-            test=self, failing_cells=failing, operations=operations
+            test=self,
+            failing_cells={(row, col) for _, row, col in flagged},
+            operations=self.operation_count(array.rows * array.cols),
         )
 
-    @staticmethod
-    def _addresses(array: FaultyArray, direction: Direction):
-        rows = range(array.rows)
-        if direction is Direction.DOWN:
-            rows = range(array.rows - 1, -1, -1)
-        for row in rows:
-            cols = range(array.cols)
-            if direction is Direction.DOWN:
-                cols = range(array.cols - 1, -1, -1)
-            for col in cols:
-                yield row, col
+    def _replay(self, value: bool) -> tuple:
+        """Final value of a healthy cell that starts at ``value``, and
+        the index of the element whose read first fails it (or None)."""
+        first_fail = None
+        for index, element in enumerate(self.elements):
+            for op in element.operations:
+                if op[0] == "w":
+                    value = op == "w1"
+                elif value is not (op == "r1") and first_fail is None:
+                    first_fail = index
+        return value, first_fail
+
+    def _walk_rank(self, hit: tuple, cols: int) -> tuple:
+        """Sort key placing ``(element, row, col)`` where a cell-by-cell
+        walk visits it: by element, then in that element's address
+        order (row-major, descending for ``DOWN``)."""
+        index, row, col = hit
+        address = row * cols + col
+        if self.elements[index].direction is Direction.DOWN:
+            address = -address
+        return index, address
 
 
 @dataclass(frozen=True)

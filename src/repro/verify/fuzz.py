@@ -20,7 +20,10 @@ input:
 * ``serve_protocol`` — the exploration service accepts every valid job
   payload (executes it, caches it byte-identically, re-serves it
   without re-evaluating) and rejects every invalid one with a 4xx
-  envelope, never a crash (the ``fuzz_serve`` target).
+  envelope, never a crash (the ``fuzz_serve`` target);
+* ``march_sparse`` — the fault-sparse march equals the cell-by-cell
+  reference walk (:func:`repro.verify.march.march_reference`): same
+  failing cells in the same order, operation count and final cells.
 
 Every case derives from ``random.Random(f"{seed}:{index}")``, so a
 failure is pinned by ``(property, seed, index)`` alone; the harness
@@ -39,6 +42,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import CapacityError, ConfigurationError
+from repro.verify.march import check_march_sparse, gen_march_case
 
 #: Exception types that mean "this candidate is not a valid input" (as
 #: opposed to "the property failed").  Raised mid-shrink they disqualify
@@ -744,6 +748,7 @@ PROPERTIES = (
     FuzzProperty("evaluator_memo", gen_macro_case, check_evaluator_memo),
     FuzzProperty("pacing_plan", gen_pacing_case, check_pacing_plan),
     FuzzProperty("serve_protocol", gen_serve_case, check_serve_protocol),
+    FuzzProperty("march_sparse", gen_march_case, check_march_sparse),
 )
 
 PROPERTY_BY_NAME = {prop.name: prop for prop in PROPERTIES}

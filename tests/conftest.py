@@ -1,4 +1,5 @@
-"""Shared fixtures for the test suite: the serve layer and step spies.
+"""Shared fixtures for the test suite: the serve layer, step spies and
+the march path.
 
 The serve fixtures are thin wrappers over ``tests.serve_helpers`` —
 see that module and docs/TESTING.md for what each workload/environment
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dft.march import MarchTest
+from repro.verify.march import march_reference
 from tests.serve_helpers import contract_env, gated_env
 
 
@@ -46,3 +49,24 @@ def call_cycles(monkeypatch):
         return cycles
 
     return install
+
+
+@pytest.fixture()
+def use_reference_march(monkeypatch):
+    """``use_reference_march()`` replaces the fault-sparse
+    ``MarchTest.run`` with the cell-by-cell ``march_reference`` for the
+    rest of the test."""
+
+    def install():
+        monkeypatch.setattr(MarchTest, "run", march_reference)
+
+    return install
+
+
+@pytest.fixture(params=["fast", "reference"])
+def march_path(request, use_reference_march):
+    """Runs the test once on each march path; the value is the path's
+    name."""
+    if request.param == "reference":
+        use_reference_march()
+    return request.param

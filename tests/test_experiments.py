@@ -6,7 +6,9 @@ report must match the golden fingerprint in
 canonical JSON).  A fingerprint pins the measured text of every claim,
 so a refactor that moves a reported number fails here even when the
 claim still holds; an intended model change regenerates the golden and
-says why.
+says why.  E9's report rounds its lot yields to whole percents, so the
+raw ``FlowResult`` of both its lots is pinned too
+(``tests/data/e09_flow_goldens.json``).
 Table rendering re-simulates, so only the cheap analytic tables render
 here.
 """
@@ -49,6 +51,11 @@ GOLDENS = json.loads(
 )
 
 
+FLOW_GOLDENS = json.loads(
+    (Path(__file__).parent / "data" / "e09_flow_goldens.json").read_text()
+)
+
+
 def report_fingerprint(report) -> str:
     text = canonical_text(dataclasses.asdict(report))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -83,6 +90,18 @@ def test_experiment_ids_sequential():
     ids = [module.run.__module__.split(".")[-1][:3] for module in
            ALL_EXPERIMENTS]
     assert ids == [f"e{n:02d}" for n in range(1, 11)]
+
+
+@pytest.mark.parametrize("lot", ["strict", "waived"])
+def test_e09_lot_flow_results_match_golden(lot):
+    """E9's two 400-die lots at seed 42, as raw counts."""
+    from repro.dft.flow import TestFlow
+
+    flow = TestFlow(
+        mean_faults_per_die=1.2, waive_retention_only=lot == "waived"
+    )
+    result = dataclasses.asdict(flow.run_lot(400, seed=42))
+    assert result == FLOW_GOLDENS[lot]
 
 
 def test_e05_weak_org_saturates():

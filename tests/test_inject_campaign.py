@@ -113,7 +113,9 @@ class TestRepairProperty:
 
 
 class TestRunCampaign:
-    def test_campaign_matches_predictions(self):
+    def test_campaign_matches_predictions(self, march_path):
+        # Measured detection equals analytical_detection on the
+        # fault-sparse march and on the cell-by-cell reference walk.
         report = run_campaign(CampaignConfig(seed=0, n_maps=3))
         assert report.ok, report.summary()
         assert len(report.maps) == 3
