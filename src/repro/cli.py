@@ -541,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--window",
         type=int,
         default=5,
-        help="rolling-baseline size: prior same-mode entries (default 5)",
+        help="rolling-baseline size: prior same-mode, same-host entries "
+        "(default 5)",
     )
     report.set_defaults(func=_cmd_report)
 

@@ -294,14 +294,21 @@ class MemoryController:
             return
         for request in self._candidate_order(cycle):
             command = self._next_command(request, cycle)
-            if command is None:
-                continue
-            if not self.device.can_issue(command):
-                continue
-            end = self._issue(command)
-            if command.kind in (CommandType.READ, CommandType.WRITE):
-                self._commit_access(request, cycle, end)
-            return
+            if command is not None and self.device.can_issue(command):
+                self._issue_for(request, cycle)
+                return
+
+    def _issue_for(self, request: Request, cycle: int) -> None:
+        """Issue ``request``'s next command; the device still checks it."""
+        command = self._next_command(request, cycle)
+        if command is None:
+            raise SimulationError(
+                f"cycle {cycle}: request {request.request_id} was picked "
+                "but has no command to issue"
+            )
+        end = self._issue(command)
+        if command.kind in (CommandType.READ, CommandType.WRITE):
+            self._commit_access(request, cycle, end)
 
     def _next_command(self, request: Request, cycle: int) -> Command | None:
         assert request.decoded is not None

@@ -82,14 +82,14 @@ def _clients(total_words: int, load: float) -> list:
     ]
 
 
-def simulate_org(
+def org_simulator(
     banks: int,
     page_bits: int,
     mapping: MappingScheme = MappingScheme.ROW_BANK_COL,
     load: float = 1.2,
     cycles: int = 12_000,
-) -> OrgPoint:
-    """Simulate one organization under the standard three-client mix."""
+) -> MemorySystemSimulator:
+    """One organization under the standard three-client mix, unrun."""
     macro = EDRAMMacro.build(
         size_bits=8 * MBIT, width=64, banks=banks, page_bits=page_bits
     )
@@ -98,12 +98,22 @@ def simulate_org(
         device=device,
         mapping=AddressMapping(device.organization, mapping),
     )
-    simulator = MemorySystemSimulator(
+    return MemorySystemSimulator(
         controller=controller,
         clients=_clients(device.organization.total_words, load),
         config=SimulationConfig(cycles=cycles, warmup_cycles=1_000),
     )
-    result = simulator.run()
+
+
+def simulate_org(
+    banks: int,
+    page_bits: int,
+    mapping: MappingScheme = MappingScheme.ROW_BANK_COL,
+    load: float = 1.2,
+    cycles: int = 12_000,
+) -> OrgPoint:
+    """Simulate one organization under the standard three-client mix."""
+    result = org_simulator(banks, page_bits, mapping, load, cycles).run()
     return OrgPoint(
         banks=banks,
         page_bits=page_bits,

@@ -21,12 +21,14 @@ naive loop would have accrued: token-bucket credit for idle clients
 back-pressured clients, and FIFO occupancy statistics.  Cost therefore
 scales with commands issued, not cycles elapsed.
 
-On stepped cycles the controller's phases run individually so the
-scheduler's candidate scan — the dominant per-cycle cost at realistic
-window sizes — only executes on cycles where a command can actually
-issue.  The cached next-command time is maintained incrementally: an
-accepted request min-updates it in O(1); any issued command (request,
-refresh or policy precharge) invalidates it for lazy recomputation.
+On stepped cycles the controller's phases run individually, and the
+request-command phase is one pass over the window (:meth:`_pick`):
+it returns the request the scheduler's candidate scan would issue this
+cycle or, when none can, the earliest cycle one could.  The pick
+issues through ``MemoryController._issue_for``, so the device still
+checks every command; the scan stays as the naive loop's reference.
+An accepted request or any issued command invalidates the cached
+next-command time; otherwise only a stepped cycle at or past it picks.
 
 Safety argument, pinned by ``tests/test_sim_event_backend.py`` and the
 ``diff_backend`` oracle: command legality is monotone in the cycle for
@@ -173,9 +175,9 @@ class EventEngine:
         """One full simulated cycle, phase-decomposed.
 
         Identical effects to ``sim._drive_clients(cycle)`` followed by
-        ``controller.step(cycle)``, except that the scheduler's
-        candidate scan only runs on cycles where the cached
-        next-command time says a command can issue.
+        ``controller.step(cycle)``, except that the request-command
+        phase is the fused :meth:`_pick`, run only when the cached
+        next-command time is stale or says a command can issue.
         """
         self.sim._drive_clients(cycle)
         controller = self.controller
@@ -183,10 +185,8 @@ class EventEngine:
         window = controller.window
         accepted = len(window)
         controller._accept(cycle)
-        if len(window) != accepted and self._next_cmd_time is not None:
-            earliest = self._earliest_for(window[-1])
-            if earliest < self._next_cmd_time:
-                self._next_cmd_time = earliest
+        if len(window) != accepted:
+            self._next_cmd_time = None  # the newcomer may issue now
         if controller._service_refresh(cycle):
             # A drain precharge or REFRESH may have changed bank state.
             self._next_cmd_time = None
@@ -204,62 +204,31 @@ class EventEngine:
                 self._next_cmd_time = None
         if window:
             when = self._next_cmd_time
-            if when is None:
-                when = self._compute_next_cmd_time(cycle)
+            if when is None or when <= cycle:
+                request, when = self._pick(cycle)
+                if request is not None:
+                    controller._issue_for(request, cycle)
+                    when = None
                 self._next_cmd_time = when
-            if when <= cycle:
-                controller._issue_request_command(cycle)
-                self._next_cmd_time = None
         controller._observe(cycle)
 
     # -- next-command-time model ----------------------------------------------
 
-    def _earliest_for(self, request) -> int:
-        """Earliest cycle the controller could issue for ``request``.
+    def _pick(self, cycle: int) -> tuple:
+        """``(request, cycle)`` the candidate scan issues, else
+        ``(None, earliest)`` with the first cycle one could issue.
 
-        Mirrors ``MemoryController._next_command`` +
-        ``DRAMDevice.can_issue`` legality, inverted from "is cycle C
-        legal?" to "what is the first legal C?".  Exact for fixed
-        bank/device state (legality is monotone in the cycle), and any
-        issued command invalidates the cache before state changes.
-        """
-        decoded = request.decoded
-        controller = self.controller
-        if decoded.bank in controller._close_wanted:
-            return _NEVER  # blocked until the policy precharge lands
-        device = self.device
-        bank = device.banks[decoded.bank]
-        open_row = bank._open_row  # _settle() never changes _open_row
-        timing = device.timing
-        if open_row == decoded.row:
-            earliest_bus = device.data_bus_free_cycle
-            is_read = request.is_read
-            last_read = device.last_data_was_read
-            if last_read is not None and last_read != is_read:
-                earliest_bus += timing.t_turnaround
-            data_lead = timing.t_cas if is_read else 1
-            return max(bank.earliest_column(), earliest_bus - data_lead)
-        if open_row is not None:
-            return bank.earliest_precharge()
-        return max(
-            bank.earliest_activate(),
-            device.last_activate_cycle + timing.t_rrd,
-        )
-
-    def _compute_next_cmd_time(self, cycle: int) -> int:
-        """Min over the candidate ranking of per-request issue times.
-
-        Specialized to one flat pass over the window rather than
-        materializing the scheduler's ranking: a request's earliest
-        issue time depends only on its (bank, direction, hit-or-miss)
-        class, so each class is computed once.  FR-FCFS candidates are
-        exactly the row hits plus the oldest non-hit request per bank;
-        FCFS only ever advances the head request.
+        One pass in FR-FCFS order without materializing the ranking:
+        the row hits by age, then each bank's oldest non-hit request by
+        age.  Legality mirrors ``_next_command`` + ``can_issue``
+        (monotone in the cycle for fixed state) and depends only on a
+        request's (bank, direction, hit-or-miss) class, so each hit
+        class is evaluated once.  FCFS only ever advances the head.
         """
         controller = self.controller
         window = controller.window
         if type(controller.scheduler) is FCFSScheduler:
-            return self._earliest_for(window[0]) if window else _NEVER
+            window = window[:1]  # the head is its bank's oldest request
         device = self.device
         banks = device.banks
         timing = device.timing
@@ -270,6 +239,7 @@ class EventEngine:
         t_cas = timing.t_cas
         t_turnaround = timing.t_turnaround
         earliest = _NEVER
+        prep = None
         seen_banks: set[int] = set()
         seen_hits: set[tuple[int, bool]] = set()
         for request in window:
@@ -295,20 +265,24 @@ class EventEngine:
                 data_start = bus - (t_cas if is_read else 1)
                 if data_start > when:
                     when = data_start
-            elif oldest:
+                if when <= cycle:
+                    return request, cycle  # the oldest ready row hit
+            elif oldest and prep is None:
                 if open_row is not None:
                     when = bank._ready_precharge
                 else:
                     when = bank._ready_activate
                     if activate_floor > when:
                         when = activate_floor
+                if when <= cycle:
+                    prep = request  # wins unless a younger hit is ready
             else:
                 continue
             if when < earliest:
                 earliest = when
-                if earliest <= cycle:
-                    break
-        return earliest
+        if prep is not None:
+            return prep, cycle
+        return None, earliest
 
     # -- skip analysis --------------------------------------------------------
 
@@ -359,7 +333,7 @@ class EventEngine:
         if window:
             when = self._next_cmd_time
             if when is None:
-                when = self._compute_next_cmd_time(next_cycle)
+                when = self._pick(next_cycle)[1]
                 self._next_cmd_time = when
             if when < target:
                 target = when

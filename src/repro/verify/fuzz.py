@@ -150,7 +150,7 @@ def gen_sim_case(rng: random.Random) -> dict:
         * timing["clock_period_ns"]
         * 1e-9
     )
-    return {
+    case = {
         "timing": timing,
         "organization": organization,
         "scheme": rng.choice(["row:bank:col", "bank:row:col"]),
@@ -166,6 +166,12 @@ def gen_sim_case(rng: random.Random) -> dict:
         },
         "clients": gen_clients(rng, total_words),
     }
+    # Drawn after everything above, so those draws are unchanged.
+    case["scheduler"] = rng.choice(["fr-fcfs", "fr-fcfs", "fcfs"])
+    case["page_policy"] = rng.choice(["open-page", "closed-page", "adaptive"])
+    if rng.random() < 0.3:
+        case["controller"]["window_size"] = rng.randint(13, 64)
+    return case
 
 
 def gen_macro_case(rng: random.Random) -> dict:
@@ -410,11 +416,21 @@ def build_simulator(
     check_invariants: str = "off",
     obs=None,
 ):
-    """Instantiate a fresh simulator from a ``gen_sim_case`` dict."""
+    """Instantiate a fresh simulator from a ``gen_sim_case`` dict.
+
+    ``scheduler`` and ``page_policy`` name the stock classes by their
+    ``name``; absent keys mean FR-FCFS and the open-page policy.
+    """
     from repro.controller.controller import (
         ControllerConfig,
         MemoryController,
     )
+    from repro.controller.page_policy import (
+        AdaptivePagePolicy,
+        ClosedPagePolicy,
+        OpenPagePolicy,
+    )
+    from repro.controller.scheduler import FCFSScheduler, FRFCFSScheduler
     from repro.dram.device import DRAMDevice
     from repro.dram.organizations import AddressMapping, MappingScheme
     from repro.dram.organizations import Organization
@@ -429,9 +445,21 @@ def build_simulator(
     mapping = AddressMapping(
         organization=organization, scheme=MappingScheme(params["scheme"])
     )
+    schedulers = {cls.name: cls for cls in (FCFSScheduler, FRFCFSScheduler)}
+    policies = {
+        cls.name: cls
+        for cls in (OpenPagePolicy, ClosedPagePolicy, AdaptivePagePolicy)
+    }
+    try:
+        scheduler = schedulers[params.get("scheduler", "fr-fcfs")]()
+        page_policy = policies[params.get("page_policy", "open-page")]()
+    except KeyError as error:
+        raise ConfigurationError(f"unknown scheduler or policy {error}")
     controller = MemoryController(
         device=device,
         mapping=mapping,
+        scheduler=scheduler,
+        page_policy=page_policy,
         config=ControllerConfig(
             record_commands=record_commands, **params["controller"]
         ),

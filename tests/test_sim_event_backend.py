@@ -2,14 +2,18 @@
 
 The event engine's whole contract is *bit-identity on
 ``result_fingerprint``* with the per-cycle reference across everything
-the fuzz corpus generates — arbiters, page policies, refresh pressure,
-backpressure, truncation.  These tests pin that contract in tier 1;
+the fuzz corpus generates — both schedulers (FCFS, FR-FCFS), all three
+page policies (open, closed, adaptive), windows of 1 to 64 requests,
+refresh pressure, backpressure and truncation, all behind the stock
+round-robin arbiter — and on the saturated systems behind E5's and the
+MPEG2 decoder's claims.  These tests pin that contract in tier 1;
 divergences are localized to the first divergent command cycle by the
 ``diff_backend`` oracle.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -40,6 +44,49 @@ def test_backend_bit_identity_fuzz_corpus():
     for index in range(20):
         rng = random.Random(f"event-backend:{index}")
         _diff_case(fuzz.gen_sim_case(rng))
+
+
+def _reconfigured(simulator, backend, record_commands):
+    """``simulator`` set to run on ``backend``, recording if asked."""
+    simulator.config = dataclasses.replace(simulator.config, backend=backend)
+    controller = simulator.controller
+    controller.config = dataclasses.replace(
+        controller.config, record_commands=record_commands
+    )
+    return simulator
+
+
+@pytest.mark.parametrize("banks,page_bits", [(1, 1024), (8, 4096)])
+def test_backend_bit_identity_e05_organizations(banks, page_bits):
+    """E5's weak and strong organizations at 120% load, saturated."""
+    from repro.experiments.e05_sustainable_bw import org_simulator
+
+    report = diff_backend(
+        lambda backend, record_commands: _reconfigured(
+            org_simulator(banks, page_bits, cycles=2_000),
+            backend,
+            record_commands,
+        ),
+        label=f"E5 {banks} bank(s) / {page_bits}-bit pages",
+    )
+    assert "fallback" not in report.label
+    assert report.identical, report.describe()
+
+
+def test_backend_bit_identity_mpeg2_decoder():
+    """The MPEG2 decoder system whose bandwidth E6 leans on."""
+    from repro.obs.workloads import mpeg2_decoder_simulator
+
+    report = diff_backend(
+        lambda backend, record_commands: _reconfigured(
+            mpeg2_decoder_simulator(cycles=2_000, warmup_cycles=500),
+            backend,
+            record_commands,
+        ),
+        label="MPEG2 decoder",
+    )
+    assert "fallback" not in report.label
+    assert report.identical, report.describe()
 
 
 def test_backend_bit_identity_truncated():

@@ -13,6 +13,8 @@ Also pins the token-bucket pacing contract the engine relies on:
 credit accrual freezes while a client's request is back-pressured.
 """
 
+import random
+
 import pytest
 
 from repro.controller.controller import ControllerConfig, MemoryController
@@ -215,6 +217,34 @@ class TestPacingContract:
             assert not client.wants_to_issue(0)
             client.tick()
         assert client.wants_to_issue(0)
+
+    @pytest.mark.parametrize("rate", [0.9, 0.105, 0.031, 0.02, 0.004])
+    def test_growing_lookahead_matches_brute_force(self, rate):
+        """Lookahead and replay stay bit-exact when the limit grows in
+        steps, so the trajectory is extended in Python (short spans) and
+        in NumPy (long spans) on top of what earlier calls memoized."""
+        rng = random.Random(rate)
+        for _ in range(20):
+            start = rng.random()
+            client = MemoryClient(
+                name="c",
+                pattern=SequentialPattern(base=0, length=1024),
+                rate=rate,
+            )
+            client._credit = start
+            brute = 0
+            credit = start
+            while credit + rate < 1.0:
+                credit = min(credit + rate, 4.0)
+                brute += 1
+            for limit in (1, 3, 9, 40, 300):
+                assert client.cycles_until_wants(limit) == min(brute, limit)
+            span = rng.randint(1, max(1, brute))
+            client.tick_many(span)
+            stepped = start
+            for _ in range(span):
+                stepped = min(stepped + rate, 4.0)
+            assert client._credit == stepped
 
     def test_cycles_until_wants_respects_limit(self):
         client = MemoryClient(
