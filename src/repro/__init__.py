@@ -21,8 +21,10 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-claim-by-claim reproduction record.
 """
 
+from repro._exports import lazy_exports
+
 __version__ = "1.0.0"
 
-from repro import units, errors
-
-__all__ = ["units", "errors", "__version__"]
+_EXPORTS = {"units": "units", "errors": "errors"}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+__all__ += ["__version__"]

@@ -17,59 +17,34 @@
   market size data.
 """
 
-from repro.apps.video import (
-    ChromaFormat,
-    VideoStandard,
-    FrameGeometry,
-    PAL,
-    NTSC,
-    frame_bits,
-)
-from repro.apps.mpeg2 import MPEG2MemoryBudget, DecoderVariant
-from repro.apps.graphics import GraphicsFrameStore
-from repro.apps.network import SwitchBuffer
-from repro.apps.storage import EmbeddedControllerMemory
-from repro.apps.trends import TrendModel, PROCESSOR_TREND, DRAM_CORE_TREND
-from repro.apps.iram import IRAMModel, AMATModel, CacheLevel
-from repro.apps.markets import (
-    MarketForecast,
-    MarketSegment,
-    SEGMENTS,
-    advisability_score,
-)
-from repro.apps.pcmemory import (
-    PC_GENERATIONS,
-    PCGeneration,
-    device_growth_rate,
-    forced_overprovision_mbit,
-    system_growth_rate,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ChromaFormat",
-    "VideoStandard",
-    "FrameGeometry",
-    "PAL",
-    "NTSC",
-    "frame_bits",
-    "MPEG2MemoryBudget",
-    "DecoderVariant",
-    "GraphicsFrameStore",
-    "SwitchBuffer",
-    "EmbeddedControllerMemory",
-    "TrendModel",
-    "PROCESSOR_TREND",
-    "DRAM_CORE_TREND",
-    "IRAMModel",
-    "AMATModel",
-    "CacheLevel",
-    "MarketForecast",
-    "MarketSegment",
-    "SEGMENTS",
-    "advisability_score",
-    "PC_GENERATIONS",
-    "PCGeneration",
-    "device_growth_rate",
-    "forced_overprovision_mbit",
-    "system_growth_rate",
-]
+_EXPORTS = {
+    "ChromaFormat": "video",
+    "VideoStandard": "video",
+    "FrameGeometry": "video",
+    "PAL": "video",
+    "NTSC": "video",
+    "frame_bits": "video",
+    "MPEG2MemoryBudget": "mpeg2",
+    "DecoderVariant": "mpeg2",
+    "GraphicsFrameStore": "graphics",
+    "SwitchBuffer": "network",
+    "EmbeddedControllerMemory": "storage",
+    "TrendModel": "trends",
+    "PROCESSOR_TREND": "trends",
+    "DRAM_CORE_TREND": "trends",
+    "IRAMModel": "iram",
+    "AMATModel": "iram",
+    "CacheLevel": "iram",
+    "MarketForecast": "markets",
+    "MarketSegment": "markets",
+    "SEGMENTS": "markets",
+    "advisability_score": "markets",
+    "PC_GENERATIONS": "pcmemory",
+    "PCGeneration": "pcmemory",
+    "device_growth_rate": "pcmemory",
+    "forced_overprovision_mbit": "pcmemory",
+    "system_growth_rate": "pcmemory",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

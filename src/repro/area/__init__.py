@@ -7,32 +7,23 @@ periphery), logic gate density, and whole-die composition including
 pad-limitation effects.
 """
 
-from repro.area.cell import CellTechnology, DRAM_1T1C, SRAM_6T, EDRAM_CELLS
-from repro.area.process import (
-    BaseProcess,
-    ProcessKind,
-    DRAM_BASED_025,
-    LOGIC_BASED_025,
-    MERGED_025,
-)
-from repro.area.macro import MacroAreaModel, MacroArea
-from repro.area.logic import LogicAreaModel
-from repro.area.die import DieComposition, DieAreaModel, PadRing
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CellTechnology",
-    "DRAM_1T1C",
-    "SRAM_6T",
-    "EDRAM_CELLS",
-    "BaseProcess",
-    "ProcessKind",
-    "DRAM_BASED_025",
-    "LOGIC_BASED_025",
-    "MERGED_025",
-    "MacroAreaModel",
-    "MacroArea",
-    "LogicAreaModel",
-    "DieComposition",
-    "DieAreaModel",
-    "PadRing",
-]
+_EXPORTS = {
+    "CellTechnology": "cell",
+    "DRAM_1T1C": "cell",
+    "SRAM_6T": "cell",
+    "EDRAM_CELLS": "cell",
+    "BaseProcess": "process",
+    "ProcessKind": "process",
+    "DRAM_BASED_025": "process",
+    "LOGIC_BASED_025": "process",
+    "MERGED_025": "process",
+    "MacroAreaModel": "macro",
+    "MacroArea": "macro",
+    "LogicAreaModel": "logic",
+    "DieComposition": "die",
+    "DieAreaModel": "die",
+    "PadRing": "die",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -9,37 +9,26 @@ policy (open / closed / adaptive), with client requests arbitrated out of
 per-client FIFOs (round-robin, priority, or TDM).
 """
 
-from repro.controller.request import Request, RequestState
-from repro.controller.fifo import ClientFifo
-from repro.controller.arbiter import (
-    Arbiter,
-    RoundRobinArbiter,
-    PriorityArbiter,
-    TDMArbiter,
-)
-from repro.controller.page_policy import PagePolicy, OpenPagePolicy, ClosedPagePolicy, AdaptivePagePolicy
-from repro.controller.scheduler import Scheduler, FCFSScheduler, FRFCFSScheduler
-from repro.controller.controller import MemoryController, ControllerConfig
-from repro.controller.prefetch import PrefetchingMemoryController
-from repro.controller.rowcache import RowCacheController
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Request",
-    "RequestState",
-    "ClientFifo",
-    "Arbiter",
-    "RoundRobinArbiter",
-    "PriorityArbiter",
-    "TDMArbiter",
-    "PagePolicy",
-    "OpenPagePolicy",
-    "ClosedPagePolicy",
-    "AdaptivePagePolicy",
-    "Scheduler",
-    "FCFSScheduler",
-    "FRFCFSScheduler",
-    "MemoryController",
-    "ControllerConfig",
-    "PrefetchingMemoryController",
-    "RowCacheController",
-]
+_EXPORTS = {
+    "Request": "request",
+    "RequestState": "request",
+    "ClientFifo": "fifo",
+    "Arbiter": "arbiter",
+    "RoundRobinArbiter": "arbiter",
+    "PriorityArbiter": "arbiter",
+    "TDMArbiter": "arbiter",
+    "PagePolicy": "page_policy",
+    "OpenPagePolicy": "page_policy",
+    "ClosedPagePolicy": "page_policy",
+    "AdaptivePagePolicy": "page_policy",
+    "Scheduler": "scheduler",
+    "FCFSScheduler": "scheduler",
+    "FRFCFSScheduler": "scheduler",
+    "MemoryController": "controller",
+    "ControllerConfig": "controller",
+    "PrefetchingMemoryController": "prefetch",
+    "RowCacheController": "rowcache",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -23,91 +23,50 @@ This package is that machinery:
 * :mod:`repro.core.tradeoffs` — logic <-> memory die-area trading.
 """
 
-from repro.core.requirements import ApplicationRequirements
-from repro.core.metrics import SolutionMetrics
-from repro.core.evaluator import Evaluator
-from repro.core.explorer import DesignSpaceExplorer, ExplorationResult
-from repro.core.pareto import (
-    pareto_frontier,
-    pareto_frontier_mask,
-    dominates,
-)
-from repro.core.batch import (
-    BatchEvaluation,
-    BatchedMacroSweepTask,
-    batch_fallback_reason,
-    discrete_batch_fallback_reason,
-    evaluate_discrete_batch,
-    evaluate_macro_batch,
-    evaluate_macro_grid,
-)
-from repro.core.quantizer import Quantizer, NamedSolution
-from repro.core.advisor import Advisor, Advice
-from repro.core.tradeoffs import LogicMemoryTrade, TradePoint
-from repro.core.partition import (
-    MemoryBlock,
-    MemoryTech,
-    Partitioner,
-    PartitionPlan,
-    TechProfile,
-)
-from repro.core.allocation import (
-    AllocationPlan,
-    BankAllocator,
-    BufferSpec,
-    Placement,
-)
-from repro.core.parallel import ParallelConfig, PointOutcome, parallel_map
-from repro.core.sweep import Sweep, SweepPoint, SweepResult
-from repro.core.executor import (
-    Executor,
-    LocalPoolExecutor,
-    SerialExecutor,
-    WorkQueueExecutor,
-)
-from repro.core.store import ResultStore, point_fingerprint
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ApplicationRequirements",
-    "SolutionMetrics",
-    "Evaluator",
-    "DesignSpaceExplorer",
-    "ExplorationResult",
-    "pareto_frontier",
-    "pareto_frontier_mask",
-    "dominates",
-    "BatchEvaluation",
-    "BatchedMacroSweepTask",
-    "batch_fallback_reason",
-    "discrete_batch_fallback_reason",
-    "evaluate_discrete_batch",
-    "evaluate_macro_batch",
-    "evaluate_macro_grid",
-    "Quantizer",
-    "NamedSolution",
-    "Advisor",
-    "Advice",
-    "LogicMemoryTrade",
-    "TradePoint",
-    "MemoryBlock",
-    "MemoryTech",
-    "Partitioner",
-    "PartitionPlan",
-    "TechProfile",
-    "AllocationPlan",
-    "BankAllocator",
-    "BufferSpec",
-    "Placement",
-    "ParallelConfig",
-    "PointOutcome",
-    "parallel_map",
-    "Sweep",
-    "SweepPoint",
-    "SweepResult",
-    "Executor",
-    "LocalPoolExecutor",
-    "SerialExecutor",
-    "WorkQueueExecutor",
-    "ResultStore",
-    "point_fingerprint",
-]
+_EXPORTS = {
+    "ApplicationRequirements": "requirements",
+    "SolutionMetrics": "metrics",
+    "Evaluator": "evaluator",
+    "DesignSpaceExplorer": "explorer",
+    "ExplorationResult": "explorer",
+    "pareto_frontier": "pareto",
+    "pareto_frontier_mask": "pareto",
+    "dominates": "pareto",
+    "BatchEvaluation": "batch",
+    "BatchedMacroSweepTask": "batch",
+    "batch_fallback_reason": "batch",
+    "discrete_batch_fallback_reason": "batch",
+    "evaluate_discrete_batch": "batch",
+    "evaluate_macro_batch": "batch",
+    "evaluate_macro_grid": "batch",
+    "Quantizer": "quantizer",
+    "NamedSolution": "quantizer",
+    "Advisor": "advisor",
+    "Advice": "advisor",
+    "LogicMemoryTrade": "tradeoffs",
+    "TradePoint": "tradeoffs",
+    "MemoryBlock": "partition",
+    "MemoryTech": "partition",
+    "Partitioner": "partition",
+    "PartitionPlan": "partition",
+    "TechProfile": "partition",
+    "AllocationPlan": "allocation",
+    "BankAllocator": "allocation",
+    "BufferSpec": "allocation",
+    "Placement": "allocation",
+    "ParallelConfig": "parallel",
+    "PointOutcome": "parallel",
+    "parallel_map": "parallel",
+    "Sweep": "sweep",
+    "SweepPoint": "sweep",
+    "SweepResult": "sweep",
+    "Executor": "executor",
+    "LocalPoolExecutor": "executor",
+    "SerialExecutor": "executor",
+    "WorkQueueExecutor": "executor",
+    "ResultStore": "store",
+    "point_fingerprint": "store",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -56,7 +56,6 @@ import json
 import os
 import pickle
 import signal
-import subprocess
 import sys
 import time
 import uuid
@@ -643,6 +642,8 @@ class WorkQueueExecutor(Executor):
 
     def spawn_worker(self) -> subprocess.Popen:
         """One local worker process attached to this queue."""
+        import subprocess
+
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[2])
         existing = env.get("PYTHONPATH")

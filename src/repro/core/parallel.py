@@ -58,12 +58,11 @@ import os
 import pickle
 import time
 import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 
 from repro.errors import CancelledError, ConfigurationError
-from repro.obs.aggregate import fold_snapshot
 from repro.obs.metrics import GLOBAL_METRICS
 
 #: Pool failures worth retrying: executor infrastructure breakage
@@ -71,6 +70,11 @@ from repro.obs.metrics import GLOBAL_METRICS
 #: Anything else that escapes a worker is the workload's own exception
 #: and is deterministic — retrying would just re-raise it.
 TRANSIENT_POOL_ERRORS = (OSError, BrokenExecutor)
+
+#: ``concurrent.futures.ProcessPoolExecutor``, imported by the first
+#: pool map: it loads ``multiprocessing``, which serial sweeps and
+#: work-queue workers never use.
+ProcessPoolExecutor = None
 
 
 def check_cancelled(cancel) -> None:
@@ -459,6 +463,11 @@ def _pool_map(
     abandoned without waiting (``wait=False``), so one hung worker can
     never hang the parent or poison the other chunks' results.
     """
+    from repro.obs.aggregate import fold_snapshot
+
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers)
     abandoned = False
     try:

@@ -56,7 +56,6 @@ from repro.core.parallel import (
 from repro.obs.ledger import coerce_ledger
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.progress import ProgressReporter
-from repro.reporting.tables import Table
 
 
 @dataclass(frozen=True)
@@ -153,6 +152,8 @@ class SweepResult:
             columns: Column header -> extractor; an extractor is either
                 an axis name (string) or a callable on the result.
         """
+        from repro.reporting.tables import Table
+
         table = Table(title=title, columns=list(columns))
         for point in self.points:
             cells = []

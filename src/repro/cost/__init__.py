@@ -9,36 +9,23 @@ and without redundancy repair, packaging cost as a function of pin count,
 and per-unit economics including NRE amortization over product volume.
 """
 
-from repro.cost.wafer import WaferSpec, dies_per_wafer, die_cost_before_test
-from repro.cost.yield_model import (
-    YieldModel,
-    poisson_yield,
-    negative_binomial_yield,
-    redundancy_repair_yield,
-)
-from repro.cost.packaging import PackageCostModel
-from repro.cost.economics import ChipEconomics, CostBreakdown, SystemCostModel
-from repro.cost.nre import (
-    EDRAM_CONCEPT_NRE,
-    EDRAM_FIRST_PRODUCT_NRE,
-    LOGIC_ASIC_NRE,
-    NREBreakdown,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "WaferSpec",
-    "dies_per_wafer",
-    "die_cost_before_test",
-    "YieldModel",
-    "poisson_yield",
-    "negative_binomial_yield",
-    "redundancy_repair_yield",
-    "PackageCostModel",
-    "ChipEconomics",
-    "CostBreakdown",
-    "SystemCostModel",
-    "EDRAM_CONCEPT_NRE",
-    "EDRAM_FIRST_PRODUCT_NRE",
-    "LOGIC_ASIC_NRE",
-    "NREBreakdown",
-]
+_EXPORTS = {
+    "WaferSpec": "wafer",
+    "dies_per_wafer": "wafer",
+    "die_cost_before_test": "wafer",
+    "YieldModel": "yield_model",
+    "poisson_yield": "yield_model",
+    "negative_binomial_yield": "yield_model",
+    "redundancy_repair_yield": "yield_model",
+    "PackageCostModel": "packaging",
+    "ChipEconomics": "economics",
+    "CostBreakdown": "economics",
+    "SystemCostModel": "economics",
+    "EDRAM_CONCEPT_NRE": "nre",
+    "EDRAM_FIRST_PRODUCT_NRE": "nre",
+    "LOGIC_ASIC_NRE": "nre",
+    "NREBreakdown": "nre",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

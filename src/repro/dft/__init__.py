@@ -16,40 +16,28 @@ parallelism (BIST) to keep test cost sane.
 * :mod:`repro.dft.flow` — the pre-fuse/fuse/post-fuse production flow.
 """
 
-from repro.dft.faults import FaultKind, Fault, FaultyArray, inject_random_faults
-from repro.dft.march import (
-    MarchElement,
-    MarchTest,
-    MATS_PLUS,
-    MARCH_C_MINUS,
-    MARCH_B,
-    retention_test_time_s,
-)
-from repro.dft.redundancy import RepairPlan, allocate_spares
-from repro.dft.bist import BISTController
-from repro.dft.test_cost import TesterSpec, TestCostModel, MEMORY_TESTER, LOGIC_TESTER
-from repro.dft.flow import TestFlow, FlowResult
-from repro.dft.compression import SignatureCompressor
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FaultKind",
-    "Fault",
-    "FaultyArray",
-    "inject_random_faults",
-    "MarchElement",
-    "MarchTest",
-    "MATS_PLUS",
-    "MARCH_C_MINUS",
-    "MARCH_B",
-    "retention_test_time_s",
-    "RepairPlan",
-    "allocate_spares",
-    "BISTController",
-    "TesterSpec",
-    "TestCostModel",
-    "MEMORY_TESTER",
-    "LOGIC_TESTER",
-    "TestFlow",
-    "FlowResult",
-    "SignatureCompressor",
-]
+_EXPORTS = {
+    "FaultKind": "faults",
+    "Fault": "faults",
+    "FaultyArray": "faults",
+    "inject_random_faults": "faults",
+    "MarchElement": "march",
+    "MarchTest": "march",
+    "MATS_PLUS": "march",
+    "MARCH_C_MINUS": "march",
+    "MARCH_B": "march",
+    "retention_test_time_s": "march",
+    "RepairPlan": "redundancy",
+    "allocate_spares": "redundancy",
+    "BISTController": "bist",
+    "TesterSpec": "test_cost",
+    "TestCostModel": "test_cost",
+    "MEMORY_TESTER": "test_cost",
+    "LOGIC_TESTER": "test_cost",
+    "TestFlow": "flow",
+    "FlowResult": "flow",
+    "SignatureCompressor": "compression",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

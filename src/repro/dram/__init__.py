@@ -10,40 +10,32 @@ Section 5 (256 Kbit / 1 Mbit building blocks, 16-512 bit interfaces,
 configurable banks and page length, 7 ns cycle).
 """
 
-from repro.dram.timing import TimingParameters, PC100_TIMING, EDRAM_TIMING
-from repro.dram.commands import CommandType, Command
-from repro.dram.bank import Bank, BankState
-from repro.dram.device import DRAMDevice
-from repro.dram.organizations import Organization, AddressMapping, MappingScheme
-from repro.dram.catalog import SDRAMPart, COMMODITY_PARTS, smallest_system
-from repro.dram.edram import EDRAMMacro, SiemensConceptRules, SIEMENS_CONCEPT
-from repro.dram.refresh import RefreshScheduler
-from repro.dram.tracecheck import TraceChecker, TraceReport, Violation, streaming_read_trace
-from repro.dram.multimodule import MultiModuleSystem, compose_for_bandwidth
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TimingParameters",
-    "PC100_TIMING",
-    "EDRAM_TIMING",
-    "CommandType",
-    "Command",
-    "Bank",
-    "BankState",
-    "DRAMDevice",
-    "Organization",
-    "AddressMapping",
-    "MappingScheme",
-    "SDRAMPart",
-    "COMMODITY_PARTS",
-    "smallest_system",
-    "EDRAMMacro",
-    "SiemensConceptRules",
-    "SIEMENS_CONCEPT",
-    "RefreshScheduler",
-    "TraceChecker",
-    "TraceReport",
-    "Violation",
-    "streaming_read_trace",
-    "MultiModuleSystem",
-    "compose_for_bandwidth",
-]
+_EXPORTS = {
+    "TimingParameters": "timing",
+    "PC100_TIMING": "timing",
+    "EDRAM_TIMING": "timing",
+    "CommandType": "commands",
+    "Command": "commands",
+    "Bank": "bank",
+    "BankState": "bank",
+    "DRAMDevice": "device",
+    "Organization": "organizations",
+    "AddressMapping": "organizations",
+    "MappingScheme": "organizations",
+    "SDRAMPart": "catalog",
+    "COMMODITY_PARTS": "catalog",
+    "smallest_system": "catalog",
+    "EDRAMMacro": "edram",
+    "SiemensConceptRules": "edram",
+    "SIEMENS_CONCEPT": "edram",
+    "RefreshScheduler": "refresh",
+    "TraceChecker": "tracecheck",
+    "TraceReport": "tracecheck",
+    "Violation": "tracecheck",
+    "streaming_read_trace": "tracecheck",
+    "MultiModuleSystem": "multimodule",
+    "compose_for_bandwidth": "multimodule",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -9,33 +9,31 @@ paper-value-vs-measured rows.  The pytest-benchmark harness in
 EXPERIMENTS.md.
 """
 
-from repro.experiments import (
-    e01_interface_power,
-    e02_fill_frequency,
-    e03_granularity,
-    e04_feasibility,
-    e05_sustainable_bw,
-    e06_mpeg2,
-    e07_gap_iram,
-    e08_siemens_concept,
-    e09_test_cost,
-    e10_design_space,
-)
+from repro._exports import lazy_exports
 
-ALL_EXPERIMENTS = (
-    e01_interface_power,
-    e02_fill_frequency,
-    e03_granularity,
-    e04_feasibility,
-    e05_sustainable_bw,
-    e06_mpeg2,
-    e07_gap_iram,
-    e08_siemens_concept,
-    e09_test_cost,
-    e10_design_space,
-)
+#: Every experiment module in paper order, each exported as itself.
+_EXPORTS = {name: name for name in (
+    "e01_interface_power",
+    "e02_fill_frequency",
+    "e03_granularity",
+    "e04_feasibility",
+    "e05_sustainable_bw",
+    "e06_mpeg2",
+    "e07_gap_iram",
+    "e08_siemens_concept",
+    "e09_test_cost",
+    "e10_design_space",
+)}
+_getattr, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+__all__ += ["ALL_EXPERIMENTS", "run_all"]
+
+
+def __getattr__(name: str):
+    if name == "ALL_EXPERIMENTS":  # imports all ten, so only on use
+        return tuple(map(_getattr, _EXPORTS))
+    return _getattr(name)
 
 
 def run_all():
     """Run every experiment and return the reports in order."""
-    return [module.run() for module in ALL_EXPERIMENTS]
+    return [module.run() for module in __getattr__("ALL_EXPERIMENTS")]

@@ -25,36 +25,21 @@ uninstrumented run — pinned by :func:`repro.verify.differential.
 diff_injection_off` and the benchmark suite.
 """
 
-from __future__ import annotations
+from repro._exports import lazy_exports
 
-from repro.inject.ecc import EccOutcome, SECDEDCode
-from repro.inject.plan import (
-    FaultInjector,
-    FaultMap,
-    InjectionConfig,
-    InjectionReport,
-    build_fault_map,
-)
-from repro.inject.runtime import ResilientController, build_injected_simulator
-from repro.inject.campaign import (
-    CampaignConfig,
-    CampaignReport,
-    analytical_detection,
-    run_campaign,
-)
-
-__all__ = [
-    "CampaignConfig",
-    "CampaignReport",
-    "EccOutcome",
-    "FaultInjector",
-    "FaultMap",
-    "InjectionConfig",
-    "InjectionReport",
-    "ResilientController",
-    "SECDEDCode",
-    "analytical_detection",
-    "build_fault_map",
-    "build_injected_simulator",
-    "run_campaign",
-]
+_EXPORTS = {
+    "CampaignConfig": "campaign",
+    "CampaignReport": "campaign",
+    "EccOutcome": "ecc",
+    "FaultInjector": "plan",
+    "FaultMap": "plan",
+    "InjectionConfig": "plan",
+    "InjectionReport": "plan",
+    "ResilientController": "runtime",
+    "SECDEDCode": "ecc",
+    "analytical_detection": "campaign",
+    "build_fault_map": "plan",
+    "build_injected_simulator": "runtime",
+    "run_campaign": "campaign",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

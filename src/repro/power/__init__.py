@@ -19,50 +19,34 @@ This package provides:
   power may *increase* when memory moves on-die).
 """
 
-from repro.power.interface import InterfaceSpec, InterfacePowerModel, ON_CHIP_BUS, OFF_CHIP_BUS
-from repro.power.idd import IddParameters, CorePowerModel, PC100_IDD, EDRAM_IDD
-from repro.power.energy import AccessEnergyModel, EnergyBreakdown
-from repro.power.system import MemorySystemPower, SystemPowerModel, discrete_vs_embedded_power
-from repro.power.thermal import ThermalModel, retention_time_at
-from repro.power.battery import Battery, PortableSystemPower, battery_life_gain_hours
-from repro.power.signal import (
-    InterconnectModel,
-    OFF_CHIP_TRACE,
-    ON_CHIP_WIRE,
-    speed_advantage,
-)
-from repro.power.supplies import (
-    SupplyDomain,
-    SupplyPlan,
-    projected_plan,
-    reversal_year,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "InterfaceSpec",
-    "InterfacePowerModel",
-    "ON_CHIP_BUS",
-    "OFF_CHIP_BUS",
-    "IddParameters",
-    "CorePowerModel",
-    "PC100_IDD",
-    "EDRAM_IDD",
-    "AccessEnergyModel",
-    "EnergyBreakdown",
-    "MemorySystemPower",
-    "SystemPowerModel",
-    "discrete_vs_embedded_power",
-    "ThermalModel",
-    "retention_time_at",
-    "Battery",
-    "PortableSystemPower",
-    "battery_life_gain_hours",
-    "InterconnectModel",
-    "OFF_CHIP_TRACE",
-    "ON_CHIP_WIRE",
-    "speed_advantage",
-    "SupplyDomain",
-    "SupplyPlan",
-    "projected_plan",
-    "reversal_year",
-]
+_EXPORTS = {
+    "InterfaceSpec": "interface",
+    "InterfacePowerModel": "interface",
+    "ON_CHIP_BUS": "interface",
+    "OFF_CHIP_BUS": "interface",
+    "IddParameters": "idd",
+    "CorePowerModel": "idd",
+    "PC100_IDD": "idd",
+    "EDRAM_IDD": "idd",
+    "AccessEnergyModel": "energy",
+    "EnergyBreakdown": "energy",
+    "MemorySystemPower": "system",
+    "SystemPowerModel": "system",
+    "discrete_vs_embedded_power": "system",
+    "ThermalModel": "thermal",
+    "retention_time_at": "thermal",
+    "Battery": "battery",
+    "PortableSystemPower": "battery",
+    "battery_life_gain_hours": "battery",
+    "InterconnectModel": "signal",
+    "OFF_CHIP_TRACE": "signal",
+    "ON_CHIP_WIRE": "signal",
+    "speed_advantage": "signal",
+    "SupplyDomain": "supplies",
+    "SupplyPlan": "supplies",
+    "projected_plan": "supplies",
+    "reversal_year": "supplies",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,32 +1,22 @@
 """Reporting: ASCII tables and experiment records for the bench harness."""
 
-from repro.reporting.tables import Table, format_si, format_bits
-from repro.reporting.report import ExperimentReport, ClaimCheck
-from repro.reporting.profiling import PerfReport, Stopwatch, measure
-from repro.reporting.runreport import (
-    append_history,
-    check_regression,
-    load_history,
-    load_ledger,
-    render_html,
-    render_markdown,
-    summarize_ledger,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Table",
-    "format_si",
-    "format_bits",
-    "ExperimentReport",
-    "ClaimCheck",
-    "PerfReport",
-    "Stopwatch",
-    "measure",
-    "append_history",
-    "check_regression",
-    "load_history",
-    "load_ledger",
-    "render_html",
-    "render_markdown",
-    "summarize_ledger",
-]
+_EXPORTS = {
+    "Table": "tables",
+    "format_si": "tables",
+    "format_bits": "tables",
+    "ExperimentReport": "report",
+    "ClaimCheck": "report",
+    "PerfReport": "profiling",
+    "Stopwatch": "profiling",
+    "measure": "profiling",
+    "append_history": "runreport",
+    "check_regression": "runreport",
+    "load_history": "runreport",
+    "load_ledger": "runreport",
+    "render_html": "runreport",
+    "render_markdown": "runreport",
+    "summarize_ledger": "runreport",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -7,42 +7,26 @@ request coalescing absorb repeated and concurrent identical work.
 See docs/SERVICE.md for the API reference and cache semantics.
 """
 
-from repro.serve.cache import ResultCache
-from repro.serve.client import InProcessClient, ServeClient, ServeClientError
-from repro.serve.coalescer import RequestCoalescer
-from repro.serve.handlers import ExplorationService, route
-from repro.serve.protocol import (
-    RequestError,
-    SCHEMA_VERSION,
-    canonical_json,
-    parse_job,
-)
-from repro.serve.server import ReproServer, run_server
-from repro.serve.workloads import (
-    get_workload,
-    register_workload,
-    unregister_workload,
-    workload_names,
-    workload_parameters,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExplorationService",
-    "InProcessClient",
-    "RequestCoalescer",
-    "RequestError",
-    "ReproServer",
-    "ResultCache",
-    "SCHEMA_VERSION",
-    "ServeClient",
-    "ServeClientError",
-    "canonical_json",
-    "get_workload",
-    "parse_job",
-    "register_workload",
-    "route",
-    "run_server",
-    "unregister_workload",
-    "workload_names",
-    "workload_parameters",
-]
+_EXPORTS = {
+    "ExplorationService": "handlers",
+    "InProcessClient": "client",
+    "RequestCoalescer": "coalescer",
+    "RequestError": "protocol",
+    "ReproServer": "server",
+    "ResultCache": "cache",
+    "SCHEMA_VERSION": "protocol",
+    "ServeClient": "client",
+    "ServeClientError": "client",
+    "canonical_json": "protocol",
+    "get_workload": "workloads",
+    "parse_job": "protocol",
+    "register_workload": "workloads",
+    "route": "handlers",
+    "run_server": "server",
+    "unregister_workload": "workloads",
+    "workload_names": "workloads",
+    "workload_parameters": "workloads",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

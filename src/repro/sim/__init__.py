@@ -7,15 +7,14 @@ latency distributions, row-hit rates, and the FIFO depths the access
 scheme implies.
 """
 
-from repro.sim.stats import LatencyStats, SimulationResult
-from repro.sim.simulator import MemorySystemSimulator, SimulationConfig
-from repro.sim.event_engine import EventEngine, event_fallback_reason
+from repro._exports import lazy_exports
 
-__all__ = [
-    "LatencyStats",
-    "SimulationResult",
-    "MemorySystemSimulator",
-    "SimulationConfig",
-    "EventEngine",
-    "event_fallback_reason",
-]
+_EXPORTS = {
+    "LatencyStats": "stats",
+    "SimulationResult": "stats",
+    "MemorySystemSimulator": "simulator",
+    "SimulationConfig": "simulator",
+    "EventEngine": "event_engine",
+    "event_fallback_reason": "event_engine",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

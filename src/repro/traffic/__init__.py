@@ -8,26 +8,18 @@ generators, per-client request rates, and trace containers the simulator
 consumes.
 """
 
-from repro.traffic.patterns import (
-    AccessPattern,
-    SequentialPattern,
-    StridedPattern,
-    RandomPattern,
-    BlockPattern,
-    MotionCompensationPattern,
-)
-from repro.traffic.client import MemoryClient, ClientKind
-from repro.traffic.trace import Trace, TraceEntry
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AccessPattern",
-    "SequentialPattern",
-    "StridedPattern",
-    "RandomPattern",
-    "BlockPattern",
-    "MotionCompensationPattern",
-    "MemoryClient",
-    "ClientKind",
-    "Trace",
-    "TraceEntry",
-]
+_EXPORTS = {
+    "AccessPattern": "patterns",
+    "SequentialPattern": "patterns",
+    "StridedPattern": "patterns",
+    "RandomPattern": "patterns",
+    "BlockPattern": "patterns",
+    "MotionCompensationPattern": "patterns",
+    "MemoryClient": "client",
+    "ClientKind": "client",
+    "Trace": "trace",
+    "TraceEntry": "trace",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

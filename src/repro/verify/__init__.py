@@ -18,55 +18,30 @@ Three pillars (see :mod:`repro.verify.oracle`,
   ``python -m repro.verify fuzz``.
 """
 
-from repro.verify.differential import (
-    DifferentialReport,
-    FieldDiff,
-    FirstDivergence,
-    diff_backend,
-    diff_memoized_vs_cold,
-    diff_results,
-    diff_serial_vs_parallel,
-    diff_values,
-    first_command_divergence,
-    result_fingerprint,
-)
-from repro.verify.fuzz import (
-    PROPERTIES,
-    FuzzFailure,
-    FuzzReport,
-    evaluate_case,
-    run_fuzz,
-    shrink_case,
-)
-from repro.verify.invariants import (
-    InvariantReport,
-    LiveInvariantChecker,
-    refresh_deadline_slack,
-)
-from repro.verify.march import march_reference
-from repro.verify.oracle import CommandOracle, Violation
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CommandOracle",
-    "DifferentialReport",
-    "FieldDiff",
-    "FirstDivergence",
-    "FuzzFailure",
-    "FuzzReport",
-    "InvariantReport",
-    "LiveInvariantChecker",
-    "PROPERTIES",
-    "Violation",
-    "diff_backend",
-    "diff_memoized_vs_cold",
-    "diff_results",
-    "diff_serial_vs_parallel",
-    "diff_values",
-    "evaluate_case",
-    "first_command_divergence",
-    "march_reference",
-    "refresh_deadline_slack",
-    "result_fingerprint",
-    "run_fuzz",
-    "shrink_case",
-]
+_EXPORTS = {
+    "CommandOracle": "oracle",
+    "DifferentialReport": "differential",
+    "FieldDiff": "differential",
+    "FirstDivergence": "differential",
+    "FuzzFailure": "fuzz",
+    "FuzzReport": "fuzz",
+    "InvariantReport": "invariants",
+    "LiveInvariantChecker": "invariants",
+    "PROPERTIES": "fuzz",
+    "Violation": "oracle",
+    "diff_backend": "differential",
+    "diff_memoized_vs_cold": "differential",
+    "diff_results": "differential",
+    "diff_serial_vs_parallel": "differential",
+    "diff_values": "differential",
+    "evaluate_case": "fuzz",
+    "first_command_divergence": "differential",
+    "march_reference": "march",
+    "refresh_deadline_slack": "invariants",
+    "result_fingerprint": "differential",
+    "run_fuzz": "fuzz",
+    "shrink_case": "fuzz",
+}
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
