@@ -649,10 +649,10 @@ def bench_distributed(report: PerfReport, smoke: bool = False) -> None:
 
     from repro.core.executor import WorkQueueExecutor
     from repro.core.store import ResultStore
-    # Spawned workers unpickle the task function by reference, so the
-    # workload must come from an importable module — this script is
-    # ``__main__`` (or pytest's ``bench_perf``), which workers can't
-    # import.
+    # Workers unpickle the task function by reference, so the workload
+    # must come from an importable module: this script is ``__main__``
+    # (or pytest's ``bench_perf``), which a forked local worker could
+    # resolve but an external worker could not import.
     from repro.serve.workloads import sim_fingerprint
 
     n_seeds = 8 if smoke else 24
@@ -733,7 +733,7 @@ def bench_distributed(report: PerfReport, smoke: bool = False) -> None:
 
         thread = threading.Thread(target=chaos_run)
         thread.start()
-        # SIGKILL the first spawned worker as soon as it exists: its
+        # SIGKILL the first forked worker as soon as it exists: its
         # leases must expire and its chunks be stolen by the survivor.
         deadline = _time.monotonic() + 30.0
         while _time.monotonic() < deadline and not executor._procs:
@@ -973,7 +973,9 @@ COLD_START_MODULE_CEILING = 55
 
 def bench_cold_start(report: PerfReport, repeats: int = 5) -> None:
     """A fresh interpreter running the queue worker's cold path to its
-    first result: what every spawned worker and set-up probe pays.
+    first result: what every external worker (``python -m
+    repro.core.worker``) and set-up probe pays.  The executor's local
+    workers are forks of the coordinator and skip it.
 
     Min of ``repeats`` runs on one pinned CPU, each bracketed by the
     e2e benchmark's interpreter-work reference

@@ -11,21 +11,29 @@ points evaluate:
 * :class:`LocalPoolExecutor` — the existing
   :func:`~repro.core.parallel.parallel_map` process pool behind the
   interface (deterministic chunking, ordered merge, retries, timeouts);
-* :class:`WorkQueueExecutor` — multiple worker *processes* (spawnable
-  on other machines) coordinated through a shared work-queue
-  directory.  See docs/DISTRIBUTED.md for the protocol walkthrough.
+* :class:`WorkQueueExecutor` — multiple worker *processes* (forked
+  locally, or started on other machines) coordinated through a shared
+  work-queue directory.  See docs/DISTRIBUTED.md for the protocol
+  walkthrough.
 
 Work-queue protocol (all filesystem, no sockets, NFS-friendly)::
 
     queue/
       manifest.json         run id, chunk count, lease timeout
       task.pkl              pickled (fn, catch) every worker loads
-      pending/chunk-00007.json   unclaimed chunks
+      pending/chunk-00007.json   unclaimed chunks (tmp+rename, not fsync'd)
       leases/chunk-00007.json    claimed chunks (claim = atomic rename)
-      results/chunk-00007.json   completed chunks (atomic tmp+replace)
+      results/chunk-00007.json   completed chunks (fsync'd tmp+replace)
       store/segment-<worker>.jsonl  per-worker durable result segments
-      workers/<worker>.json      heartbeats
+      workers/<worker>.json      throttled heartbeats (not fsync'd)
       done.json                  coordinator's shutdown sentinel
+
+Only what must outlive a crash is fsync'd: the manifest, ``task.pkl``,
+results, segment appends and ``done.json``.  Chunk documents are wiped
+by :meth:`WorkQueue.reset` at every map start, and a heartbeat only
+matters while its writer lives; on a ``discard``-mounted ext4 freeing
+an fsync'd file's blocks costs tens of milliseconds, which a per-chunk
+fsync + unlink would pay on every chunk.
 
 * **Claim-by-rename** — a worker claims a chunk by ``os.rename``-ing it
   from ``pending/`` into ``leases/``; rename is atomic, so exactly one
@@ -52,11 +60,13 @@ per item, in input order — bit-identical to the serial reference path
 from __future__ import annotations
 
 import base64
+import gc
 import json
 import os
 import pickle
 import signal
 import sys
+import threading
 import time
 import uuid
 from dataclasses import dataclass, field as dataclass_field
@@ -81,6 +91,10 @@ PENDING, LEASES, RESULTS, SEGMENTS, WORKERS = (
     "workers",
 )
 MANIFEST, TASK_FILE, DONE_FILE = "manifest.json", "task.pkl", "done.json"
+
+#: Seconds ``WorkQueueExecutor.close()`` lets a SIGTERM'd worker drain
+#: before it SIGKILLs (and reaps) it.
+CLOSE_GRACE_S = 5.0
 
 
 class ExecutorError(SimulationError):
@@ -197,13 +211,18 @@ def coerce_executor(executor, parallel=None) -> Executor | None:
 # -- work-queue plumbing -----------------------------------------------------
 
 
-def atomic_write_json(path: Path, document: dict) -> None:
-    """Write a JSON file so readers never see a partial document."""
+def atomic_write_json(path: Path, document: dict, fsync: bool = True) -> None:
+    """Write a JSON file so readers never see a partial document.
+
+    ``fsync=False`` keeps the atomicity (tmp + rename) but not the
+    durability, for files no crash recovery reads.
+    """
     tmp_path = path.with_name(path.name + f".tmp-{uuid.uuid4().hex[:8]}")
     with open(tmp_path, "w", encoding="utf-8") as handle:
         json.dump(document, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
+        if fsync:
+            handle.flush()
+            os.fsync(handle.fileno())
     os.replace(tmp_path, path)
 
 
@@ -300,8 +319,13 @@ class WorkQueue:
             # verbatim, so its ledger spans parent into the
             # coordinator's trace across the process boundary.
             document["trace"] = dict(trace)
+        # Not fsync'd: reset() wipes chunk documents at every map start,
+        # so none has to survive a crash, and an fsync'd file's blocks
+        # cost an expensive free when its lease is released.
         atomic_write_json(
-            self.directory(PENDING) / chunk_file_name(index), document
+            self.directory(PENDING) / chunk_file_name(index),
+            document,
+            fsync=False,
         )
 
     def claim_chunk(self, name: str, worker_id: str) -> dict | None:
@@ -488,6 +512,8 @@ class WorkQueue:
     # -- workers -------------------------------------------------------------
 
     def heartbeat(self, worker_id: str, chunks_done: int) -> None:
+        # Liveness only, so not fsync'd; workers throttle it because
+        # every rename-over frees the previous heartbeat's blocks.
         atomic_write_json(
             self.directory(WORKERS) / f"{worker_id}.json",
             {
@@ -496,6 +522,7 @@ class WorkQueue:
                 "t": round(time.time(), 3),
                 "chunks_done": chunks_done,
             },
+            fsync=False,
         )
 
     def worker_records(self) -> list:
@@ -563,15 +590,104 @@ class WorkQueue:
         }
 
 
+class ForkedWorker:
+    """A :class:`subprocess.Popen`-shaped handle on a forked worker.
+
+    Offers what the executor, the chaos drills and the benchmarks use
+    of ``Popen``: ``pid``, ``returncode``, ``poll()``, ``wait(timeout)``
+    (raising :class:`TimeoutError`), ``send_signal()`` and ``kill()``.
+    Reaping is serialised by a lock, because the coordinator thread
+    polls the handle while another thread may kill or wait on it.
+    """
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: int | None = None
+        self._lock = threading.Lock()
+
+    def poll(self) -> int | None:
+        with self._lock:
+            if self.returncode is None:
+                try:
+                    pid, status = os.waitpid(self.pid, os.WNOHANG)
+                except ChildProcessError:
+                    # Reaped behind our back (SIGCHLD ignored): as
+                    # Popen does, report a clean exit.
+                    self.returncode = 0
+                else:
+                    if pid == self.pid:
+                        self.returncode = os.waitstatus_to_exitcode(status)
+            return self.returncode
+
+    def wait(self, timeout: float | None = None) -> int:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        delay = 0.001
+        while self.poll() is None:
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError(
+                        f"worker {self.pid} still running after {timeout}s"
+                    )
+                delay = min(delay, remaining)
+            time.sleep(delay)
+            delay = min(delay * 2, 0.05)
+        return self.returncode
+
+    def send_signal(self, signum: int) -> None:
+        # A reaped pid may already belong to another process.
+        if self.poll() is None:
+            os.kill(self.pid, signum)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+def _forked_worker_main(log_fd: int, worker_loop, queue_dir, **options):
+    """The body of a forked worker; leaves only through ``os._exit``.
+
+    The child is a copy of the coordinator, so nothing of the parent's
+    may run twice here: ``os._exit`` skips ``atexit`` handlers and the
+    flush of inherited buffered files (an unflushed ledger, say), and
+    ``gc.freeze()`` keeps inherited garbage from being finalised in the
+    child.
+    """
+    code = 1
+    try:
+        gc.freeze()
+        os.dup2(log_fd, 1)
+        os.dup2(log_fd, 2)
+        sys.stdout = sys.stderr = os.fdopen(log_fd, "w", buffering=1)
+        # What a fresh interpreter would start with (as the fork-start
+        # pool workers in parallel.py do).
+        GLOBAL_METRICS.enabled = False
+        GLOBAL_METRICS.reset()
+        worker_loop(queue_dir, **options)
+        code = 0
+    except BaseException:
+        # Not re-raised: it would unwind into the coordinator's code.
+        import traceback
+
+        traceback.print_exc()  # into the spawn log
+    finally:
+        os._exit(code)
+
+
 class WorkQueueExecutor(Executor):
     """Multi-process (and multi-node) execution over a shared directory.
 
     The coordinator publishes deterministic contiguous chunks into the
-    queue, optionally spawns ``workers`` local worker processes
-    (``python -m repro.core.worker``), and collects results as they
-    land — requeueing expired leases so dead workers' chunks are
-    reassigned.  Additional workers on other machines join the same
-    queue with ``repro workers start --queue DIR``.
+    queue, optionally forks ``workers`` local worker processes, and
+    collects results as they land — requeueing expired leases so dead
+    workers' chunks are reassigned.  Additional workers on this or
+    other machines join the same queue with ``repro workers start
+    --queue DIR`` (``python -m repro.core.worker``).
+
+    Local workers are forks of the coordinator, so they start with
+    everything it has imported and run no interpreter start-up.  The
+    task function is still loaded from ``task.pkl`` by reference, as an
+    external worker loads it, so it must be importable (not defined in
+    ``__main__``) for external workers to run it.
 
     With ``store=`` (path or open
     :class:`~repro.core.store.ResultStore`), items whose ``keys`` are
@@ -640,37 +756,41 @@ class WorkQueueExecutor(Executor):
 
     # -- worker process management ------------------------------------------
 
-    def spawn_worker(self) -> subprocess.Popen:
-        """One local worker process attached to this queue."""
-        import subprocess
+    def spawn_worker(self) -> ForkedWorker:
+        """Fork one local worker process attached to this queue.
 
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root if not existing else src_root + os.pathsep + existing
-        )
+        The child writes its stdout/stderr to ``workers/spawn-N.log``
+        and runs :func:`~repro.core.worker.worker_loop`.  Like the
+        fork-start pool of :func:`~repro.core.parallel.parallel_map`, it
+        may be called from any thread.
+        """
+        from repro.core.worker import worker_loop
+
         workers_dir = self.queue.directory(WORKERS)
         workers_dir.mkdir(parents=True, exist_ok=True)
-        log_path = workers_dir / f"spawn-{len(self._procs)}.log"
-        log_handle = open(log_path, "a")
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.core.worker",
-                "--queue",
-                str(self.queue.root),
-                "--max-idle-s",
-                str(max(self.lease_timeout_s * 4, 10.0)),
-                "--poll-s",
-                str(self.poll_s),
-            ],
-            env=env,
-            stdout=log_handle,
-            stderr=subprocess.STDOUT,
+        log_fd = os.open(
+            workers_dir / f"spawn-{len(self._procs)}.log",
+            os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+            0o644,
         )
-        log_handle.close()  # the child holds its own descriptor
+        # Whatever sits in these buffers now would otherwise be
+        # written once by each process.
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _forked_worker_main(
+                    log_fd,
+                    worker_loop,
+                    self.queue.root,
+                    max_idle_s=max(self.lease_timeout_s * 4, 10.0),
+                    poll_s=self.poll_s,
+                )
+        finally:
+            os.close(log_fd)
+        proc = ForkedWorker(pid)
         self._procs.append(proc)
         return proc
 
@@ -686,9 +806,12 @@ class WorkQueueExecutor(Executor):
                     pass
         for proc in self._procs:
             try:
-                proc.wait(timeout=5)
-            except Exception:
+                proc.wait(timeout=CLOSE_GRACE_S)
+            except TimeoutError:
                 proc.kill()
+                # Reap it: a forked worker is nobody else's to reap,
+                # and an unreaped one stays a zombie.
+                proc.wait()
         self._procs = []
         if self._owns_store and self.store is not None:
             self.store.close()

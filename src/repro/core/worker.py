@@ -1,8 +1,10 @@
 """Work-queue worker process: claim, evaluate, publish, repeat.
 
 Run as ``python -m repro.core.worker --queue DIR`` (or via
-``repro workers start``).  Any number of workers — on this machine or
-on any machine sharing the queue directory — cooperate on one
+``repro workers start``); the executor's own local workers are forks
+of the coordinator that call :func:`worker_loop` directly.  Any number
+of workers — on this machine or on any machine sharing the queue
+directory — cooperate on one
 :class:`~repro.core.executor.WorkQueueExecutor` map:
 
 1. claim the lowest pending chunk by atomic rename (losing a rename
@@ -17,7 +19,7 @@ on any machine sharing the queue directory — cooperate on one
 5. for chunks that carry content keys (stolen chunks especially),
    consult the combined segment snapshot first so points a dead worker
    already finished are served from the store, not evaluated twice;
-6. publish the chunk result atomically and release the lease.
+6. publish the chunk result atomically (fsync'd) and release the lease.
 
 The worker exits when the coordinator writes the ``done`` sentinel,
 when the queue has been idle longer than ``--max-idle-s``, or after one
@@ -28,9 +30,9 @@ deterministically).
 it is evaluating, publishes its result, releases its lease, lets the
 segment's context manager flush, and exits — the contract
 :class:`~repro.core.supervisor.WorkerSupervisor` relies on.  While
-running it also refreshes its heartbeat file at least once a second
-(idle polls and per evaluated point), so a supervisor can tell a
-frozen worker from a busy one.
+running it also refreshes its heartbeat file once a second, throttled
+(idle polls, per evaluated point and per chunk), so a supervisor can
+tell a frozen worker from a busy one.
 """
 
 from __future__ import annotations
@@ -150,9 +152,10 @@ def worker_loop(
 
         def beat() -> None:
             # Throttled: at most one heartbeat write per heartbeat_s,
-            # called from idle polls and per evaluated point — a
-            # supervisor reading the file's mtime can tell frozen
-            # (silent) from busy (beating) at that resolution.
+            # called from idle polls, per evaluated point and per chunk
+            # — a supervisor reading the file's mtime can tell frozen
+            # (silent) from busy (beating) at that resolution, and a
+            # map of short chunks does not rewrite the file per chunk.
             nonlocal last_beat
             now = time.monotonic()
             if now - last_beat >= heartbeat_s:
@@ -226,8 +229,7 @@ def worker_loop(
                 )
                 queue.release_lease(chunk["_lease_path"])
                 chunks_done += 1
-                queue.heartbeat(worker_id, chunks_done)
-                last_beat = time.monotonic()
+                beat()
                 if once:
                     break
         if trace_ledger is not None:

@@ -3,7 +3,10 @@
 Each check runs in a new interpreter and compares module sets, not
 wall time, so it is deterministic.  The worker cold path is the
 ``sweep_store`` set-up probe (a ``Sweep`` import plus one
-``sim_fingerprint`` point) followed by the queue worker's import.
+``sim_fingerprint`` point) followed by the queue worker's import: what
+external workers (``python -m repro.core.worker``) and set-up probes
+pay.  The executor's own local workers are forks of the coordinator
+and start with its modules already loaded.
 """
 
 from __future__ import annotations

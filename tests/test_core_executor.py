@@ -7,9 +7,12 @@ evaluated twice), and the merged result must stay bit-identical to the
 serial reference.
 """
 
+import math
 import os
 import threading
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +54,11 @@ def _logged_square(x):
 def _chaos_point(x):
     time.sleep(0.25)
     return x * x + 1
+
+
+def _slow_square(x):
+    time.sleep(0.05)
+    return x * x
 
 
 def _never(**_params):
@@ -391,6 +399,15 @@ class TestWorkQueueExecutor:
             )
         stale = time.time() - 100
         os.utime(chunk["_lease_path"], (stale, stale))
+        # Let the coordinator's poll requeue the expired lease before
+        # the survivor starts; otherwise the survivor may steal it
+        # first, and the coordinator never records the expiry.
+        deadline = time.monotonic() + 30.0
+        while (
+            executor.stats["requeued"] == 0
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
         worker_loop(
             tmp_path / "q", worker_id="w1", max_idle_s=30.0, poll_s=0.01
         )
@@ -412,6 +429,136 @@ class TestWorkQueueExecutor:
         for key in keys:
             assert store.get(key) is not None
         store.close()
+
+
+class _QueueFileOps:
+    """Counts ``os.fsync``/``os.replace``/``os.unlink`` per queue entry.
+
+    An operation is filed under the first path component below the
+    queue root (``pending``, ``results``, ``store``, ``workers``, ...),
+    and every heartbeat write (a replace into ``workers/``) is
+    timestamped.
+    """
+
+    def __init__(self, monkeypatch, root) -> None:
+        self.root = Path(root).resolve()
+        self.fsyncs = Counter()
+        self.replaces = Counter()
+        self.unlinks = Counter()
+        self.heartbeats = []
+        real_fsync, real_replace = os.fsync, os.replace
+        real_unlink = os.unlink
+
+        def fsync(fd):
+            self.fsyncs[self._entry(os.readlink(f"/proc/self/fd/{fd}"))] += 1
+            return real_fsync(fd)
+
+        def replace(source, target, *args, **kwargs):
+            entry = self._entry(target)
+            self.replaces[entry] += 1
+            if entry == "workers":
+                self.heartbeats.append(time.monotonic())
+            return real_replace(source, target, *args, **kwargs)
+
+        def unlink(path, *args, **kwargs):
+            self.unlinks[self._entry(path)] += 1
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "unlink", unlink)
+
+    def _entry(self, path):
+        try:
+            return Path(path).resolve().relative_to(self.root).parts[0]
+        except (ValueError, IndexError):
+            return None
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+class TestQueueFilesystemChurn:
+    """Only what must survive a crash is fsync'd, and a worker's
+    heartbeat is written per ``heartbeat_s``, not per chunk."""
+
+    def _drive(self, tmp_path, monkeypatch, fn, items, chunk_size,
+               heartbeat_s):
+        ops = _QueueFileOps(monkeypatch, tmp_path / "q")
+        executor = WorkQueueExecutor(
+            tmp_path / "q",
+            workers=0,
+            spawn_workers=False,
+            chunk_size=chunk_size,
+            poll_s=0.01,
+            timeout_s=60.0,
+        )
+        holder = {}
+        thread = threading.Thread(
+            target=lambda: holder.update(
+                outcomes=executor.map(
+                    fn, items, keys=[f"fp-{x}" for x in items]
+                )
+            )
+        )
+        thread.start()
+        started = time.monotonic()
+        worker_loop(
+            tmp_path / "q",
+            worker_id="w1",
+            max_idle_s=30.0,
+            poll_s=0.01,
+            heartbeat_s=heartbeat_s,
+        )
+        elapsed = time.monotonic() - started
+        thread.join(timeout=60.0)
+        assert [o.value for o in holder["outcomes"]] == [
+            x * x for x in items
+        ]
+        return ops, elapsed
+
+    def test_fsyncs_only_what_must_survive(self, tmp_path, monkeypatch):
+        items = list(range(8))
+        ops, elapsed = self._drive(
+            tmp_path, monkeypatch, _square, items, chunk_size=2,
+            heartbeat_s=1.0,
+        )
+        n_chunks = 4
+        assert ops.fsyncs["pending"] == 0
+        assert ops.fsyncs["leases"] == 0
+        assert ops.replaces["workers"] <= 1 + math.ceil(elapsed / 1.0)
+        # Every result is published fsync'd...
+        assert ops.replaces["results"] == n_chunks
+        assert ops.fsyncs["results"] == n_chunks
+        # ...and every fresh point's segment append is fsync'd.
+        assert ops.fsyncs["store"] >= len(items)
+        # So are the files a worker or a restart reads back (each is
+        # written through a tmp name beside it).
+        for name in ("manifest.json", "task.pkl", "done.json"):
+            assert sum(
+                count
+                for entry, count in ops.fsyncs.items()
+                if entry and entry.startswith(name)
+            ) == 1, name
+        assert ops.fsyncs["workers"] == 0
+        assert ops.unlinks["leases"] == n_chunks
+
+    def test_slow_chunk_still_refreshes_the_heartbeat(
+        self, tmp_path, monkeypatch
+    ):
+        heartbeat_s = 0.2
+        items = list(range(20))  # one 1 s chunk
+        ops, elapsed = self._drive(
+            tmp_path, monkeypatch, _slow_square, items,
+            chunk_size=len(items), heartbeat_s=heartbeat_s,
+        )
+        beats = ops.heartbeats
+        assert len(beats) <= 1 + math.ceil(elapsed / heartbeat_s)
+        assert len(beats) >= 3
+        gaps = [later - earlier for earlier, later in zip(beats, beats[1:])]
+        # A beat is due every heartbeat_s and checked after every point;
+        # beating only per chunk would leave a 1 s gap.
+        assert max(gaps) < heartbeat_s + 0.05 + 0.35
 
 
 class TestWorkQueueChaosSigkill:
