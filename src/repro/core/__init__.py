@@ -35,7 +35,6 @@ _EXPORTS = {
     "pareto_frontier_mask": "pareto",
     "dominates": "pareto",
     "BatchEvaluation": "batch",
-    "BatchedMacroSweepTask": "batch",
     "batch_fallback_reason": "batch",
     "discrete_batch_fallback_reason": "batch",
     "evaluate_discrete_batch": "batch",

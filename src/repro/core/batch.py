@@ -280,8 +280,9 @@ def evaluate_macro_grid(
         size_bits, width, banks, page_bits: Equal-length integer
             sequences — one design point per index.  Every combination
             must be a constructible macro; this kernel computes, it
-            does not validate (use :class:`BatchedMacroSweepTask` or
-            the explorer for rule checking).
+            does not validate (build each point as an
+            :class:`~repro.dram.edram.EDRAMMacro`, or use the explorer,
+            for rule checking).
         timing: Shared timing parameters (default: the eDRAM concept's).
         redundancy_spares, process: Shared area-model knobs, matching
             the :class:`EDRAMMacro` defaults.
@@ -524,40 +525,3 @@ def evaluate_discrete_batch(
         unit_cost=n_chips * part.unit_price,
         embedded=False,
     )
-
-
-# -- sweep integration -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BatchedMacroSweepTask:
-    """Sweep-compatible macro evaluation with a batched fast path.
-
-    ``Sweep.run`` calls ``evaluate_batch`` with all remaining parameter
-    dicts when the callable offers one (see
-    :meth:`repro.core.sweep.Sweep.run`) and falls back to per-point
-    ``__call__`` — the scalar reference — when the batch raises.  Both
-    paths produce bit-identical :class:`SolutionMetrics`.
-
-    Attributes:
-        evaluator: Shared analytic evaluator (its memo is primed by the
-            batched path, exactly like the process-pool fan-out).
-        requirements: Requirement every point is evaluated against.
-    """
-
-    evaluator: object
-    requirements: ApplicationRequirements
-
-    def _macro(self, parameters: dict):
-        from repro.dram.edram import EDRAMMacro
-
-        return EDRAMMacro(**parameters)
-
-    def __call__(self, **parameters):
-        return self.evaluator.evaluate_macro(
-            self._macro(parameters), self.requirements
-        )
-
-    def evaluate_batch(self, points) -> list:
-        macros = [self._macro(parameters) for parameters in points]
-        return self.evaluator.evaluate_macros(macros, self.requirements)

@@ -111,14 +111,17 @@ class Executor:
     without a store ignore it.  ``cancel`` is an optional cooperative
     cancellation token (boolean ``cancelled`` attribute) checked at
     chunk boundaries; a fired token raises
-    :class:`~repro.errors.CancelledError`.
+    :class:`~repro.errors.CancelledError`.  ``on_chunk(positions,
+    outcomes)``, when given, is called once per merged chunk with the
+    chunk's input positions and outcomes, so a caller can persist
+    results as they land rather than when ``map`` returns.
     """
 
     name = "executor"
 
     def map(
         self, fn, items, *, catch=(), keys=None, ledger=None,
-        progress=None, cancel=None,
+        progress=None, cancel=None, on_chunk=None,
     ) -> list:
         raise NotImplementedError
 
@@ -138,19 +141,22 @@ class SerialExecutor(Executor):
 
     def map(
         self, fn, items, *, catch=(), keys=None, ledger=None,
-        progress=None, cancel=None,
+        progress=None, cancel=None, on_chunk=None,
     ) -> list:
         # workers=0 selects parallel_map's serial path, which still
-        # emits the canonical telemetry counter set and notes progress
-        # per chunk — executor parity with the pool paths.
+        # emits the canonical telemetry counter set — executor parity
+        # with the pool paths.  One-item chunks report (and check
+        # cancellation) per point, so a crash or cancel mid-map loses
+        # nothing already evaluated.
         return parallel_map(
             fn,
             items,
-            config=ParallelConfig(workers=0),
+            config=ParallelConfig(workers=0, chunk_size=1),
             catch=catch,
             ledger=ledger,
             progress=progress,
             cancel=cancel,
+            on_chunk=on_chunk,
         )
 
 
@@ -164,7 +170,7 @@ class LocalPoolExecutor(Executor):
 
     def map(
         self, fn, items, *, catch=(), keys=None, ledger=None,
-        progress=None, cancel=None,
+        progress=None, cancel=None, on_chunk=None,
     ) -> list:
         return parallel_map(
             fn,
@@ -174,6 +180,7 @@ class LocalPoolExecutor(Executor):
             ledger=ledger,
             progress=progress,
             cancel=cancel,
+            on_chunk=on_chunk,
         )
 
     def describe(self) -> dict:
@@ -190,7 +197,7 @@ def coerce_executor(executor, parallel=None) -> Executor | None:
 
     ``parallel=ParallelConfig(...)`` (the pre-PR-8 spelling) becomes a
     :class:`LocalPoolExecutor`; passing both is rejected; None/None
-    means the caller's own serial path.
+    returns None (the caller picks its serial default).
     """
     if executor is not None and parallel is not None:
         raise ConfigurationError(
@@ -820,7 +827,7 @@ class WorkQueueExecutor(Executor):
 
     def map(
         self, fn, items, *, catch=(), keys=None, ledger=None,
-        progress=None, cancel=None,
+        progress=None, cancel=None, on_chunk=None,
     ) -> list:
         items = list(items)
         catch = tuple(catch) or (_NeverRaised,)
@@ -845,6 +852,9 @@ class WorkQueueExecutor(Executor):
                 else:
                     still.append(index)
             remaining = still
+            if on_chunk is not None and outcomes:
+                # The store-served items, reported as one chunk.
+                on_chunk(list(outcomes), list(outcomes.values()))
             if progress is not None and outcomes:
                 failed = sum(
                     1 for o in outcomes.values() if not o.ok
@@ -871,7 +881,7 @@ class WorkQueueExecutor(Executor):
         try:
             return self._run_queue(
                 fn, items, catch, keys, remaining, outcomes,
-                ledger, progress, cancel, map_trace,
+                ledger, progress, cancel, map_trace, on_chunk,
             )
         finally:
             if map_span is not None:
@@ -879,7 +889,7 @@ class WorkQueueExecutor(Executor):
 
     def _run_queue(
         self, fn, items, catch, keys, remaining, outcomes,
-        ledger, progress, cancel, map_trace,
+        ledger, progress, cancel, map_trace, on_chunk,
     ) -> list:
         queue_id = uuid.uuid4().hex[:12]
         chunk_size = self.chunk_size
@@ -933,7 +943,7 @@ class WorkQueueExecutor(Executor):
                 self.spawn_worker()
         try:
             self._collect(
-                chunks, items, outcomes, ledger, progress, cancel
+                chunks, outcomes, ledger, progress, cancel, on_chunk
             )
         finally:
             # Runs on cancellation too: the done sentinel tells workers
@@ -960,7 +970,7 @@ class WorkQueueExecutor(Executor):
         return [outcomes[index] for index in range(len(items))]
 
     def _collect(
-        self, chunks, items, outcomes, ledger, progress, cancel=None
+        self, chunks, outcomes, ledger, progress, cancel, on_chunk
     ) -> None:
         started = time.monotonic()
         last_progress = started
@@ -972,7 +982,9 @@ class WorkQueueExecutor(Executor):
                 result = self.queue.read_result(chunk_index)
                 if result is None:
                     continue
-                self._merge_result(chunks, result, outcomes, ledger, progress)
+                self._merge_result(
+                    result, outcomes, ledger, progress, on_chunk
+                )
                 landed.append(chunk_index)
                 last_progress = time.monotonic()
             for chunk_index in landed:
@@ -1009,7 +1021,7 @@ class WorkQueueExecutor(Executor):
             time.sleep(self.poll_s)
 
     def _merge_result(
-        self, chunks, result, outcomes, ledger, progress
+        self, result, outcomes, ledger, progress, on_chunk
     ) -> None:
         indices = result.get("indices", [])
         encoded = result.get("outcomes", [])
@@ -1037,6 +1049,8 @@ class WorkQueueExecutor(Executor):
             else:
                 self.stats["fresh"] += 1
         self.stats["chunks"] += 1
+        if on_chunk is not None:
+            on_chunk(indices, [outcomes[index] for index in indices])
         if ledger is not None:
             ledger.event(
                 "chunk",

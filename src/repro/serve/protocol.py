@@ -36,8 +36,8 @@ SCHEMA_VERSION = 1
 JOB_KINDS = ("sweep", "explore")
 
 #: Evaluation backends per job kind.  Sweep workloads are scalar python
-#: functions today, so "auto" just follows ``Sweep.run``'s normal path
-#: (which prefers a workload's ``evaluate_batch`` when present).
+#: functions evaluated point by point, so "auto" and "scalar" run the
+#: same ``Sweep.run`` path.
 SWEEP_BACKENDS = ("auto", "scalar")
 EXPLORE_BACKENDS = ("batched", "scalar")
 

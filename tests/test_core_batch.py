@@ -3,8 +3,8 @@
 The contract under test (see ``repro/core/batch.py``) is *bit-identity,
 not tolerance*: every array lane must reproduce the scalar evaluator's
 result exactly, over the full E10 design-space grid — and the wired-in
-consumers (``Evaluator.evaluate_macros``, the explorer, ``Sweep.run``,
-the Pareto mask) must be indistinguishable from their scalar paths.
+consumers (``Evaluator.evaluate_macros``, the explorer, the Pareto
+mask) must be indistinguishable from their scalar paths.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core.batch import (
-    BatchedMacroSweepTask,
     batch_fallback_reason,
     discrete_batch_fallback_reason,
     evaluate_discrete_batch,
@@ -26,7 +25,6 @@ from repro.core.evaluator import Evaluator
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.pareto import pareto_frontier_mask
 from repro.core.requirements import ApplicationRequirements
-from repro.core.sweep import Sweep
 from repro.dram.catalog import COMMODITY_PARTS, DiscreteSystem
 from repro.dram.edram import EDRAMMacro
 from repro.errors import ConfigurationError
@@ -170,59 +168,6 @@ def test_explorer_batch_parity():
     assert batched.evaluated == reference.evaluated
     assert batched.feasible == reference.feasible
     assert batched.frontier == reference.frontier
-
-
-def test_sweep_batched_task_parity(tmp_path):
-    macros = _grid_macros()
-    sweep = Sweep(
-        axes={
-            "size_bits": [macros[0].size_bits],
-            "width": sorted({m.width for m in macros})[:3],
-            "banks": [4],
-            "page_bits": [2048, 4096],
-        }
-    )
-    task = BatchedMacroSweepTask(evaluator=Evaluator(), requirements=REQ)
-    scalar_task = BatchedMacroSweepTask(
-        evaluator=Evaluator(), requirements=REQ
-    )
-    batched = sweep.run(task)
-    serial = sweep.run(scalar_task.__call__)  # no evaluate_batch attr
-    assert [(p.parameters, p.result) for p in batched.points] == [
-        (p.parameters, p.result) for p in serial.points
-    ]
-    # Journaling composes with the batched path: a resumed sweep skips
-    # the journaled points and the merged outcome is unchanged.
-    journal = tmp_path / "sweep.journal.jsonl"
-    first = sweep.run(
-        BatchedMacroSweepTask(evaluator=Evaluator(), requirements=REQ),
-        journal=journal,
-    )
-    resumed = sweep.run(
-        BatchedMacroSweepTask(evaluator=Evaluator(), requirements=REQ),
-        journal=journal,
-    )
-    assert [(p.parameters, p.result) for p in first.points] == [
-        (p.parameters, p.result) for p in resumed.points
-    ]
-
-
-def test_sweep_batch_error_localizes_to_scalar_path():
-    """A grid with an unconstructible point falls back to the scalar
-    loop, which quarantines exactly that point."""
-    sweep = Sweep(
-        axes={
-            "size_bits": [2 * MBIT],
-            "width": [64],
-            "banks": [4],
-            "page_bits": [2048, 1536],  # 1536 is not a valid page
-        }
-    )
-    task = BatchedMacroSweepTask(evaluator=Evaluator(), requirements=REQ)
-    result = sweep.run(task, skip_errors=True)
-    assert len(result.points) == 1
-    assert len(result.failures) == 1
-    assert result.failures[0].parameters["page_bits"] == 1536
 
 
 def test_pareto_mask_matches_frontier():
