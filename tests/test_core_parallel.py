@@ -1,6 +1,7 @@
 """Tests for parallel sweeps, the evaluator memo and pareto engines."""
 
 import pickle
+import warnings
 
 import pytest
 
@@ -326,6 +327,42 @@ class TestRetryAndTimeout:
                     ),
                 )
         assert global_metrics.value("parallel_map.retries") is None
+
+    def test_on_chunk_reports_each_chunk_in_order(self):
+        reported: list = []
+        outcomes = parallel_map(
+            _square,
+            range(4),
+            config=ParallelConfig(workers=2, chunk_size=1),
+            on_chunk=lambda positions, chunk: reported.append(
+                (positions, [o.value for o in chunk])
+            ),
+        )
+        assert [o.value for o in outcomes] == [0, 1, 4, 9]
+        assert reported == [([0], [0]), ([1], [1]), ([2], [4]), ([3], [9])]
+
+    def test_on_chunk_failure_not_retried(self, global_metrics):
+        # The caller's bookkeeping failed, not the pool: an OSError
+        # from on_chunk (a journal flush) must surface unchanged, not
+        # be retried as a transient pool error or degrade to serial.
+        def record(positions, chunk):
+            if positions == [1]:
+                raise OSError("journal disk full")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ParallelFallbackWarning)
+            with pytest.raises(OSError, match="journal disk full"):
+                parallel_map(
+                    _square,
+                    range(4),
+                    config=ParallelConfig(
+                        workers=2, chunk_size=1, max_retries=2,
+                        backoff_s=0.0,
+                    ),
+                    on_chunk=record,
+                )
+        assert global_metrics.value("parallel_map.retries") is None
+        assert global_metrics.value("parallel_map.fallbacks") is None
 
     def test_timed_out_chunk_quarantined(self, global_metrics):
         config = ParallelConfig(workers=2, chunk_size=1, timeout_s=0.4)
