@@ -9,7 +9,7 @@ effect — the quantitative backing for the paper's claim that these are
 * scheduler (FCFS vs. FR-FCFS),
 * redundancy level on yielded silicon cost,
 * BIST width on test seconds per die,
-* stream prefetching on mixed stream/random traffic.
+* burst length vs. latency at iso-offered-load.
 """
 
 import pytest
@@ -207,131 +207,6 @@ class TestRedundancyAblation:
         assert costs[2] < costs[0]
         # ...with diminishing returns beyond.
         assert abs(costs[8] - costs[4]) < costs[0] - costs[2]
-
-
-class TestPrefetchAblation:
-    def test_prefetch_on_mixed_traffic(self, benchmark):
-        from repro.controller.controller import MemoryController
-        from repro.controller.prefetch import PrefetchingMemoryController
-
-        def run_with(controller_cls):
-            # Moderate load (~60% of peak): prefetching is a latency
-            # tool; at full saturation the system is bandwidth-bound
-            # and speculation has no slack to use.
-            macro = EDRAMMacro.build(
-                size_bits=4 * MBIT, width=64, banks=4, page_bits=2048
-            )
-            device = macro.device()
-            controller = controller_cls(
-                device=device,
-                mapping=AddressMapping(
-                    device.organization, MappingScheme.ROW_BANK_COL
-                ),
-            )
-            words = device.organization.total_words
-            clients = [
-                MemoryClient(
-                    name="s",
-                    pattern=SequentialPattern(base=0, length=words // 2),
-                    rate=0.08,
-                ),
-                MemoryClient(
-                    name="r",
-                    pattern=RandomPattern(base=0, length=words, seed=1),
-                    rate=0.07,
-                ),
-            ]
-            simulator = MemorySystemSimulator(
-                controller=controller,
-                clients=clients,
-                config=SimulationConfig(cycles=6000, warmup_cycles=500),
-            )
-            return simulator.run(), controller
-
-        def ablation():
-            baseline, _ = run_with(MemoryController)
-            result, controller = run_with(PrefetchingMemoryController)
-            return baseline, result, controller
-
-        baseline, prefetched, controller = benchmark.pedantic(
-            ablation, rounds=1, iterations=1
-        )
-        print()
-        print(
-            f"stream-client latency: baseline "
-            f"{baseline.latency_by_client['s'].mean:.1f} cyc vs prefetch "
-            f"{prefetched.latency_by_client['s'].mean:.1f} cyc "
-            f"(accuracy {controller.prefetch_accuracy():.0%})"
-        )
-        assert (
-            prefetched.latency_by_client["s"].mean
-            <= baseline.latency_by_client["s"].mean
-        )
-        assert controller.prefetch_accuracy() > 0.8
-
-
-class TestRowCacheAblation:
-    def test_row_cache_under_thrashing(self, benchmark):
-        from repro.controller.controller import MemoryController
-        from repro.controller.rowcache import RowCacheController
-        from repro.traffic.patterns import StridedPattern
-
-        def run_with(controller_cls):
-            # Single bank, two clients alternating rows: the worst case
-            # for a bare open-page policy, the best case for a device
-            # row cache (Section 4's "additional row caches").
-            macro = EDRAMMacro.build(
-                size_bits=4 * MBIT, width=64, banks=1, page_bits=2048
-            )
-            device = macro.device()
-            controller = controller_cls(
-                device=device,
-                mapping=AddressMapping(
-                    device.organization, MappingScheme.ROW_BANK_COL
-                ),
-            )
-            page_words = device.organization.columns_per_page
-            clients = [
-                MemoryClient(
-                    name="a",
-                    pattern=StridedPattern(
-                        base=0, length=2 * page_words, stride=1
-                    ),
-                    rate=0.08,
-                ),
-                MemoryClient(
-                    name="b",
-                    pattern=StridedPattern(
-                        base=8 * page_words,
-                        length=2 * page_words,
-                        stride=1,
-                    ),
-                    rate=0.08,
-                ),
-            ]
-            simulator = MemorySystemSimulator(
-                controller=controller,
-                clients=clients,
-                config=SimulationConfig(cycles=6000, warmup_cycles=500),
-            )
-            return simulator.run(), controller
-
-        def ablation():
-            baseline, _ = run_with(MemoryController)
-            cached, controller = run_with(RowCacheController)
-            return baseline, cached, controller
-
-        baseline, cached, controller = benchmark.pedantic(
-            ablation, rounds=1, iterations=1
-        )
-        print()
-        print(
-            f"mean latency: open-page {baseline.latency.mean:.1f} cyc vs "
-            f"row-cache {cached.latency.mean:.1f} cyc (cache hit rate "
-            f"{controller.row_cache_hit_rate():.0%})"
-        )
-        assert cached.latency.mean < baseline.latency.mean
-        assert controller.row_cache_hit_rate() > 0.5
 
 
 class TestBurstLengthAblation:

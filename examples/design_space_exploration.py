@@ -8,9 +8,8 @@ trade (Section 1), and the embedded-vs-discrete verdict.
 Run:  python examples/design_space_exploration.py
 """
 
-from repro.apps import GraphicsFrameStore
+from repro.apps import advisability_score
 from repro.core import (
-    Advisor,
     ApplicationRequirements,
     DesignSpaceExplorer,
     LogicMemoryTrade,
@@ -22,28 +21,34 @@ from repro.units import MBIT
 
 def main() -> None:
     # The application: a laptop 3D graphics controller (Section 2's
-    # first conquered market).
-    store = GraphicsFrameStore(width=800, height=600)
-    print(
-        f"graphics frame store: {store.total_mbit:.1f} Mbit, "
-        f"{store.total_bandwidth_bits_per_s() / 8e9:.2f} GB/s"
-    )
+    # first conquered market, "8-32 Mbit ... mainly for frame storage").
+    # An 800x600 frame store (double-buffered color, Z, textures) needs
+    # about 26 Mbit and 4.6 Gbit/s of fill, texture and display traffic.
     requirements = ApplicationRequirements(
         name="laptop 3D graphics",
-        capacity_bits=store.total_bits,
-        sustained_bandwidth_bits_per_s=store.total_bandwidth_bits_per_s(),
+        capacity_bits=26 * MBIT,
+        sustained_bandwidth_bits_per_s=4.6e9,
         max_latency_ns=300.0,
         volume_per_year=5_000_000,
         portable=True,
         locality=0.75,
     )
+    print(
+        f"graphics frame store: {requirements.capacity_mbit:.1f} Mbit, "
+        f"{requirements.bandwidth_gbyte_per_s:.2f} GB/s"
+    )
 
     # Step 1: should this project use eDRAM at all?
-    advice = Advisor(product_lifetime_years=2.0).advise(requirements)
-    print(f"\nadvisability: {advice.score:.2f} "
-          f"({'recommended' if advice.recommended else 'not recommended'})")
-    for reason in advice.reasons:
-        print(f"  - {reason}")
+    score = advisability_score(
+        volume_per_year=requirements.volume_per_year,
+        product_lifetime_years=2.0,
+        memory_mbit=requirements.capacity_mbit,
+        required_bandwidth_gbyte_per_s=requirements.bandwidth_gbyte_per_s,
+        portable=requirements.portable,
+        needs_upgrade_path=False,
+    )
+    print(f"\nadvisability: {score:.2f} "
+          f"({'recommended' if score >= 0.5 else 'not recommended'})")
 
     # Step 2: sweep the organization space.
     explorer = DesignSpaceExplorer()

@@ -1,24 +1,18 @@
-"""Memory architecture of a set-top decoder chip: partition, allocate,
-prefetch.
+"""Memory architecture of a set-top decoder chip: partition, place, map.
 
 The paper's Section 3 system-level problems, solved in order for one
 chip: decide which memory blocks become SRAM / eDRAM / off-chip
-(partitioning), place the eDRAM buffers into banks so hot clients do not
-thrash each other's pages (allocation), and enable the controller's
-stream prefetcher for the display path (access-scheme optimization) —
-then simulate before/after to see what each decision bought.
+(partitioning), give the hot eDRAM buffers private banks so their
+clients do not thrash each other's pages (allocation), and compare the
+region-private address mapping that placement relies on against
+bank interleaving (mapping) — by simulating both.
 
 Run:  python examples/memory_architecture.py
 """
 
-from repro.controller import MemoryController, PrefetchingMemoryController
-from repro.core import (
-    BankAllocator,
-    BufferSpec,
-    MemoryBlock,
-    Partitioner,
-)
-from repro.dram import EDRAMMacro
+from repro.controller import MemoryController
+from repro.core import MemoryBlock, Partitioner
+from repro.dram import AddressMapping, EDRAMMacro, MappingScheme
 from repro.sim import MemorySystemSimulator, SimulationConfig
 from repro.traffic import (
     MemoryClient,
@@ -48,54 +42,47 @@ def main() -> None:
         f"{plan.power_w * 1e3:.0f} mW, memory cost {plan.unit_cost:.2f}"
     )
 
-    # 2. Allocate the eDRAM-resident buffers into banks.  The buffers
-    #    total 16 Mbit; an 18-Mbit module leaves banking slack so every
-    #    buffer can get whole-bank-aligned space (eDRAM's 256-Kbit
-    #    granularity makes that slack cheap — 12.5% vs the 4x jump a
-    #    commodity part would force).
+    # 2. Place the eDRAM-resident buffers into banks.  They total 14.25
+    #    Mbit; an 18-Mbit module (eDRAM's 256-Kbit granularity makes the
+    #    slack cheap, vs the 4x jump a commodity part would force) gives
+    #    the frame stores banks 0-4 and the display buffer banks 5-7.
+    #    Under the region-private BANK_ROW_COL mapping the bank is the
+    #    high address bits, so a buffer's base word picks its banks.
     macro = EDRAMMacro.build(
         size_bits=18 * MBIT, width=64, banks=8, page_bits=2048
     )
-    buffers = [
-        BufferSpec("frame stores", int(9.5 * MBIT), 0.45e9),
-        BufferSpec("display buffer", int(4.75 * MBIT), 0.25e9),
-        BufferSpec("bitstream buffer", int(1.75 * MBIT), 0.03e9),
-    ]
-    allocation = BankAllocator(macro).allocate(buffers)
-    print("\nbank allocation (Section 3: memory allocation/mapping):")
-    for placement in allocation.placements:
-        print(
-            f"  {placement.buffer.name:18s} banks {placement.banks} "
-            f"@ word {placement.base_word}"
-        )
-    print(
-        f"  interference estimate: "
-        f"{allocation.interference_estimate():.3g} (0 = fully isolated)"
-    )
+    bank_words = macro.organization.total_words // macro.organization.n_banks
+    placements = {
+        "frame stores": (0, int(9.5 * MBIT) // 64),
+        "display buffer": (5 * bank_words, int(4.75 * MBIT) // 64),
+    }
+    print("\nbank placement (Section 3: memory allocation):")
+    for name, (base, words) in placements.items():
+        first = base // bank_words
+        last = (base + words - 1) // bank_words
+        print(f"  {name:18s} banks {first}-{last} @ word {base}")
 
-    # 3. Access scheme: simulate with and without the stream prefetcher.
-    def simulate(controller_cls):
+    # 3. Mapping: the same traffic, region-private vs bank-interleaved.
+    def simulate(scheme):
         device = macro.device()
-        controller = controller_cls(
+        controller = MemoryController(
             device=device,
-            mapping=allocation.address_mapping(),
+            mapping=AddressMapping(device.organization, scheme),
         )
-        frame = allocation.placement_of("frame stores")
-        display = allocation.placement_of("display buffer")
-        frame_words = frame.buffer.size_bits // 64
-        display_words = display.buffer.size_bits // 64
+        frame_base, _ = placements["frame stores"]
+        display_base, display_words = placements["display buffer"]
         clients = [
             MemoryClient(
                 name="display",
                 pattern=SequentialPattern(
-                    base=display.base_word, length=display_words
+                    base=display_base, length=display_words
                 ),
                 rate=0.08,
             ),
             MemoryClient(
                 name="motion-comp",
                 pattern=MotionCompensationPattern(
-                    base=frame.base_word,
+                    base=frame_base,
                     width=90,  # 720 pixels / 8 pixels-per-64-bit-word
                     height=576,
                     block_w=2,
@@ -111,20 +98,17 @@ def main() -> None:
             clients=clients,
             config=SimulationConfig(cycles=12_000, warmup_cycles=1_000),
         )
-        return controller, simulator.run()
+        return simulator.run()
 
-    _, baseline = simulate(MemoryController)
-    prefetch_controller, prefetched = simulate(PrefetchingMemoryController)
-    print("\naccess scheme (Section 4: prefetching):")
-    print(f"  baseline : {baseline.summary()}")
-    print(f"  prefetch : {prefetched.summary()}")
-    display_before = baseline.latency_by_client["display"].mean
-    display_after = prefetched.latency_by_client["display"].mean
+    private = simulate(MappingScheme.BANK_ROW_COL)
+    interleaved = simulate(MappingScheme.ROW_BANK_COL)
+    print("\naddress mapping (Section 3: mapping of the data into memory):")
+    print(f"  region-private  : {private.summary()}")
+    print(f"  bank-interleaved: {interleaved.summary()}")
     print(
-        f"  display client latency {display_before:.1f} -> "
-        f"{display_after:.1f} cycles "
-        f"(prefetch accuracy "
-        f"{prefetch_controller.prefetch_accuracy():.0%})"
+        f"  display client latency "
+        f"{private.latency_by_client['display'].mean:.1f} vs "
+        f"{interleaved.latency_by_client['display'].mean:.1f} cycles"
     )
 
 

@@ -3,13 +3,14 @@
 Paper Section 2: "memory sizes of up to 128 Mbit and interface widths up
 to 512 [bits] are required for reading and writing data packets out of
 large buffers."  This example sizes the shared buffer of a 16-port
-switch, builds the matching eDRAM module, simulates ingress/egress
-traffic, and compares test economics for the big module.
+switch (every packet is written once and read once, so the buffer
+needs twice the aggregate line rate), builds the matching eDRAM module,
+simulates ingress/egress traffic, and compares test economics for the
+big module.
 
 Run:  python examples/network_switch_buffer.py
 """
 
-from repro.apps import SwitchBuffer
 from repro.controller import MemoryController, TDMArbiter
 from repro.core import Quantizer
 from repro.dft import BISTController, MARCH_C_MINUS, TestCostModel, LOGIC_TESTER
@@ -20,28 +21,29 @@ from repro.units import MBIT
 
 
 def main() -> None:
-    switch = SwitchBuffer(
-        n_ports=16,
-        line_rate_bits_per_s=1.25e9,
-        buffering_s=2e-3,
-    )
+    ports, line_rate = 16, 1.25e9
+    aggregate = ports * line_rate
+    # Absorb 2 ms of congestion; write + read every packet with a 1.2x
+    # internal speedup for segmentation waste and control traffic.
+    buffer_bits = int(aggregate * 2e-3)
+    bandwidth = 2.0 * aggregate * 1.2
+    print(f"switch: {ports} ports x {line_rate / 1e9:.2f} Gbit/s")
     print(
-        f"switch: {switch.n_ports} ports x "
-        f"{switch.line_rate_bits_per_s / 1e9:.2f} Gbit/s"
+        f"  buffer {buffer_bits / MBIT:.1f} Mbit "
+        f"({buffer_bits // 424} ATM cells), memory bandwidth "
+        f"{bandwidth / 1e9:.1f} Gbit/s"
     )
-    print(
-        f"  buffer {switch.buffer_mbit:.1f} Mbit "
-        f"({switch.cells_buffered()} cells), memory bandwidth "
-        f"{switch.memory_bandwidth_bits_per_s() / 1e9:.1f} Gbit/s"
-    )
-    width = switch.interface_width_bits(143e6)
+    # The narrowest constructible (power-of-two) width at 143 MHz.
+    width = 16
+    while width * 143e6 < bandwidth:
+        width *= 2
     print(f"  interface width at 143 MHz: {width} bits (paper: up to 512)")
 
     quantizer = Quantizer()
-    size = quantizer.snap_size(switch.buffer_bits)
+    size = quantizer.snap_size(buffer_bits)
     print(
         f"  module snapped to {size / MBIT:.2f} Mbit "
-        f"({quantizer.quantization_overhead(switch.buffer_bits):.1%} "
+        f"({quantizer.quantization_overhead(buffer_bits):.1%} "
         f"overhead)"
     )
     macro = EDRAMMacro.build(

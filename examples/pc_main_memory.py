@@ -14,36 +14,33 @@ Run:  python examples/pc_main_memory.py
 
 from repro.apps import (
     PC_GENERATIONS,
+    advisability_score,
     device_growth_rate,
     forced_overprovision_mbit,
     system_growth_rate,
 )
-from repro.core import Advisor, ApplicationRequirements
 from repro.reporting import Table
-from repro.units import MBIT
 
 
 def main() -> None:
-    # The project, as its enormous volume would argue for it:
-    requirements = ApplicationRequirements(
-        name="PC main memory",
-        capacity_bits=64 * MBIT,
-        sustained_bandwidth_bits_per_s=0.8e9 * 8,
+    # The project, as its enormous volume would argue for it, and as
+    # its upgrade requirement actually decides it:
+    project = dict(
         volume_per_year=100_000_000,
+        product_lifetime_years=4.0,
+        memory_mbit=64.0,
+        required_bandwidth_gbyte_per_s=0.8,
         portable=False,
     )
-    # ...and as its upgrade requirement actually decides it:
-    advisor = Advisor(
-        product_lifetime_years=4.0,
-        needs_upgrade_path=True,  # the decisive fact
+    without_upgrades = advisability_score(needs_upgrade_path=False, **project)
+    score = advisability_score(
+        needs_upgrade_path=True, **project  # the decisive fact
     )
-    advice = advisor.advise(requirements)
     print(
-        f"advisability of eDRAM PC main memory: {advice.score:.2f} "
-        f"({'recommended' if advice.recommended else 'vetoed'})"
+        f"advisability of eDRAM PC main memory: {score:.2f} "
+        f"({'recommended' if score >= 0.5 else 'vetoed'}); without the "
+        f"upgrade path it would score {without_upgrades:.2f}"
     )
-    for reason in advice.reasons:
-        print(f"  - {reason}")
 
     # The commodity path's own structural problem, quantified:
     print(

@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     testcost.set_defaults(func=_cmd_testcost)
 
     experiments = sub.add_parser(
-        "experiments", help="run all E1-E10 reproduction reports"
+        "experiments", help="run all E1-E11 reproduction reports"
     )
     experiments.set_defaults(func=_cmd_experiments)
 

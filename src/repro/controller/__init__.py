@@ -28,7 +28,5 @@ _EXPORTS = {
     "FRFCFSScheduler": "scheduler",
     "MemoryController": "controller",
     "ControllerConfig": "controller",
-    "PrefetchingMemoryController": "prefetch",
-    "RowCacheController": "rowcache",
 }
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

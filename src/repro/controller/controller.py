@@ -285,14 +285,12 @@ class MemoryController:
 
     # -- request commands ------------------------------------------------------
 
-    def _candidate_order(self, cycle: int) -> list:
-        """Requests in issue-preference order (overridable hook)."""
-        return self.scheduler.candidates(self.window, self.device, cycle)
-
     def _issue_request_command(self, cycle: int) -> None:
         if not self.window:
             return
-        for request in self._candidate_order(cycle):
+        for request in self.scheduler.candidates(
+            self.window, self.device, cycle
+        ):
             command = self._next_command(request, cycle)
             if command is not None and self.device.can_issue(command):
                 self._issue_for(request, cycle)

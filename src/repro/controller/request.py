@@ -35,9 +35,6 @@ class Request:
     address: int
     is_read: bool
     created_cycle: int
-    #: Internal request generated by a prefetcher: its data lands in the
-    #: prefetch buffer rather than completing a client transaction.
-    is_prefetch: bool = False
 
     state: RequestState = field(default=RequestState.QUEUED, init=False)
     decoded: DecodedAddress | None = field(default=None, init=False)

@@ -19,7 +19,6 @@ This package is that machinery:
 * :mod:`repro.core.pareto` — multi-objective frontier extraction,
 * :mod:`repro.core.quantizer` — snap the frontier to the building-block
   granularity and name a handful of understandable solutions,
-* :mod:`repro.core.advisor` — the Section 2 advisability rules,
 * :mod:`repro.core.tradeoffs` — logic <-> memory die-area trading.
 """
 
@@ -42,8 +41,6 @@ _EXPORTS = {
     "evaluate_macro_grid": "batch",
     "Quantizer": "quantizer",
     "NamedSolution": "quantizer",
-    "Advisor": "advisor",
-    "Advice": "advisor",
     "LogicMemoryTrade": "tradeoffs",
     "TradePoint": "tradeoffs",
     "MemoryBlock": "partition",
@@ -51,10 +48,6 @@ _EXPORTS = {
     "Partitioner": "partition",
     "PartitionPlan": "partition",
     "TechProfile": "partition",
-    "AllocationPlan": "allocation",
-    "BankAllocator": "allocation",
-    "BufferSpec": "allocation",
-    "Placement": "allocation",
     "ParallelConfig": "parallel",
     "PointOutcome": "parallel",
     "parallel_map": "parallel",

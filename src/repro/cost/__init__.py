@@ -6,7 +6,8 @@ mask steps), specialized testing, and second-sourcing risk against saved
 packages, pins, board space and power.  This package provides the cost side
 of those trades: wafer cost and dies-per-wafer, defect-limited yield with
 and without redundancy repair, packaging cost as a function of pin count,
-and per-unit economics including NRE amortization over product volume.
+and per-unit economics including NRE amortization over product volume
+(the embedded-vs-discrete crossover volume E11 pins).
 """
 
 from repro._exports import lazy_exports
@@ -23,9 +24,5 @@ _EXPORTS = {
     "ChipEconomics": "economics",
     "CostBreakdown": "economics",
     "SystemCostModel": "economics",
-    "EDRAM_CONCEPT_NRE": "nre",
-    "EDRAM_FIRST_PRODUCT_NRE": "nre",
-    "LOGIC_ASIC_NRE": "nre",
-    "NREBreakdown": "nre",
 }
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

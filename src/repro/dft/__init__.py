@@ -13,7 +13,9 @@ parallelism (BIST) to keep test cost sane.
   (must-repair analysis + greedy cover),
 * :mod:`repro.dft.bist` — BIST controller model (area vs. parallelism),
 * :mod:`repro.dft.test_cost` — test time and tester-economics model,
-* :mod:`repro.dft.flow` — the pre-fuse/fuse/post-fuse production flow.
+* :mod:`repro.dft.flow` — the pre-fuse/fuse/post-fuse production flow,
+* :mod:`repro.dft.compression` — on-chip MISR response compression
+  (off-chip test data vs. aliasing and the lost fail bitmap).
 """
 
 from repro._exports import lazy_exports

@@ -35,7 +35,5 @@ _EXPORTS = {
     "TraceReport": "tracecheck",
     "Violation": "tracecheck",
     "streaming_read_trace": "tracecheck",
-    "MultiModuleSystem": "multimodule",
-    "compose_for_bandwidth": "multimodule",
 }
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,4 +1,4 @@
-"""The reproduction experiments: one module per paper claim, E1-E10.
+"""The reproduction experiments: one module per paper claim, E1-E11.
 
 The paper has no numbered tables or figures; its evaluation is a set of
 quantitative claims in prose (see DESIGN.md Section 3 for the full
@@ -23,13 +23,14 @@ _EXPORTS = {name: name for name in (
     "e08_siemens_concept",
     "e09_test_cost",
     "e10_design_space",
+    "e11_extension_claims",
 )}
 _getattr, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
 __all__ += ["ALL_EXPERIMENTS", "run_all"]
 
 
 def __getattr__(name: str):
-    if name == "ALL_EXPERIMENTS":  # imports all ten, so only on use
+    if name == "ALL_EXPERIMENTS":  # imports them all, so only on use
         return tuple(map(_getattr, _EXPORTS))
     return _getattr(name)
 

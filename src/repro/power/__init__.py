@@ -11,12 +11,15 @@ This package provides:
 * :mod:`repro.power.idd` — datasheet-style IDD operating-current model of
   the DRAM core (activate/precharge, read/write burst, background,
   refresh),
-* :mod:`repro.power.energy` — per-access and per-bit energy figures,
 * :mod:`repro.power.system` — system-level roll-up over N chips and the
   embedded-vs-discrete comparison,
 * :mod:`repro.power.thermal` — junction temperature and its effect on
   retention time / refresh rate (the paper's noted downside: per-chip
-  power may *increase* when memory moves on-die).
+  power may *increase* when memory moves on-die),
+* :mod:`repro.power.signal` — interconnect delay and noise margin, on-chip
+  vs. board trace,
+* :mod:`repro.power.supplies` — the DRAM and logic supply rails and their
+  predicted reversal.
 """
 
 from repro._exports import lazy_exports
@@ -30,16 +33,11 @@ _EXPORTS = {
     "CorePowerModel": "idd",
     "PC100_IDD": "idd",
     "EDRAM_IDD": "idd",
-    "AccessEnergyModel": "energy",
-    "EnergyBreakdown": "energy",
     "MemorySystemPower": "system",
     "SystemPowerModel": "system",
     "discrete_vs_embedded_power": "system",
     "ThermalModel": "thermal",
     "retention_time_at": "thermal",
-    "Battery": "battery",
-    "PortableSystemPower": "battery",
-    "battery_life_gain_hours": "battery",
     "InterconnectModel": "signal",
     "OFF_CHIP_TRACE": "signal",
     "ON_CHIP_WIRE": "signal",

@@ -4,8 +4,7 @@
 introduces page misses and overhead.  Hence the sustainable bandwidth can
 be much lower than the peak bandwidth." (Section 4.)  This package
 provides the clients: deterministic and randomized address-pattern
-generators, per-client request rates, and trace containers the simulator
-consumes.
+generators and per-client request rates the simulator consumes.
 """
 
 from repro._exports import lazy_exports
@@ -19,7 +18,5 @@ _EXPORTS = {
     "MotionCompensationPattern": "patterns",
     "MemoryClient": "client",
     "ClientKind": "client",
-    "Trace": "trace",
-    "TraceEntry": "trace",
 }
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -243,9 +243,7 @@ class LiveInvariantChecker:
                     f"request {request.request_id} has a non-monotonic "
                     f"timeline {stamps}",
                 )
-            elif request.completed_cycle > cycle + 1:
-                # +1: a prefetch-buffer hit legitimately completes "next
-                # cycle" and is recorded at acceptance time.
+            elif request.completed_cycle > cycle:
                 self._state_violation(
                     cycle,
                     "state.retire_from_future",

@@ -1,112 +1,14 @@
-"""Tests for repro.apps.graphics, network, storage, markets."""
+"""Tests for repro.apps.markets: the Section 2 advisability rules."""
 
 import pytest
 
-from repro.apps.graphics import GraphicsFrameStore
 from repro.apps.markets import (
     MarketSegment,
     SEGMENTS,
     advisability_score,
     rank_segments,
 )
-from repro.apps.network import SwitchBuffer
-from repro.apps.storage import EmbeddedControllerMemory
 from repro.errors import ConfigurationError
-from repro.units import MBIT
-
-
-class TestGraphicsFrameStore:
-    def test_laptop_store_in_paper_range(self):
-        # Section 2: graphics needs 8-32 Mbit, mainly frame storage.
-        store = GraphicsFrameStore()
-        assert 8 <= store.total_mbit <= 32
-
-    def test_double_buffering_doubles_color(self):
-        single = GraphicsFrameStore(double_buffered=False)
-        double = GraphicsFrameStore(double_buffered=True)
-        assert double.color_buffer_bits == 2 * single.color_buffer_bits
-
-    def test_bandwidth_needs_edram(self):
-        # A mid-90s 800x600 pipeline wants several Gbit/s: a couple of
-        # 16-bit commodity interfaces' worth of *peak*, i.e. well beyond
-        # what one part sustains.
-        store = GraphicsFrameStore()
-        assert store.total_bandwidth_bits_per_s() > 3e9
-        single_sdram_peak = 16 * 100e6
-        assert store.total_bandwidth_bits_per_s() > 2 * single_sdram_peak
-
-    def test_overdraw_scales_fill(self):
-        flat = GraphicsFrameStore(depth_complexity=1.0)
-        deep = GraphicsFrameStore(depth_complexity=3.0)
-        assert deep.fill_bandwidth_bits_per_s() == pytest.approx(
-            3 * flat.fill_bandwidth_bits_per_s()
-        )
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            GraphicsFrameStore(depth_complexity=0.5)
-
-
-class TestSwitchBuffer:
-    def test_paper_high_end_figures(self):
-        # Section 2: switches need up to 128 Mbit and 512-bit widths.
-        # A 16-port gigabit-class box lands exactly there.
-        big = SwitchBuffer(
-            n_ports=16,
-            line_rate_bits_per_s=1.25e9,
-            buffering_s=2e-3,
-        )
-        assert 32 < big.buffer_mbit <= 128
-        assert big.interface_width_bits(143e6) == 512
-
-    def test_buffer_scales_with_ports(self):
-        small = SwitchBuffer(n_ports=4)
-        large = SwitchBuffer(n_ports=16)
-        assert large.buffer_bits == 4 * small.buffer_bits
-
-    def test_bandwidth_is_twice_linerate_with_speedup(self):
-        switch = SwitchBuffer(n_ports=8, speedup=1.0)
-        assert switch.memory_bandwidth_bits_per_s() == pytest.approx(
-            2 * switch.aggregate_rate_bits_per_s
-        )
-
-    def test_width_power_of_two(self):
-        switch = SwitchBuffer()
-        width = switch.interface_width_bits(143e6)
-        assert width & (width - 1) == 0
-
-    def test_cells_buffered(self):
-        switch = SwitchBuffer()
-        assert switch.cells_buffered() == switch.buffer_bits // 424
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SwitchBuffer(n_ports=0)
-
-
-class TestEmbeddedController:
-    def test_modest_requirements(self):
-        # Section 2: disk/printer memory "more modest ... both in terms
-        # of size and bandwidth" than graphics.
-        controller = EmbeddedControllerMemory()
-        graphics = GraphicsFrameStore()
-        assert controller.total_bits < graphics.total_bits
-        assert (
-            controller.total_bandwidth_bits_per_s()
-            < graphics.total_bandwidth_bits_per_s()
-        )
-
-    def test_width_modest(self):
-        controller = EmbeddedControllerMemory()
-        assert controller.interface_width_bits(143e6) <= 64
-
-    def test_total_sums(self):
-        controller = EmbeddedControllerMemory()
-        assert controller.total_bits == (
-            controller.program_bits
-            + controller.data_bits
-            + controller.media_buffer_bits
-        )
 
 
 class TestAdvisability:

@@ -1,8 +1,7 @@
-"""Tests for repro.core.explorer, quantizer, advisor, tradeoffs."""
+"""Tests for repro.core.explorer, quantizer, tradeoffs."""
 
 import pytest
 
-from repro.core.advisor import Advisor
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.quantizer import Quantizer
 from repro.core.requirements import ApplicationRequirements
@@ -134,32 +133,6 @@ class TestQuantizer:
         )
         with pytest.raises(InfeasibleError):
             Quantizer().named_solutions(result)
-
-
-class TestAdvisor:
-    def test_laptop_graphics_recommended(self):
-        advice = Advisor().advise(
-            requirements(
-                capacity_bits=16 * MBIT,
-                sustained_bandwidth_bits_per_s=8e9,
-                portable=True,
-                volume_per_year=10_000_000,
-            )
-        )
-        assert advice.recommended
-        assert advice.reasons
-
-    def test_upgrade_path_veto(self):
-        advice = Advisor(needs_upgrade_path=True).advise(requirements())
-        assert advice.score == 0.0
-        assert not advice.recommended
-        assert any("upgrade path" in reason for reason in advice.reasons)
-
-    def test_unknown_memory_veto(self):
-        advice = Advisor(memory_known_at_design_time=False).advise(
-            requirements()
-        )
-        assert advice.score == 0.0
 
 
 class TestLogicMemoryTrade:

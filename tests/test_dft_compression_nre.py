@@ -1,13 +1,7 @@
-"""Tests for repro.dft.compression and repro.cost.nre."""
+"""Tests for repro.dft.compression."""
 
 import pytest
 
-from repro.cost.nre import (
-    EDRAM_CONCEPT_NRE,
-    EDRAM_FIRST_PRODUCT_NRE,
-    LOGIC_ASIC_NRE,
-    NREBreakdown,
-)
 from repro.dft.compression import SignatureCompressor
 from repro.dft.march import MARCH_C_MINUS, MATS_PLUS
 from repro.errors import ConfigurationError
@@ -69,51 +63,3 @@ class TestSignatureCompression:
             SignatureCompressor(signature_bits=2)
 
 
-class TestNREBreakdown:
-    def test_edram_entry_costs_real_money(self):
-        # Section 1's "libraries must be developed and characterized,
-        # macros must be ported, and design flows must be tuned".
-        assert EDRAM_FIRST_PRODUCT_NRE.process_entry_cost > 1e6
-        assert LOGIC_ASIC_NRE.process_entry_cost < 0.1e6
-
-    def test_edram_nre_exceeds_logic_asic(self):
-        assert EDRAM_FIRST_PRODUCT_NRE.total > 1.5 * LOGIC_ASIC_NRE.total
-
-    def test_flexible_concept_cuts_memory_nre(self):
-        # Section 5: the concept's generator gives "first-time-right
-        # designs accompanied by all views, test programs, etc.".
-        assert EDRAM_CONCEPT_NRE.total < EDRAM_FIRST_PRODUCT_NRE.total
-        assert EDRAM_CONCEPT_NRE.memory_design < 0.2 * (
-            EDRAM_FIRST_PRODUCT_NRE.memory_design
-        )
-        # Entry costs are untouched: they are process facts.
-        assert EDRAM_CONCEPT_NRE.process_entry_cost == (
-            EDRAM_FIRST_PRODUCT_NRE.process_entry_cost
-        )
-
-    def test_total_sums_items(self):
-        breakdown = NREBreakdown()
-        assert breakdown.total == pytest.approx(
-            breakdown.mask_set
-            + breakdown.library_development
-            + breakdown.macro_porting
-            + breakdown.design_flow
-            + breakdown.memory_design
-            + breakdown.test_program
-            + breakdown.qualification
-        )
-
-    def test_amortization(self):
-        breakdown = NREBreakdown()
-        assert breakdown.amortized_per_unit(
-            1_000_000
-        ) == pytest.approx(breakdown.total / 1e6)
-        # The Section 2 volume rule in NRE terms: at 10M units the NRE
-        # adder is cents.
-        assert breakdown.amortized_per_unit(10_000_000) < 0.5
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            NREBreakdown(mask_set=-1.0)
-        with pytest.raises(ConfigurationError):
-            NREBreakdown().amortized_per_unit(0)

@@ -1,4 +1,4 @@
-"""Tests for repro.dram.tracecheck and repro.power.battery."""
+"""Tests for repro.dram.tracecheck."""
 
 import pytest
 
@@ -7,11 +7,6 @@ from repro.dram.organizations import Organization
 from repro.dram.timing import PC100_TIMING
 from repro.dram.tracecheck import TraceChecker, streaming_read_trace
 from repro.errors import ConfigurationError
-from repro.power.battery import (
-    Battery,
-    PortableSystemPower,
-    battery_life_gain_hours,
-)
 
 
 def org():
@@ -111,42 +106,3 @@ class TestViolationDetection:
             streaming_read_trace(org(), PC100_TIMING, n_pages=0)
 
 
-class TestBattery:
-    def test_runtime(self):
-        battery = Battery(capacity_wh=40.0, derating=1.0)
-        assert battery.runtime_hours(10.0) == pytest.approx(4.0)
-
-    def test_derating(self):
-        battery = Battery(capacity_wh=40.0, derating=0.5)
-        assert battery.usable_wh == pytest.approx(20.0)
-
-    def test_memory_share(self):
-        system = PortableSystemPower(base_power_w=8.0, memory_power_w=2.0)
-        assert system.memory_share() == pytest.approx(0.2)
-
-    def test_edram_buys_battery_hours(self):
-        # The Section 2 portable argument, quantified: replacing a 2 W
-        # discrete memory subsystem with a 0.3 W embedded one on an 8 W
-        # laptop buys a measurable fraction of an hour.
-        gain = battery_life_gain_hours(
-            Battery(capacity_wh=40.0),
-            base_power_w=8.0,
-            memory_power_before_w=2.0,
-            memory_power_after_w=0.3,
-        )
-        assert gain > 0.5
-
-    def test_no_gain_when_equal(self):
-        gain = battery_life_gain_hours(
-            Battery(), base_power_w=8.0,
-            memory_power_before_w=1.0, memory_power_after_w=1.0,
-        )
-        assert gain == pytest.approx(0.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            Battery(capacity_wh=0.0)
-        with pytest.raises(ConfigurationError):
-            Battery().runtime_hours(0.0)
-        with pytest.raises(ConfigurationError):
-            PortableSystemPower(base_power_w=-1.0, memory_power_w=0.0)

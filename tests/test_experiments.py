@@ -1,6 +1,6 @@
 """Tests for repro.experiments: every claim report holds end to end.
 
-Every experiment E1-E10 runs in full: its claims must hold and its
+Every experiment E1-E11 runs in full: its claims must hold and its
 report must match the golden fingerprint in
 ``tests/data/experiment_goldens.json`` (sha256[:16] of the report's
 canonical JSON).  A fingerprint pins the measured text of every claim,
@@ -8,13 +8,15 @@ so a refactor that moves a reported number fails here even when the
 claim still holds; an intended model change regenerates the golden and
 says why.  E9's report rounds its lot yields to whole percents, so the
 raw ``FlowResult`` of both its lots is pinned too
-(``tests/data/e09_flow_goldens.json``).
-Table rendering re-simulates, so only the cheap analytic tables render
-here.
+(``tests/data/e09_flow_goldens.json``).  EXPERIMENTS.md must be exactly
+what ``python -m repro.experiments.generate_md`` writes from these
+reports.
 """
 
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -61,13 +63,30 @@ def report_fingerprint(report) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+@functools.cache
+def report_of(module):
+    """Each experiment runs once per session; its tests share the report."""
+    return module.run()
+
+
+@functools.cache
+def generated_markdown() -> str:
+    from repro.experiments import generate_md
+
+    stream = io.StringIO()
+    generate_md.write(
+        stream, [(module, report_of(module)) for module in ALL_EXPERIMENTS]
+    )
+    return stream.getvalue()
+
+
 @pytest.mark.parametrize(
     "module",
     ALL_EXPERIMENTS,
     ids=lambda m: m.__name__.rsplit(".", 1)[-1],
 )
 def test_experiment_all_claims_hold(module):
-    report = module.run()
+    report = report_of(module)
     assert report.all_hold, report.render()
     assert report_fingerprint(report) == GOLDENS[report.experiment_id], (
         f"{report.experiment_id} report drifted from its golden "
@@ -89,7 +108,7 @@ def test_experiment_table_renders(module):
 def test_experiment_ids_sequential():
     ids = [module.run.__module__.split(".")[-1][:3] for module in
            ALL_EXPERIMENTS]
-    assert ids == [f"e{n:02d}" for n in range(1, 11)]
+    assert ids == [f"e{n:02d}" for n in range(1, 12)]
 
 
 @pytest.mark.parametrize("lot", ["strict", "waived"])
@@ -132,14 +151,16 @@ def test_e10_requirements_derived_from_mpeg2():
 
 
 def test_generate_md_produces_markdown(tmp_path):
-    import io
-
-    from repro.experiments import generate_md
-
-    stream = io.StringIO()
-    generate_md.main(stream)
-    text = stream.getvalue()
+    text = generated_markdown()
     assert "# EXPERIMENTS" in text
-    for experiment_id in [f"E{n}" for n in range(1, 11)]:
+    for experiment_id in [f"E{n}" for n in range(1, 12)]:
         assert f"## {experiment_id}:" in text
     assert "**NO**" not in text  # every claim holds
+
+
+def test_experiments_md_matches_the_generator():
+    committed = (Path(__file__).parent.parent / "EXPERIMENTS.md").read_text()
+    assert committed == generated_markdown(), (
+        "EXPERIMENTS.md is stale: regenerate it with "
+        "`python -m repro.experiments.generate_md > EXPERIMENTS.md`"
+    )

@@ -1,15 +1,10 @@
-"""Tests for repro.power.system and repro.power.energy."""
+"""Tests for repro.power.system."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.power.energy import AccessEnergyModel
 from repro.power.idd import EDRAM_IDD, PC100_IDD
-from repro.power.interface import (
-    InterfacePowerModel,
-    OFF_CHIP_BUS,
-    ON_CHIP_BUS,
-)
+from repro.power.interface import OFF_CHIP_BUS, ON_CHIP_BUS
 from repro.power.system import (
     SystemPowerModel,
     discrete_vs_embedded_power,
@@ -95,46 +90,3 @@ class TestSystemPowerModel:
         )
 
 
-class TestAccessEnergy:
-    def _model(self):
-        return AccessEnergyModel(
-            idd=EDRAM_IDD,
-            interface=InterfacePowerModel(ON_CHIP_BUS, 256, 143e6),
-            row_cycle_time_s=70e-9,
-            transfer_clock_hz=143e6,
-        )
-
-    def test_row_hit_cheaper(self):
-        model = self._model()
-        hit = model.access(1024, row_hit=True)
-        miss = model.access(1024, row_hit=False)
-        assert hit.total < miss.total
-        assert hit.activation == 0.0
-
-    def test_breakdown_sums(self):
-        model = self._model()
-        access = model.access(1024)
-        assert access.total == pytest.approx(
-            access.activation + access.core_transfer + access.interface
-        )
-
-    def test_per_bit(self):
-        model = self._model()
-        access = model.access(1024)
-        assert access.per_bit(1024) == pytest.approx(access.total / 1024)
-
-    def test_energy_per_useful_bit_punishes_overfetch(self):
-        model = self._model()
-        tight = model.energy_per_useful_bit(1024, 1024, row_hit_rate=0.8)
-        wasteful = model.energy_per_useful_bit(1024, 256, row_hit_rate=0.8)
-        assert wasteful == pytest.approx(4 * tight)
-
-    def test_hit_rate_lowers_energy(self):
-        model = self._model()
-        cold = model.energy_per_useful_bit(1024, 1024, row_hit_rate=0.0)
-        warm = model.energy_per_useful_bit(1024, 1024, row_hit_rate=0.9)
-        assert warm < cold
-
-    def test_bad_hit_rate(self):
-        with pytest.raises(ConfigurationError):
-            self._model().energy_per_useful_bit(1024, 1024, row_hit_rate=1.5)

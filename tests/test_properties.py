@@ -283,50 +283,6 @@ def test_partition_respects_budget_and_constraints(
         )
 
 
-# -- bank allocation -----------------------------------------------------
-
-
-@given(
-    n_buffers=st.integers(1, 5),
-    banks=st.sampled_from([2, 4, 8]),
-    data=st.data(),
-)
-@settings(max_examples=60, deadline=None)
-def test_allocation_capacity_and_disjoint_bases(n_buffers, banks, data):
-    """Allocations never overfill a bank and bases stay in range."""
-    from repro.core.allocation import BankAllocator, BufferSpec
-    from repro.dram.edram import EDRAMMacro
-    from repro.errors import InfeasibleError
-    from repro.units import MBIT
-
-    macro = EDRAMMacro.build(
-        size_bits=8 * MBIT, width=64, banks=banks, page_bits=2048
-    )
-    buffers = []
-    for index in range(n_buffers):
-        mbit = data.draw(st.floats(min_value=0.05, max_value=3.0))
-        traffic = data.draw(st.floats(min_value=0.0, max_value=3e9))
-        buffers.append(
-            BufferSpec(
-                name=f"buf{index}",
-                size_bits=int(mbit * MBIT),
-                traffic_bits_per_s=traffic,
-            )
-        )
-    try:
-        plan = BankAllocator(macro).allocate(buffers)
-    except InfeasibleError:
-        assert sum(b.size_bits for b in buffers) > 0
-        return
-    total_words = macro.organization.total_words
-    for placement in plan.placements:
-        assert 0 <= placement.base_word < total_words
-        assert all(0 <= bank < banks for bank in placement.banks)
-    bases = [placement.base_word for placement in plan.placements]
-    assert len(set(bases)) == len(bases)
-    assert plan.interference_estimate() >= 0.0
-
-
 # -- march tests -------------------------------------------------------------
 
 

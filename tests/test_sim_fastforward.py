@@ -4,10 +4,10 @@ The event engine (the default backend) must be *observationally
 indistinguishable* from stepping every cycle (``backend="cycle"``):
 same completed requests in the same order, same command counts, same
 latency samples, same FIFO statistics.  The grid here crosses client
-mixes, bank counts, refresh, page policy and controller subclasses;
-any divergence is a bug in the skip-safety analysis, not an acceptable
-approximation.  Controller subclasses are declined by the engine and
-must say why.
+mixes, bank counts, refresh and page policy; any divergence is a bug in
+the skip-safety analysis, not an acceptable approximation.  Controller
+subclasses are declined by the engine, which says why
+(``test_sim_event_backend.py``).
 
 Also pins the token-bucket pacing contract the engine relies on:
 credit accrual freezes while a client's request is back-pressured.
@@ -19,8 +19,6 @@ import pytest
 
 from repro.controller.controller import ControllerConfig, MemoryController
 from repro.controller.page_policy import ClosedPagePolicy
-from repro.controller.prefetch import PrefetchingMemoryController
-from repro.controller.rowcache import RowCacheController
 from repro.dram.edram import EDRAMMacro
 from repro.dram.organizations import AddressMapping, MappingScheme
 from repro.errors import ConfigurationError
@@ -64,7 +62,6 @@ def build(
     banks=4,
     refresh=True,
     policy=None,
-    controller_cls=MemoryController,
     backend="event",
     cycles=3000,
     warmup=300,
@@ -77,7 +74,7 @@ def build(
     kwargs = {}
     if policy is not None:
         kwargs["page_policy"] = policy
-    controller = controller_cls(
+    controller = MemoryController(
         device=device,
         mapping=AddressMapping(
             device.organization, MappingScheme.ROW_BANK_COL
@@ -138,22 +135,6 @@ class TestFastForwardEquivalence:
 
     def test_closed_page_policy(self):
         assert_equivalent(policy=ClosedPagePolicy(), rate=0.01)
-
-    def test_prefetch_controller(self):
-        fast = assert_equivalent(
-            controller_cls=PrefetchingMemoryController,
-            mix="stream",
-            rate=0.05,
-        )
-        assert fast.backend_used == "cycle"
-        assert "PrefetchingMemoryController" in fast.backend_fallback_reason
-
-    def test_rowcache_controller(self):
-        fast = assert_equivalent(
-            controller_cls=RowCacheController, mix="stream", rate=0.05
-        )
-        assert fast.backend_used == "cycle"
-        assert "RowCacheController" in fast.backend_fallback_reason
 
     def test_zero_warmup(self):
         assert_equivalent(warmup=0, rate=0.01)

@@ -1,4 +1,4 @@
-"""Tests for repro.traffic: patterns, clients, traces."""
+"""Tests for repro.traffic: patterns and clients."""
 
 import itertools
 
@@ -13,7 +13,6 @@ from repro.traffic.patterns import (
     SequentialPattern,
     StridedPattern,
 )
-from repro.traffic.trace import Trace, TraceEntry
 
 
 def take(pattern, n):
@@ -181,37 +180,3 @@ class TestMemoryClient:
             self._client(1.5)
 
 
-class TestTrace:
-    def test_time_ordering_enforced(self):
-        trace = Trace()
-        trace.append(TraceEntry(cycle=5, client="a", address=0, is_read=True))
-        with pytest.raises(ConfigurationError):
-            trace.append(
-                TraceEntry(cycle=3, client="a", address=1, is_read=True)
-            )
-
-    def test_read_fraction(self):
-        trace = Trace()
-        trace.append(TraceEntry(cycle=0, client="a", address=0, is_read=True))
-        trace.append(
-            TraceEntry(cycle=1, client="a", address=1, is_read=False)
-        )
-        assert trace.read_fraction() == pytest.approx(0.5)
-
-    def test_page_analytics(self):
-        trace = Trace()
-        for cycle, address in enumerate([0, 1, 130, 2, 300]):
-            trace.append(
-                TraceEntry(
-                    cycle=cycle, client="a", address=address, is_read=True
-                )
-            )
-        assert trace.unique_pages(words_per_page=128) == 3
-        assert trace.page_transitions(words_per_page=128) == 3
-
-    def test_clients_in_order(self):
-        trace = Trace()
-        trace.append(TraceEntry(cycle=0, client="b", address=0, is_read=True))
-        trace.append(TraceEntry(cycle=1, client="a", address=0, is_read=True))
-        trace.append(TraceEntry(cycle=2, client="b", address=0, is_read=True))
-        assert trace.clients() == ["b", "a"]

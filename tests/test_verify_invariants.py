@@ -187,3 +187,38 @@ class TestRefreshDeadlineSlack:
         report = checker.report()
         assert report.clean
         assert report.commands_checked == 0
+
+
+class TestRetireFromFuture:
+    """A request retires only once its data burst has ended."""
+
+    @staticmethod
+    def _violations(completed_cycle, cycle=100):
+        from types import SimpleNamespace
+
+        from repro.controller.request import Request
+
+        timing = TimingParameters(**sim_params()["timing"])
+        organization = Organization(**sim_params()["organization"])
+        checker = LiveInvariantChecker(
+            organization=organization, timing=timing
+        )
+        request = Request(
+            request_id=7, client="c0", address=0, is_read=True,
+            created_cycle=90,
+        )
+        request.accepted_cycle = 91
+        request.issued_cycle = 95
+        request.completed_cycle = completed_cycle
+        checker._check_completed(
+            cycle, SimpleNamespace(completed=[request])
+        )
+        return [violation.check for violation in checker.violations]
+
+    def test_completion_this_cycle_is_clean(self):
+        assert self._violations(completed_cycle=100) == []
+
+    def test_completion_next_cycle_is_flagged(self):
+        assert self._violations(completed_cycle=101) == [
+            "state.retire_from_future"
+        ]
