@@ -736,10 +736,10 @@ def bench_distributed(report: PerfReport, smoke: bool = False) -> None:
         # SIGKILL the first forked worker as soon as it exists: its
         # leases must expire and its chunks be stolen by the survivor.
         deadline = _time.monotonic() + 30.0
-        while _time.monotonic() < deadline and not executor._procs:
+        while _time.monotonic() < deadline and not executor.fleet.procs:
             _time.sleep(0.01)
-        if executor._procs:
-            executor._procs[0].kill()
+        if executor.fleet.procs:
+            executor.fleet.procs[0].kill()
         thread.join(timeout=600.0)
         executor.close()
         resumed = holder.get("result")

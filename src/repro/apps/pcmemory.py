@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.units import MBIT, ceil_div
+from repro.units import ceil_div
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, InfeasibleError
-from repro.units import MBIT
 from repro.area.process import BaseProcess
 from repro.area.logic import LogicAreaModel
 from repro.area.macro import MacroAreaModel

@@ -25,7 +25,8 @@ Each subcommand prints the corresponding reproduction table; `explore`
 runs a live design-space sweep for the given requirements; `trace` and
 `metrics` run the instrumented MPEG2-decoder workload through the
 observability layer; `report` renders a run-ledger summary and hosts
-the benchmark-regression gate (see docs/OBSERVABILITY.md).
+the benchmark-regression gate (see docs/OBSERVABILITY.md); `workers
+start` runs a supervised fleet of forked queue workers (docs/RESILIENCE.md).
 """
 
 from __future__ import annotations
@@ -588,46 +589,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     start = workers_sub.add_parser(
         "start",
-        help="run worker process(es) against a queue directory — on "
-        "this machine or any machine sharing the directory",
+        help="run a supervised fleet of forked workers against a queue "
+        "directory — on this machine or any machine sharing the "
+        "directory: crashed workers respawn (bounded backoff), frozen "
+        "ones are killed and respawned, SIGTERM/Ctrl-C drains "
+        "gracefully (see docs/RESILIENCE.md)",
     )
     start.add_argument(
         "--queue", required=True, help="work-queue directory"
     )
     start.add_argument(
         "--n", type=int, default=1,
-        help="worker processes to run (default 1; >1 spawns "
-        "subprocesses and waits for them)",
-    )
-    start.add_argument(
-        "--worker-id", default=None,
-        help="stable worker id (single worker only; default pid-random)",
+        help="worker processes to run (default 1)",
     )
     start.add_argument(
         "--max-idle-s", type=float, default=30.0,
-        help="exit after this long with nothing to claim (default 30)",
-    )
-    start.add_argument(
-        "--supervise", action="store_true",
-        help="run the workers under a WorkerSupervisor: respawn "
-        "crashed workers (bounded backoff), kill+respawn frozen ones "
-        "(stale heartbeat), drain gracefully on SIGTERM/Ctrl-C "
-        "(see docs/RESILIENCE.md)",
+        help="a worker exits after this long with nothing to claim "
+        "(default 30)",
     )
     start.add_argument(
         "--heartbeat-timeout-s", type=float, default=10.0,
-        help="supervised only: a live worker silent this long is "
-        "considered frozen and killed (default 10)",
+        help="a live worker silent this long is considered frozen "
+        "and killed (default 10)",
     )
     start.add_argument(
         "--max-respawns", type=int, default=5,
-        help="supervised only: respawn budget per worker slot "
-        "(default 5)",
+        help="crash respawn budget per worker slot (default 5); the "
+        "command exits 1 if a slot spends it",
     )
     start.add_argument(
         "--backoff-s", type=float, default=0.2,
-        help="supervised only: initial respawn backoff, doubled per "
-        "respawn (default 0.2)",
+        help="initial crash respawn backoff, doubled per respawn "
+        "(default 0.2)",
     )
     start.set_defaults(func=_cmd_workers_start)
     status = workers_sub.add_parser(
@@ -705,90 +698,25 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
 
 def _cmd_workers_start(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
+    from repro.core.supervisor import WorkerSupervisor
 
-    if args.n < 1:
-        raise ConfigurationError("--n must be >= 1")
-    if args.supervise:
-        if args.worker_id is not None:
-            raise ConfigurationError(
-                "--worker-id conflicts with --supervise (the "
-                "supervisor names its worker slots)"
-            )
-        from repro.core.supervisor import WorkerSupervisor
-
-        stats = WorkerSupervisor(
-            args.queue,
-            n_workers=args.n,
-            max_respawns=args.max_respawns,
-            backoff_s=args.backoff_s,
-            heartbeat_timeout_s=args.heartbeat_timeout_s,
-            max_idle_s=args.max_idle_s,
-        ).run()
-        print(
-            "supervisor exited: "
-            f"spawned={stats['spawned']} respawned={stats['respawned']} "
-            f"killed_frozen={stats['killed_frozen']} "
-            f"drained={stats['drained']}"
-        )
-        return 0
-    if args.n == 1:
-        from repro.core.worker import worker_loop
-
-        chunks = worker_loop(
-            args.queue,
-            worker_id=args.worker_id,
-            max_idle_s=args.max_idle_s,
-        )
-        print(f"worker exited after completing {chunks} chunk(s)")
-        return 0
-    if args.worker_id is not None:
-        raise ConfigurationError(
-            "--worker-id only applies to a single worker (--n 1)"
-        )
-    import signal
-    import subprocess
-
-    procs = []
-    status = 0
-    try:
-        for _ in range(args.n):
-            procs.append(
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro.core.worker",
-                        "--queue",
-                        args.queue,
-                        "--max-idle-s",
-                        str(args.max_idle_s),
-                    ]
-                )
-            )
-        print(
-            f"starting {args.n} worker(s) on {args.queue}", flush=True
-        )
-        for proc in procs:
-            status = max(status, proc.wait())
-    except KeyboardInterrupt:
-        # Graceful drain: each worker finishes its in-flight chunk,
-        # publishes, releases its lease and exits (SIGTERM handler in
-        # repro.core.worker).  Then re-raise for the one-line exit.
-        for proc in procs:
-            if proc.poll() is None:
-                try:
-                    proc.send_signal(signal.SIGTERM)
-                except OSError:
-                    pass
-        for proc in procs:
-            try:
-                proc.wait(timeout=30)
-            except Exception:
-                proc.kill()
-        raise
-    print(f"{len(procs)} worker(s) exited")
-    return status
+    fleet = WorkerSupervisor(
+        args.queue,
+        n_workers=args.n,
+        max_respawns=args.max_respawns,
+        backoff_s=args.backoff_s,
+        heartbeat_timeout_s=args.heartbeat_timeout_s,
+        max_idle_s=args.max_idle_s,
+    )
+    print(f"starting {args.n} worker(s) on {args.queue}", flush=True)
+    stats = fleet.run()
+    print(
+        "workers exited: "
+        f"spawned={stats['spawned']} respawned={stats['respawned']} "
+        f"killed_frozen={stats['killed_frozen']} "
+        f"drained={stats['drained']} spent={stats['spent']}"
+    )
+    return 1 if stats["spent"] else 0
 
 
 def _cmd_workers_status(args: argparse.Namespace) -> int:

@@ -60,13 +60,9 @@ per item, in input order — bit-identical to the serial reference path
 from __future__ import annotations
 
 import base64
-import gc
 import json
 import os
 import pickle
-import signal
-import sys
-import threading
 import time
 import uuid
 from dataclasses import dataclass, field as dataclass_field
@@ -92,8 +88,8 @@ PENDING, LEASES, RESULTS, SEGMENTS, WORKERS = (
 )
 MANIFEST, TASK_FILE, DONE_FILE = "manifest.json", "task.pkl", "done.json"
 
-#: Seconds ``WorkQueueExecutor.close()`` lets a SIGTERM'd worker drain
-#: before it SIGKILLs (and reaps) it.
+#: Seconds ``WorkQueueExecutor`` lets a SIGTERM'd worker drain before
+#: it SIGKILLs (and reaps) it.
 CLOSE_GRACE_S = 5.0
 
 
@@ -597,104 +593,19 @@ class WorkQueue:
         }
 
 
-class ForkedWorker:
-    """A :class:`subprocess.Popen`-shaped handle on a forked worker.
-
-    Offers what the executor, the chaos drills and the benchmarks use
-    of ``Popen``: ``pid``, ``returncode``, ``poll()``, ``wait(timeout)``
-    (raising :class:`TimeoutError`), ``send_signal()`` and ``kill()``.
-    Reaping is serialised by a lock, because the coordinator thread
-    polls the handle while another thread may kill or wait on it.
-    """
-
-    def __init__(self, pid: int) -> None:
-        self.pid = pid
-        self.returncode: int | None = None
-        self._lock = threading.Lock()
-
-    def poll(self) -> int | None:
-        with self._lock:
-            if self.returncode is None:
-                try:
-                    pid, status = os.waitpid(self.pid, os.WNOHANG)
-                except ChildProcessError:
-                    # Reaped behind our back (SIGCHLD ignored): as
-                    # Popen does, report a clean exit.
-                    self.returncode = 0
-                else:
-                    if pid == self.pid:
-                        self.returncode = os.waitstatus_to_exitcode(status)
-            return self.returncode
-
-    def wait(self, timeout: float | None = None) -> int:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        delay = 0.001
-        while self.poll() is None:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"worker {self.pid} still running after {timeout}s"
-                    )
-                delay = min(delay, remaining)
-            time.sleep(delay)
-            delay = min(delay * 2, 0.05)
-        return self.returncode
-
-    def send_signal(self, signum: int) -> None:
-        # A reaped pid may already belong to another process.
-        if self.poll() is None:
-            os.kill(self.pid, signum)
-
-    def kill(self) -> None:
-        self.send_signal(signal.SIGKILL)
-
-
-def _forked_worker_main(log_fd: int, worker_loop, queue_dir, **options):
-    """The body of a forked worker; leaves only through ``os._exit``.
-
-    The child is a copy of the coordinator, so nothing of the parent's
-    may run twice here: ``os._exit`` skips ``atexit`` handlers and the
-    flush of inherited buffered files (an unflushed ledger, say), and
-    ``gc.freeze()`` keeps inherited garbage from being finalised in the
-    child.
-    """
-    code = 1
-    try:
-        gc.freeze()
-        os.dup2(log_fd, 1)
-        os.dup2(log_fd, 2)
-        sys.stdout = sys.stderr = os.fdopen(log_fd, "w", buffering=1)
-        # What a fresh interpreter would start with (as the fork-start
-        # pool workers in parallel.py do).
-        GLOBAL_METRICS.enabled = False
-        GLOBAL_METRICS.reset()
-        worker_loop(queue_dir, **options)
-        code = 0
-    except BaseException:
-        # Not re-raised: it would unwind into the coordinator's code.
-        import traceback
-
-        traceback.print_exc()  # into the spawn log
-    finally:
-        os._exit(code)
-
-
 class WorkQueueExecutor(Executor):
     """Multi-process (and multi-node) execution over a shared directory.
 
     The coordinator publishes deterministic contiguous chunks into the
-    queue, optionally forks ``workers`` local worker processes, and
-    collects results as they land — requeueing expired leases so dead
-    workers' chunks are reassigned.  Additional workers on this or
-    other machines join the same queue with ``repro workers start
-    --queue DIR`` (``python -m repro.core.worker``).
-
-    Local workers are forks of the coordinator, so they start with
-    everything it has imported and run no interpreter start-up.  The
-    task function is still loaded from ``task.pkl`` by reference, as an
-    external worker loads it, so it must be importable (not defined in
-    ``__main__``) for external workers to run it.
+    queue and collects results as they land — requeueing expired
+    leases so dead workers' chunks are reassigned.  Its ``workers``
+    local workers are :attr:`fleet`, a
+    :class:`~repro.core.supervisor.WorkerSupervisor` started at each
+    map, polled while results land and drained by :meth:`close`.  More
+    workers on this or other machines join with ``repro workers start
+    --queue DIR``.  Local workers are forks, but the task function is
+    loaded from ``task.pkl`` by reference, so it must be importable
+    (not defined in ``__main__``) for other workers to run it.
 
     With ``store=`` (path or open
     :class:`~repro.core.store.ResultStore`), items whose ``keys`` are
@@ -736,19 +647,28 @@ class WorkQueueExecutor(Executor):
         self.lease_timeout_s = lease_timeout_s
         self.poll_s = poll_s
         self.timeout_s = timeout_s
-        self.spawn_workers = spawn_workers
-        self.max_respawns = max_respawns
+        self.fleet = None
+        if spawn_workers:
+            from repro.core.supervisor import WorkerSupervisor
+
+            # A worker beats between points, and one point may outlast
+            # its lease (a sibling steals the chunk while it finishes),
+            # so only the silence after which a worker would leave as
+            # idle marks it frozen: four leases, at least 10 s.
+            idle_s = max(lease_timeout_s * 4, 10.0)
+            self.fleet = WorkerSupervisor(
+                self.queue.root, n_workers=workers,
+                max_respawns=max_respawns, heartbeat_timeout_s=idle_s,
+                max_idle_s=idle_s, worker_poll_s=poll_s,
+            )
         from repro.core.store import coerce_store
 
         self.store, self._owns_store = coerce_store(store)
-        self._procs: list = []
-        self._respawns = 0
         self.stats = {
             "chunks": 0,
             "store_hits": 0,
             "fresh": 0,
             "requeued": 0,
-            "respawns": 0,
             "merged_records": 0,
         }
 
@@ -761,65 +681,9 @@ class WorkQueueExecutor(Executor):
             "store": self.store is not None,
         }
 
-    # -- worker process management ------------------------------------------
-
-    def spawn_worker(self) -> ForkedWorker:
-        """Fork one local worker process attached to this queue.
-
-        The child writes its stdout/stderr to ``workers/spawn-N.log``
-        and runs :func:`~repro.core.worker.worker_loop`.  Like the
-        fork-start pool of :func:`~repro.core.parallel.parallel_map`, it
-        may be called from any thread.
-        """
-        from repro.core.worker import worker_loop
-
-        workers_dir = self.queue.directory(WORKERS)
-        workers_dir.mkdir(parents=True, exist_ok=True)
-        log_fd = os.open(
-            workers_dir / f"spawn-{len(self._procs)}.log",
-            os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-            0o644,
-        )
-        # Whatever sits in these buffers now would otherwise be
-        # written once by each process.
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
-        try:
-            pid = os.fork()
-            if pid == 0:
-                _forked_worker_main(
-                    log_fd,
-                    worker_loop,
-                    self.queue.root,
-                    max_idle_s=max(self.lease_timeout_s * 4, 10.0),
-                    poll_s=self.poll_s,
-                )
-        finally:
-            os.close(log_fd)
-        proc = ForkedWorker(pid)
-        self._procs.append(proc)
-        return proc
-
-    def _alive_workers(self) -> int:
-        return sum(1 for proc in self._procs if proc.poll() is None)
-
     def close(self) -> None:
-        for proc in self._procs:
-            if proc.poll() is None:
-                try:
-                    proc.send_signal(signal.SIGTERM)
-                except OSError:
-                    pass
-        for proc in self._procs:
-            try:
-                proc.wait(timeout=CLOSE_GRACE_S)
-            except TimeoutError:
-                proc.kill()
-                # Reap it: a forked worker is nobody else's to reap,
-                # and an unreaped one stays a zombie.
-                proc.wait()
-        self._procs = []
+        if self.fleet is not None:
+            self.fleet.drain(CLOSE_GRACE_S)
         if self._owns_store and self.store is not None:
             self.store.close()
 
@@ -902,6 +766,10 @@ class WorkQueueExecutor(Executor):
             remaining[start : start + chunk_size]
             for start in range(0, len(remaining), chunk_size)
         ]
+        if self.fleet is not None:
+            # The previous map's workers leave on its done sentinel; one
+            # still polling must not live to see this map's chunks.
+            self.fleet.drain(CLOSE_GRACE_S)
         self.queue.reset()
         self.queue.write_task(fn, catch)
         for chunk_index, indices in enumerate(chunks):
@@ -938,9 +806,8 @@ class WorkQueueExecutor(Executor):
                 workers=self.workers,
                 store_hits=self.stats["store_hits"],
             )
-        if self.spawn_workers:
-            for _ in range(self.workers):
-                self.spawn_worker()
+        if self.fleet is not None:
+            self.fleet.start()
         try:
             self._collect(
                 chunks, outcomes, ledger, progress, cancel, on_chunk
@@ -996,7 +863,6 @@ class WorkQueueExecutor(Executor):
                 self.stats["requeued"] += requeued
                 if ledger is not None:
                     ledger.event("lease_expired", requeued=requeued)
-            self._ensure_workers()
             if (
                 self.timeout_s is not None
                 and time.monotonic() - started > self.timeout_s
@@ -1007,17 +873,17 @@ class WorkQueueExecutor(Executor):
                     f"{len(pending_chunks)} chunk(s) outstanding"
                 )
             if (
-                self.spawn_workers
-                and self._alive_workers() == 0
-                and self._respawns >= self.max_respawns
+                self.fleet is not None
+                and not self.fleet.poll()
+                and time.monotonic() - last_progress
+                > self.lease_timeout_s * 2
             ):
-                stalled_s = time.monotonic() - last_progress
-                if stalled_s > self.lease_timeout_s * 2:
-                    raise ExecutorError(
-                        "all work-queue workers died and the respawn "
-                        f"budget ({self.max_respawns}) is exhausted; "
-                        f"{len(pending_chunks)} chunk(s) outstanding"
-                    )
+                raise ExecutorError(
+                    "all work-queue workers died and the respawn "
+                    f"budget ({self.fleet.max_respawns} per worker) is "
+                    f"exhausted; {len(pending_chunks)} chunk(s) "
+                    "outstanding"
+                )
             time.sleep(self.poll_s)
 
     def _merge_result(
@@ -1062,18 +928,6 @@ class WorkQueueExecutor(Executor):
             )
         if progress is not None:
             progress.update(done=len(indices) - failed, failed=failed)
-
-    def _ensure_workers(self) -> None:
-        """Respawn (bounded) when every spawned worker has died."""
-        if not self.spawn_workers:
-            return
-        if self._alive_workers() > 0:
-            return
-        if self._respawns >= self.max_respawns:
-            return
-        self._respawns += 1
-        self.stats["respawns"] += 1
-        self.spawn_worker()
 
     def _merge_segments(self, ledger) -> None:
         if self.store is None:

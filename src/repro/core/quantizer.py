@@ -15,7 +15,7 @@ The quantizer does two things:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.units import MBIT, ceil_div

@@ -1,64 +1,147 @@
-"""Worker supervision for the distributed work queue.
+"""The local worker fleet of the distributed work queue.
 
-``repro workers start --supervise`` keeps a fixed-size fleet of worker
-processes attached to one queue directory and healthy:
+:class:`WorkerSupervisor` is the one code path that starts, watches and
+stops local queue workers, for both
+:class:`~repro.core.executor.WorkQueueExecutor` and ``repro workers
+start``.  Each worker is an ``os.fork()`` running
+:func:`~repro.core.worker.worker_loop`, logging to
+``workers/<worker-id>.log``; every launch gets a fresh worker id, so a
+respawn never shares a heartbeat, segment or log with its predecessor.
 
-* **liveness** — every worker writes a heartbeat file
-  (``workers/<id>.json``, see :meth:`WorkQueue.heartbeat
-  <repro.core.executor.WorkQueue.heartbeat>`) at least once a second
-  while it is making progress; the supervisor watches the file mtimes.
-* **crash recovery** — a worker process that exits (crash, OOM,
-  ``SIGKILL``) is respawned with bounded exponential backoff, so a
-  workload that kills its worker on startup cannot fork-bomb the host.
-* **freeze detection** — a worker that is *alive but not beating*
-  (``SIGSTOP``, a hung filesystem, a deadlock) past
-  ``heartbeat_timeout_s`` is killed and respawned; its chunk's lease
-  expires and is stolen by a sibling, and the points it already
-  evaluated are served from its fsync'd segment — never lost, never
-  evaluated twice.
-* **graceful drain** — on ``SIGTERM`` (or :meth:`request_drain`) the
-  supervisor forwards ``SIGTERM`` to the fleet; each worker finishes
-  its current chunk, flushes its ResultStore segment, releases its
-  lease and exits (see :mod:`repro.core.worker`).  Stragglers past the
-  drain timeout are killed.
+* **crash** — a nonzero or signal exit is respawned with exponential
+  backoff, at most ``max_respawns`` times per slot;
+* **clean exit** (idle, done or drained) — respawned only while the
+  queue still has pending or leased chunks;
+* **freeze** — a live worker whose heartbeat file is older than
+  ``heartbeat_timeout_s`` is SIGKILLed, reaped and respawned as a
+  crash; lease expiry hands its chunk to a sibling, and its fsync'd
+  segment serves the points it already evaluated;
+* **drain** — SIGTERM (each worker finishes its chunk, flushes its
+  segment and releases its lease), a grace period, then SIGKILL and
+  reap for the stragglers.
 
-The supervisor owns *processes*, not work: all work distribution stays
-in the queue directory protocol, so supervised and unsupervised
-workers mix freely on one queue.
+The supervisor owns *processes*, not work: work distribution stays in
+the queue directory protocol, so fleets on several machines and
+single ``python -m repro.core.worker`` processes share one queue.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
-import subprocess
 import sys
+import threading
 import time
-from pathlib import Path
+import uuid
 
 from repro.errors import ConfigurationError
-from repro.core.executor import WORKERS, WorkQueue
+from repro.core.executor import LEASES, PENDING, WORKERS, WorkQueue
+from repro.core.worker import worker_loop
+from repro.obs.metrics import GLOBAL_METRICS
+
+class ForkedWorker:
+    """A :class:`subprocess.Popen`-shaped handle on a forked worker
+    (``wait`` raises :class:`TimeoutError`).  Reaping is serialised by
+    a lock: one thread may poll while another kills or waits."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: int | None = None
+        self._lock = threading.Lock()
+
+    def poll(self) -> int | None:
+        with self._lock:
+            if self.returncode is None:
+                try:
+                    pid, status = os.waitpid(self.pid, os.WNOHANG)
+                except ChildProcessError:
+                    # Reaped behind our back (SIGCHLD ignored): as
+                    # Popen does, report a clean exit.
+                    pid, status = self.pid, 0
+                if pid == self.pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+            return self.returncode
+
+    def wait(self, timeout: float | None = None) -> int:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        delay = 0.001
+        while self.poll() is None:
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError(
+                        f"worker {self.pid} still running after {timeout}s"
+                    )
+                delay = min(delay, remaining)
+            time.sleep(delay)
+            delay = min(delay * 2, 0.05)
+        return self.returncode
+
+    def send_signal(self, signum: int) -> None:
+        # A reaped pid may already belong to another process.
+        if self.poll() is None:
+            os.kill(self.pid, signum)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+def _forked_worker_main(log_fd: int, queue_dir, **options):
+    """The body of a forked worker; leaves only through ``os._exit``.
+
+    The child is a copy of the supervising process, so nothing of the
+    parent's may run twice here: ``os._exit`` skips ``atexit`` handlers
+    and the flush of inherited buffered files (an unflushed ledger,
+    say), and ``gc.freeze()`` keeps inherited garbage from being
+    finalised in the child.
+    """
+    code = 1
+    try:
+        gc.freeze()
+        # Ctrl-C belongs to the parent, which drains the fleet with
+        # SIGTERM.  The fork blocked both; SIGTERM stays blocked until
+        # worker_loop has its drain handler in place.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        os.dup2(log_fd, 1)
+        os.dup2(log_fd, 2)
+        sys.stdout = sys.stderr = os.fdopen(log_fd, "w", buffering=1)
+        # What a fresh interpreter would start with (as the fork-start
+        # pool workers in parallel.py do).
+        GLOBAL_METRICS.enabled = False
+        GLOBAL_METRICS.reset()
+        worker_loop(queue_dir, **options)
+        code = 0
+    except BaseException:
+        # Not re-raised: it would unwind into the parent's code.
+        import traceback
+
+        traceback.print_exc()  # into the worker's log
+    finally:
+        os._exit(code)
 
 
 class _Slot:
-    """One supervised worker position: process + respawn bookkeeping."""
+    """One worker position: its current process + respawn bookkeeping."""
 
     __slots__ = ("worker_id", "proc", "respawns", "retry_at")
 
-    def __init__(self, worker_id: str) -> None:
-        self.worker_id = worker_id
-        self.proc: subprocess.Popen | None = None
+    def __init__(self) -> None:
+        self.worker_id: str | None = None
+        self.proc: ForkedWorker | None = None
         self.respawns = 0
         self.retry_at = 0.0
 
 
 class WorkerSupervisor:
-    """Keeps ``n_workers`` queue workers alive, unfrozen and drainable.
+    """Keeps ``n_workers`` forked queue workers alive, unfrozen and
+    drainable.
 
     Attributes:
-        stats: Counters — ``spawned`` (all process launches),
-            ``respawned`` (launches replacing a dead worker),
-            ``killed_frozen`` (live-but-silent workers killed).
+        stats: Counters — ``spawned`` (all forks), ``respawned``
+            (forks replacing an exited worker), ``killed_frozen``
+            (live-but-silent workers killed).
     """
 
     def __init__(
@@ -90,59 +173,70 @@ class WorkerSupervisor:
         self.poll_s = poll_s
         self.max_idle_s = max_idle_s
         self.worker_poll_s = worker_poll_s
-        self._slots = [
-            _Slot(f"sup-{os.getpid()}-{index}") for index in range(n_workers)
-        ]
+        self._slots = [_Slot() for _ in range(n_workers)]
+        self._id_prefix = f"{os.getpid()}-{uuid.uuid4().hex[:6]}"
         self._drain_requested = False
         self.stats = {"spawned": 0, "respawned": 0, "killed_frozen": 0}
 
     # -- process management ---------------------------------------------------
 
     def _spawn(self, slot: _Slot) -> None:
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root if not existing else src_root + os.pathsep + existing
-        )
+        """Fork one worker into ``slot`` under a fresh worker id."""
+        worker_id = f"{self._id_prefix}-{self.stats['spawned']}"
         workers_dir = self.queue.directory(WORKERS)
         workers_dir.mkdir(parents=True, exist_ok=True)
-        log_handle = open(workers_dir / f"{slot.worker_id}.log", "a")
-        slot.proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.core.worker",
-                "--queue",
-                str(self.queue.root),
-                "--worker-id",
-                slot.worker_id,
-                "--max-idle-s",
-                str(self.max_idle_s),
-                "--poll-s",
-                str(self.worker_poll_s),
-            ],
-            env=env,
-            stdout=log_handle,
-            stderr=subprocess.STDOUT,
+        log_fd = os.open(
+            workers_dir / f"{worker_id}.log",
+            os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+            0o644,
         )
-        log_handle.close()  # the child holds its own descriptor
-        self.stats["spawned"] += 1
+        # Whatever sits in these buffers now would otherwise be
+        # written once by each process.
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        # A Ctrl-C landing between the fork and the bookkeeping below
+        # would orphan the child, and a SIGTERM reaching the child before
+        # its drain handler would run the parent's: hold both.
+        mask = signal.pthread_sigmask(
+            signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM}
+        )
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _forked_worker_main(
+                    log_fd,
+                    self.queue.root,
+                    worker_id=worker_id,
+                    max_idle_s=self.max_idle_s,
+                    poll_s=self.worker_poll_s,
+                )
+            slot.proc = ForkedWorker(pid)
+            slot.worker_id = worker_id
+            self.stats["spawned"] += 1
+        finally:
+            os.close(log_fd)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     def start(self) -> None:
-        """Launch the full fleet."""
+        """Fork a worker into every slot not running one, each with a
+        fresh respawn budget."""
         for slot in self._slots:
-            if slot.proc is None:
+            if slot.proc is None or slot.proc.poll() is not None:
+                slot.respawns = 0
+                slot.retry_at = 0.0
                 self._spawn(slot)
+
+    @property
+    def procs(self) -> list:
+        """The current process of every started slot, in slot order."""
+        return [slot.proc for slot in self._slots if slot.proc is not None]
 
     def heartbeat_age_s(self, worker_id: str) -> float | None:
         """Seconds since the worker last beat; None = never seen.
 
-        Supervisor and workers share one machine (the supervisor
-        spawned them), so file mtime vs ``time.time()`` is safe here —
-        cross-node skew is the *lease* protocol's problem, handled in
-        :meth:`WorkQueue.expired_leases
-        <repro.core.executor.WorkQueue.expired_leases>`.
+        The workers are local forks, so their file mtimes and
+        ``time.time()`` share one clock.
         """
         path = self.queue.directory(WORKERS) / f"{worker_id}.json"
         try:
@@ -151,6 +245,7 @@ class WorkerSupervisor:
             return None
 
     def _respawn(self, slot: _Slot, now: float) -> None:
+        """Replace a crashed worker, within budget and past its backoff."""
         if slot.respawns >= self.max_respawns:
             return
         if now < slot.retry_at:
@@ -160,33 +255,62 @@ class WorkerSupervisor:
         self._spawn(slot)
         self.stats["respawned"] += 1
 
-    def poll(self) -> None:
-        """One supervision pass: respawn the dead, kill the frozen."""
+    def _queue_has_work(self) -> bool:
+        try:
+            return any(
+                os.listdir(self.queue.directory(name))
+                for name in (PENDING, LEASES)
+            )
+        except OSError:
+            return False  # no queue laid out (yet)
+
+    def poll(self) -> bool:
+        """One supervision pass: respawn the exited, kill the frozen.
+
+        Returns False once no worker runs and none will be respawned:
+        every slot has exited cleanly with no work left in the queue, or
+        crashed with its respawn budget spent.
+        """
         now = time.monotonic()
+        active = False
         for slot in self._slots:
             proc = slot.proc
-            if proc is None or proc.poll() is not None:
-                self._respawn(slot, now)
+            if proc is None:
                 continue
-            age = self.heartbeat_age_s(slot.worker_id)
-            if age is not None and age > self.heartbeat_timeout_s:
+            code = proc.poll()
+            if code is None:
+                age = self.heartbeat_age_s(slot.worker_id)
+                if age is None or age <= self.heartbeat_timeout_s:
+                    active = True
+                    continue
                 # Alive but silent: SIGSTOP'd, deadlocked, or stuck on
                 # I/O.  SIGKILL (a frozen process cannot honor
-                # SIGTERM); the lease protocol recovers its chunk.
-                try:
-                    proc.kill()
-                    proc.wait(timeout=5)
-                except OSError:
-                    pass
+                # SIGTERM), reap, and respawn it as a crash; the lease
+                # protocol recovers its chunk.
+                proc.kill()
+                proc.wait()
                 self.stats["killed_frozen"] += 1
+            if code == 0:
+                if self._queue_has_work():
+                    self._spawn(slot)
+                    self.stats["respawned"] += 1
+                    active = True
+            elif slot.respawns < self.max_respawns:
                 self._respawn(slot, now)
+                active = True
+        return active
+
+    def spent(self) -> bool:
+        """Whether some slot's worker crashed with its budget used up."""
+        return any(
+            slot.respawns >= self.max_respawns
+            and slot.proc is not None
+            and slot.proc.poll() not in (None, 0)
+            for slot in self._slots
+        )
 
     def alive_workers(self) -> int:
-        return sum(
-            1
-            for slot in self._slots
-            if slot.proc is not None and slot.proc.poll() is None
-        )
+        return sum(1 for proc in self.procs if proc.poll() is None)
 
     # -- drain ----------------------------------------------------------------
 
@@ -194,37 +318,31 @@ class WorkerSupervisor:
         self._drain_requested = True
 
     def drain(self, timeout_s: float = 30.0) -> None:
-        """SIGTERM the fleet, wait for graceful exits, kill stragglers.
-
-        Workers finish their current chunk, flush their segment and
-        release their lease before exiting (the SIGTERM handler in
-        :func:`repro.core.worker.worker_loop`); anything still running
-        after ``timeout_s`` is killed — its lease expires and its
-        completed points survive in the segment.
-        """
-        for slot in self._slots:
-            if slot.proc is not None and slot.proc.poll() is None:
-                try:
-                    slot.proc.send_signal(signal.SIGTERM)
-                except OSError:
-                    pass
-        deadline = time.monotonic() + timeout_s
-        for slot in self._slots:
-            if slot.proc is None:
-                continue
-            remaining = max(0.1, deadline - time.monotonic())
+        """SIGTERM the fleet, wait up to ``timeout_s`` for graceful
+        exits, then SIGKILL and reap the stragglers."""
+        live = [proc for proc in self.procs if proc.poll() is None]
+        for proc in live:
             try:
-                slot.proc.wait(timeout=remaining)
-            except Exception:
-                slot.proc.kill()
+                proc.send_signal(signal.SIGTERM)
+            except OSError:
+                pass
+        deadline = time.monotonic() + timeout_s
+        for proc in live:
+            try:
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+            except TimeoutError:
+                proc.kill()
+                proc.wait()
 
     # -- main loop ------------------------------------------------------------
 
     def run(self, install_signal_handlers: bool = True) -> dict:
-        """Supervise until the queue is done or a drain is requested.
+        """Supervise until the queue is done, a drain is requested or
+        the fleet has ended (see :meth:`poll`); drain on the way out.
 
-        Returns the final :attr:`stats` (plus ``drained``) for the CLI
-        to print.
+        Returns the final :attr:`stats` plus ``drained`` and ``spent``
+        (see :meth:`spent`).  A ``KeyboardInterrupt`` drains the fleet
+        and propagates.
         """
         previous = None
         if install_signal_handlers:
@@ -233,21 +351,17 @@ class WorkerSupervisor:
                     signal.SIGTERM, lambda signum, frame: self.request_drain()
                 )
             except ValueError:
-                previous = None  # not the main thread (tests)
-        self.start()
+                pass  # not the main thread (tests)
         try:
-            while not self._drain_requested:
-                if self.queue.done():
+            self.start()
+            while not self._drain_requested and not self.queue.done():
+                if not self.poll():
                     break
-                self.poll()
                 time.sleep(self.poll_s)
-        except KeyboardInterrupt:
-            self.request_drain()
         finally:
             self.drain()
             if previous is not None:
-                try:
-                    signal.signal(signal.SIGTERM, previous)
-                except ValueError:
-                    pass
-        return dict(self.stats, drained=self._drain_requested)
+                signal.signal(signal.SIGTERM, previous)
+        return dict(
+            self.stats, drained=self._drain_requested, spent=self.spent()
+        )

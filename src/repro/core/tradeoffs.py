@@ -12,7 +12,7 @@ more Mbit?").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.units import MBIT

@@ -1,10 +1,11 @@
 """Work-queue worker process: claim, evaluate, publish, repeat.
 
-Run as ``python -m repro.core.worker --queue DIR`` (or via
-``repro workers start``); the executor's own local workers are forks
-of the coordinator that call :func:`worker_loop` directly.  Any number
-of workers — on this machine or on any machine sharing the queue
-directory — cooperate on one
+Every local worker fleet — the executor's own and ``repro workers
+start``'s — is a :class:`~repro.core.supervisor.WorkerSupervisor`
+whose forks call :func:`worker_loop` directly; ``python -m
+repro.core.worker --queue DIR [--worker-id ID]`` runs one unsupervised
+worker.  Any number of workers — on this machine or on any machine
+sharing the queue directory — cooperate on one
 :class:`~repro.core.executor.WorkQueueExecutor` map:
 
 1. claim the lowest pending chunk by atomic rename (losing a rename
@@ -28,8 +29,8 @@ deterministically).
 
 ``SIGTERM`` requests a *graceful drain*: the worker finishes the chunk
 it is evaluating, publishes its result, releases its lease, lets the
-segment's context manager flush, and exits — the contract
-:class:`~repro.core.supervisor.WorkerSupervisor` relies on.  While
+segment's context manager flush, and exits — the contract the
+supervisor's drain relies on.  While
 running it also refreshes its heartbeat file once a second, throttled
 (idle polls, per evaluated point and per chunk), so a supervisor can
 tell a frozen worker from a busy one.
@@ -129,6 +130,9 @@ def worker_loop(
 
     try:
         previous_handler = signal.signal(signal.SIGTERM, _request_drain)
+        # A forked worker starts with SIGTERM blocked, so a drain sent
+        # before this handler existed is held for it, not lost.
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     except ValueError:
         previous_handler = None  # not the main thread (in-process tests)
     try:

@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.dft.faults import FaultKind, FaultyArray, inject_random_faults
 from repro.dft.march import MarchTest, MARCH_C_MINUS
-from repro.dft.redundancy import RepairPlan, allocate_spares
+from repro.dft.redundancy import allocate_spares
 
 
 @dataclass(frozen=True)

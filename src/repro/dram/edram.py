@@ -21,7 +21,7 @@ bandwidth and fill frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.errors import ConfigurationError

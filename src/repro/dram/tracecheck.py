@@ -15,7 +15,7 @@ for command legality that does not require the DRAM team in the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.dram.commands import Command, CommandType

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.apps.mpeg2 import DecoderVariant, MPEG2MemoryBudget
 from repro.apps.video import NTSC, PAL
-from repro.dram.catalog import COMMODITY_PARTS
 from repro.reporting.report import ExperimentReport
 from repro.reporting.tables import Table
 from repro.units import MBIT

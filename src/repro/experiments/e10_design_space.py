@@ -14,7 +14,6 @@ from repro.core.requirements import ApplicationRequirements
 from repro.apps.mpeg2 import MPEG2MemoryBudget
 from repro.reporting.report import ExperimentReport
 from repro.reporting.tables import Table
-from repro.units import MBIT
 
 
 def mpeg2_requirements() -> ApplicationRequirements:

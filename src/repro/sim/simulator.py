@@ -11,10 +11,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.dram.device import DRAMDevice
-from repro.dram.organizations import AddressMapping
-from repro.controller.controller import ControllerConfig, MemoryController
+from repro.controller.controller import MemoryController
 from repro.controller.request import Request
 from repro.traffic.client import MemoryClient
 from repro.sim.stats import LatencyStats, SimulationResult

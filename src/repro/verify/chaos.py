@@ -221,7 +221,7 @@ def _kill_worker(seed: int, tmp_dir: Path) -> ScenarioResult:
         # Kill the (only) worker once it has proven it is mid-run.
         killed = False
         if _first_result(executor.queue, len(seeds), timeout_s=30.0):
-            procs = list(executor._procs)
+            procs = executor.fleet.procs
             if procs and procs[0].poll() is None:
                 procs[0].kill()
                 killed = True
@@ -273,7 +273,7 @@ def _kill_worker(seed: int, tmp_dir: Path) -> ScenarioResult:
         details={
             "items": len(seeds),
             "requeued": executor.stats["requeued"],
-            "respawns": executor.stats["respawns"],
+            "respawns": executor.fleet.stats["respawned"],
             "worker_ledgers": len(worker_ledgers),
             "orphan_parents": len(orphans),
         },
@@ -313,7 +313,7 @@ def _freeze_worker(seed: int, tmp_dir: Path) -> ScenarioResult:
     frozen_pid = None
     try:
         if _first_result(executor.queue, len(seeds), timeout_s=30.0):
-            procs = list(executor._procs)
+            procs = executor.fleet.procs
             if procs and procs[0].poll() is None:
                 frozen_pid = procs[0].pid
                 os.kill(frozen_pid, signal.SIGSTOP)

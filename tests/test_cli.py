@@ -118,22 +118,52 @@ class TestWorkersCommand:
             ]
         )
         assert code == 0
-        assert "0 chunk(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "spawned=1 respawned=0" in out
+        assert "spent=False" in out
 
-    def test_start_rejects_worker_id_with_multiple_workers(self):
+    def test_start_exits_1_when_a_respawn_budget_is_spent(
+        self, tmp_path, capsys
+    ):
+        from repro.core.executor import WorkQueue, atomic_write_json
+
+        queue = WorkQueue(tmp_path / "q")
+        queue.reset()
+        queue.publish_chunk(0, [0], [0], None)
+        atomic_write_json(
+            queue.root / "manifest.json", {"lease_timeout_s": 5.0}
+        )
+        (queue.root / "task.pkl").write_bytes(b"not a pickle")
         code = main(
             [
                 "workers",
                 "start",
                 "--queue",
-                "ignored",
-                "--n",
-                "2",
-                "--worker-id",
-                "w1",
+                str(tmp_path / "q"),
+                "--max-respawns",
+                "1",
+                "--backoff-s",
+                "0.01",
             ]
         )
-        assert code == 2
+        assert code == 1
+        assert "spawned=2 respawned=1" in capsys.readouterr().out
+
+    def test_start_rejects_worker_id(self, capsys):
+        # A stable worker id names one unsupervised worker:
+        # `python -m repro.core.worker --worker-id ID`.
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "workers",
+                    "start",
+                    "--queue",
+                    "ignored",
+                    "--worker-id",
+                    "w1",
+                ]
+            )
+        assert exit_info.value.code == 2
 
 
 class TestInterrupt:

@@ -595,14 +595,14 @@ class TestWorkQueueChaosSigkill:
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
             if (
-                executor._procs
+                executor.fleet.procs
                 and leases.exists()
                 and os.listdir(leases)
             ):
                 break
             time.sleep(0.02)
-        assert executor._procs, "no workers were spawned"
-        executor._procs[0].kill()  # SIGKILL, not a polite TERM
+        assert executor.fleet.procs, "no workers were spawned"
+        executor.fleet.procs[0].kill()  # SIGKILL, not a polite TERM
         thread.join(timeout=300.0)
         executor.close()
         result = holder.get("result")

@@ -1,14 +1,16 @@
-"""Tests for the worker supervisor (repro workers start --supervise).
+"""Tests for the worker fleet (``WorkerSupervisor``).
 
 Fast paths (fake processes, direct ``_respawn``/``poll`` calls) cover
 the bookkeeping: bounded exponential respawn backoff, the respawn cap,
-and freeze detection off a backdated heartbeat file.  Two slower tests
-spawn real worker processes to check the full loop: the fleet drains a
-queue to completion, and ``drain()`` SIGTERMs idle workers into clean
-(code 0) exits.
+the clean-exit rule (respawned only while the queue has work) and
+freeze detection off a backdated heartbeat file.  Slower tests fork
+real workers to check the full loop: the fleet drains a queue to
+completion, ``drain()`` SIGTERMs idle workers into clean (code 0)
+exits, and ``run()`` returns once every worker has exited for good.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -30,12 +32,13 @@ def _double(x):
 class _FakeProc:
     """Stand-in process with a scriptable liveness answer."""
 
-    def __init__(self, alive=True):
+    def __init__(self, alive=True, code=1):
         self.alive = alive
+        self.code = code
         self.killed = False
 
     def poll(self):
-        return None if self.alive else 0
+        return None if self.alive else self.code
 
     def kill(self):
         self.killed = True
@@ -99,7 +102,7 @@ class TestRespawnBackoff:
         def _fake_spawn(slot):
             supervisor.spawn_calls += 1
             supervisor.stats["spawned"] += 1
-            slot.proc = _FakeProc(alive=False)  # dies immediately
+            slot.proc = _FakeProc(alive=False)  # crashes immediately
 
         supervisor._spawn = _fake_spawn
         return supervisor
@@ -144,6 +147,41 @@ class TestRespawnBackoff:
         assert supervisor.spawn_calls == 1
         assert supervisor.stats["respawned"] == 1
 
+    def test_spent_budget_ends_the_fleet(self, tmp_path):
+        supervisor = self._supervisor(tmp_path, max_respawns=1)
+        slot = supervisor._slots[0]
+        slot.proc = _FakeProc(alive=False)
+        assert supervisor.poll()  # the one respawn
+        assert not supervisor.poll()  # crashed again, budget spent
+        assert supervisor.spent()
+        assert supervisor.spawn_calls == 1
+
+
+class TestCleanExit:
+    def _supervisor(self, tmp_path, chunks):
+        queue = _queue_with_manifest(tmp_path, chunks=chunks)
+        supervisor = WorkerSupervisor(queue.root, n_workers=1)
+        spawned = []
+        supervisor._spawn = lambda slot: spawned.append(slot)
+        slot = supervisor._slots[0]
+        slot.worker_id = "w0"
+        slot.proc = _FakeProc(alive=False, code=0)
+        return supervisor, spawned
+
+    def test_idle_exit_with_no_work_is_final(self, tmp_path):
+        supervisor, spawned = self._supervisor(tmp_path, chunks=[])
+        assert not supervisor.poll()
+        assert spawned == []
+        assert not supervisor.spent()
+
+    def test_clean_exit_respawns_while_chunks_wait(self, tmp_path):
+        supervisor, spawned = self._supervisor(tmp_path, chunks=[1])
+        assert supervisor.poll()
+        assert len(spawned) == 1
+        assert supervisor.stats["respawned"] == 1
+        # Not a crash: the respawn budget is untouched.
+        assert supervisor._slots[0].respawns == 0
+
 
 class TestFreezeDetection:
     def test_silent_worker_is_killed_and_respawned(self, tmp_path):
@@ -152,6 +190,7 @@ class TestFreezeDetection:
             queue.root, n_workers=1, heartbeat_timeout_s=1.0
         )
         slot = supervisor._slots[0]
+        slot.worker_id = "w0"
         frozen = _FakeProc(alive=True)
         slot.proc = frozen
 
@@ -175,6 +214,7 @@ class TestFreezeDetection:
             queue.root, n_workers=1, heartbeat_timeout_s=1.0
         )
         slot = supervisor._slots[0]
+        slot.worker_id = "w0"
         healthy = _FakeProc(alive=True)
         slot.proc = healthy
         queue.heartbeat(slot.worker_id, 0)
@@ -195,6 +235,52 @@ class TestRealFleet:
         assert stats["spawned"] == 2
         assert stats["drained"] is False
         assert supervisor.alive_workers() == 0
+
+    def _run_in_thread(self, supervisor, timeout_s=30.0):
+        holder = {}
+        thread = threading.Thread(
+            target=lambda: holder.update(
+                stats=supervisor.run(install_signal_handlers=False)
+            ),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=timeout_s)
+        try:
+            assert not thread.is_alive(), (
+                f"run() still looping after {timeout_s}s"
+            )
+        finally:
+            supervisor.request_drain()
+            thread.join(timeout=timeout_s)
+        return holder["stats"]
+
+    def test_run_returns_once_every_worker_idles_out(self, tmp_path):
+        # No chunks, never marked done: each worker exits idle, and with
+        # no work left the fleet is over — not a crash to respawn.
+        queue = _queue_with_manifest(tmp_path)
+        supervisor = WorkerSupervisor(
+            queue.root, n_workers=1, max_respawns=2, poll_s=0.05,
+            max_idle_s=0.3, worker_poll_s=0.02,
+        )
+        stats = self._run_in_thread(supervisor, timeout_s=10.0)
+        assert stats["spawned"] == 1
+        assert stats["respawned"] == 0
+        assert stats["spent"] is False
+        assert supervisor.alive_workers() == 0
+
+    def test_run_returns_when_crashes_spend_the_budget(self, tmp_path):
+        queue = _queue_with_manifest(tmp_path, chunks=[1, 2])
+        (queue.root / "task.pkl").write_bytes(b"not a pickle")
+        supervisor = WorkerSupervisor(
+            queue.root, n_workers=2, max_respawns=1, backoff_s=0.01,
+            poll_s=0.02, max_idle_s=5.0,
+        )
+        stats = self._run_in_thread(supervisor, timeout_s=20.0)
+        assert stats["spawned"] == 4
+        assert stats["respawned"] == 2
+        assert stats["spent"] is True
+        assert all(proc.returncode == 1 for proc in supervisor.procs)
 
     def test_drain_stops_idle_workers_gracefully(self, tmp_path):
         queue = _queue_with_manifest(tmp_path)  # no chunks: idle fleet

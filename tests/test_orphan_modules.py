@@ -15,6 +15,11 @@ targets, span tables); docstrings are prose, not edges.  A name
 imported from a package resolves through the package's lazy
 ``_EXPORTS`` table to the submodule defining it; the table itself is
 not an edge, since a package loads nothing at import.
+
+The same parse also checks that every name a non-``__init__`` module
+imports is referenced there: an import nothing uses is an edge that
+keeps a module "reached" for no reason (``__init__`` modules are lazy
+export tables and import nothing at load).
 """
 
 from __future__ import annotations
@@ -137,3 +142,29 @@ def unreached_modules() -> list:
 def test_every_module_is_reached_from_a_root():
     unreached = unreached_modules()
     assert not unreached, "unreached modules: " + ", ".join(unreached)
+
+
+def unused_imports() -> list:
+    """``module:line name`` for every imported name that a
+    non-``__init__`` module never references (``__future__`` aside)."""
+    found = []
+    for module, tree in TREES.items():
+        if MODULES[module].name == "__init__.py":
+            continue
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{module}:{node.lineno} {name}"
+                      for name in names if name not in used]
+    return sorted(found)
+
+
+def test_every_imported_name_is_used():
+    unused = unused_imports()
+    assert not unused, "unused imports: " + ", ".join(unused)
