@@ -637,15 +637,18 @@ def bench_distributed(report: PerfReport, smoke: bool = False) -> None:
        overhead, not parallelism.  Whether a target was met is
        recorded as ``target_met_*``.
     3. **Resume** — a run with a durable result store has one worker
-       ``SIGKILL``-ed mid-sweep; lease expiry reassigns its chunks and
-       the merged result must still be bit-identical to serial.  A
-       second run against the same store must evaluate zero fresh
+       ``SIGKILL``-ed mid-sweep while it holds an unfinished chunk's
+       lease, so the sweep can only finish once that lease expires and
+       the chunk is stolen; the merged result must still be
+       bit-identical to serial.  ``requeued_chunks`` counts the
+       coordinator's requeues only: a worker that finds nothing pending
+       requeues expired leases itself, so it can read 0 after a steal.
+       A second run against the same store must evaluate zero fresh
        points (the no-fingerprint-evaluated-twice probe).
     """
     import shutil
     import tempfile
     import threading
-    import time as _time
 
     from repro.core.executor import WorkQueueExecutor
     from repro.core.store import ResultStore
@@ -654,6 +657,7 @@ def bench_distributed(report: PerfReport, smoke: bool = False) -> None:
     # (or pytest's ``bench_perf``), which a forked local worker could
     # resolve but an external worker could not import.
     from repro.serve.workloads import sim_fingerprint
+    from repro.verify.chaos import kill_worker_holding_lease
 
     n_seeds = 8 if smoke else 24
     cycles = 200 if smoke else 1_000
@@ -733,19 +737,19 @@ def bench_distributed(report: PerfReport, smoke: bool = False) -> None:
 
         thread = threading.Thread(target=chaos_run)
         thread.start()
-        # SIGKILL the first forked worker as soon as it exists: its
-        # leases must expire and its chunks be stolen by the survivor.
-        deadline = _time.monotonic() + 30.0
-        while _time.monotonic() < deadline and not executor.fleet.procs:
-            _time.sleep(0.01)
-        if executor.fleet.procs:
-            executor.fleet.procs[0].kill()
+        # SIGKILL a worker while it holds an unfinished chunk's lease:
+        # the lease must expire and the survivor steal the chunk.
+        killed = kill_worker_holding_lease(executor)
         thread.join(timeout=600.0)
         executor.close()
         resumed = holder.get("result")
         if resumed is None:
             raise AssertionError(
                 "work-queue sweep did not recover from the killed worker"
+            )
+        if killed is None:
+            raise AssertionError(
+                "never caught a worker holding an unfinished lease"
             )
         resume_identical = [
             (p.parameters, p.result) for p in resumed.points

@@ -18,9 +18,12 @@ class RequestState(enum.Enum):
     COMPLETED = "completed"  # last data beat done
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
     """One burst access request.
+
+    Requests compare by identity: ids are unique, and the controller's
+    window removal must not build field tuples per comparison.
 
     Attributes:
         request_id: Unique id assigned at creation.

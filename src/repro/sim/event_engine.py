@@ -7,7 +7,9 @@ of requests and clients are back-pressured.  What remains is a
 timestamp-ordered walk over the cycles where something *can* happen:
 
 * a client's token bucket reaches issue threshold
-  (:meth:`~repro.traffic.client.MemoryClient.cycles_until_wants`);
+  (:meth:`~repro.traffic.client.MemoryClient.cycles_until_wants`, the
+  distance from the client's pacing-plan cursor to its want point; the
+  plan is built once per issue and kept across idle ticks);
 * a queued request's next DRAM command becomes legal (bank ready
   cycles, tRRD, shared-data-bus availability — the same rules the
   device model enforces);
@@ -17,12 +19,17 @@ timestamp-ordered walk over the cycles where something *can* happen:
 
 Between those timestamps the engine batch-accrues exactly what the
 naive loop would have accrued: token-bucket credit for idle clients
-(bit-identical iterated accrual via ``tick_many``), stall cycles for
+(``tick_many`` reads it off the same pacing plan, whose floats are the
+naive loop's iterated accrual, bit for bit), stall cycles for
 back-pressured clients, and FIFO occupancy statistics.  Cost therefore
 scales with commands issued, not cycles elapsed.
 
-On stepped cycles the controller's phases run individually, and the
-request-command phase is one pass over the window (:meth:`_pick`):
+On stepped cycles the clients are driven by the naive loop's own
+``MemorySystemSimulator._drive_clients``, which records a held request's
+refusal directly while its FIFO stays full (for the stock ``offer`` with
+no observer, a refusal does nothing else), the controller's phases run
+individually, and the request-command phase is one pass over the window
+(:meth:`_pick`):
 it returns the request the scheduler's candidate scan would issue this
 cycle or, when none can, the earliest cycle one could.  The pick
 issues through ``MemoryController._issue_for``, so the device still

@@ -189,17 +189,29 @@ class MemorySystemSimulator:
         return request
 
     def _drive_clients(self, cycle: int) -> None:
+        controller = self.controller
+        pending = self._pending
+        # A refused stock offer() with no observer only records a stall,
+        # so a held request facing a still-full FIFO skips the call.
+        quiet_refusal = (
+            pending
+            and controller.obs is None
+            and type(controller).offer is MemoryController.offer
+        )
         for client in self.clients:
-            stalled_request = self._pending.get(client.name)
+            stalled_request = pending.get(client.name)
             if stalled_request is not None:
-                if self.controller.offer(stalled_request):
-                    del self._pending[client.name]
+                fifo = controller.fifos[client.name]
+                if quiet_refusal and fifo.full:
+                    fifo.stall_cycles += 1
+                elif controller.offer(stalled_request):
+                    del pending[client.name]
                 continue
             if client.wants_to_issue(cycle):
                 request = self._make_request(client, cycle)
-                if not self.controller.offer(request):
+                if not controller.offer(request):
                     # Hold the request; the client is back-pressured.
-                    self._pending[client.name] = request
+                    pending[client.name] = request
             else:
                 client.tick()
 
