@@ -640,9 +640,8 @@ def bench_distributed(report: PerfReport, smoke: bool = False) -> None:
        ``SIGKILL``-ed mid-sweep while it holds an unfinished chunk's
        lease, so the sweep can only finish once that lease expires and
        the chunk is stolen; the merged result must still be
-       bit-identical to serial.  ``requeued_chunks`` counts the
-       coordinator's requeues only: a worker that finds nothing pending
-       requeues expired leases itself, so it can read 0 after a steal.
+       bit-identical to serial.  ``requeued_chunks`` counts every
+       requeue (only the coordinator requeues), so it is at least 1.
        A second run against the same store must evaluate zero fresh
        points (the no-fingerprint-evaluated-twice probe).
     """
@@ -750,6 +749,10 @@ def bench_distributed(report: PerfReport, smoke: bool = False) -> None:
         if killed is None:
             raise AssertionError(
                 "never caught a worker holding an unfinished lease"
+            )
+        if executor.stats["requeued"] < 1:
+            raise AssertionError(
+                "the killed worker's lease was never requeued"
             )
         resume_identical = [
             (p.parameters, p.result) for p in resumed.points

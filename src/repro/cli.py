@@ -274,8 +274,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _merge_metrics(args: argparse.Namespace) -> int:
-    """Aggregate saved metrics snapshots offline (same merge() path
-    the process pool uses at run time)."""
+    """Aggregate saved metrics snapshots offline (lossless merge)."""
     import json
 
     from repro.errors import ConfigurationError
@@ -327,9 +326,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if fmt == "json":
             rendered = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         elif fmt == "prom":
-            # The ledger's aggregated metrics snapshot plus run-level
-            # gauges, in the same exposition format `/v1/metrics`
-            # serves.
+            # Run-level gauges, in the same exposition format
+            # `/v1/metrics` serves.
             from repro.obs.expo import render_prometheus
 
             extra = [
@@ -345,9 +343,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                         "labels": {"kind": kind},
                     }
                 )
-            rendered = render_prometheus(
-                summary.get("metrics") or {}, extra=extra
-            )
+            rendered = render_prometheus({}, extra=extra)
         else:
             rendered = render_markdown(summary, top=args.top)
         if args.out:
@@ -515,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("md", "json", "prom"),
         default=None,
         help="report format: md (default), json (the summary dict), "
-        "prom (ledger metrics as Prometheus text)",
+        "prom (run-level gauges as Prometheus text)",
     )
     report.add_argument(
         "--top", type=int, default=10,

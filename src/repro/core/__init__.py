@@ -35,8 +35,6 @@ _EXPORTS = {
     "dominates": "pareto",
     "BatchEvaluation": "batch",
     "batch_fallback_reason": "batch",
-    "discrete_batch_fallback_reason": "batch",
-    "evaluate_discrete_batch": "batch",
     "evaluate_macro_batch": "batch",
     "evaluate_macro_grid": "batch",
     "Quantizer": "quantizer",

@@ -35,7 +35,7 @@ equality**, not a tolerance.  Three rules make that possible:
   ``_edram_core_power`` the scalar path uses.
 
 Inputs outside the analyzed envelope (mixed timing parameters across
-macros, mixed parts across discrete systems) are refused by
+macros) are refused by
 :func:`batch_fallback_reason`; callers then fall back to the scalar
 reference loop, mirroring how the event simulator backend declines
 configurations it cannot prove.
@@ -68,17 +68,6 @@ def batch_fallback_reason(macros) -> str | None:
     for macro in macros:
         if macro.timing is not timing and macro.timing != timing:
             return "mixed timing parameters across macros"
-    return None
-
-
-def discrete_batch_fallback_reason(systems) -> str | None:
-    """Why ``systems`` cannot be evaluated as one batch (None = they can)."""
-    if not systems:
-        return "empty batch"
-    part = systems[0].part
-    for system in systems:
-        if system.part is not part and system.part != part:
-            return "mixed parts across systems"
     return None
 
 
@@ -173,9 +162,9 @@ def _core_power_lanes(width_bytes: bytes, read_fraction: float) -> tuple:
 
 @dataclass(frozen=True)
 class BatchEvaluation:
-    """Struct-of-arrays outcome of one batched evaluation.
+    """Struct-of-arrays outcome of one batched eDRAM macro evaluation.
 
-    One row per evaluated configuration, in input order.  The arrays
+    One row per evaluated macro, in input order.  The arrays
     are the columns :meth:`SolutionMetrics.objective_tuple` and
     :meth:`Evaluator.meets` consume; :meth:`metrics_list` materializes
     the equivalent :class:`SolutionMetrics` objects on demand (that
@@ -192,10 +181,8 @@ class BatchEvaluation:
         sustained: Sustained bandwidth, bits/s.
         latency_ns: Loaded mean latency.
         power_w: Core + interface power.
-        area_mm2: Silicon area (0 for discrete rows).
-        n_chips: Devices per row (1 for embedded).
+        area_mm2: Silicon area.
         unit_cost: Unit cost.
-        embedded: Whether the rows are embedded solutions.
     """
 
     label_of: object
@@ -206,9 +193,7 @@ class BatchEvaluation:
     latency_ns: np.ndarray
     power_w: np.ndarray
     area_mm2: np.ndarray
-    n_chips: np.ndarray
     unit_cost: np.ndarray
-    embedded: bool
 
     def __len__(self) -> int:
         return len(self.capacity_bits)
@@ -247,9 +232,9 @@ class BatchEvaluation:
             mean_latency_ns=float(self.latency_ns[index]),
             power_w=float(self.power_w[index]),
             area_mm2=float(self.area_mm2[index]),
-            n_chips=int(self.n_chips[index]),
+            n_chips=1,
             unit_cost=float(self.unit_cost[index]),
-            embedded=self.embedded,
+            embedded=True,
         )
 
     def metrics_list(self) -> list:
@@ -387,9 +372,7 @@ def evaluate_macro_grid(
         latency_ns=latency,
         power_w=core_w + io_w,
         area_mm2=area,
-        n_chips=np.ones(len(size_i), dtype=np.int64),
         unit_cost=unit_cost,
-        embedded=True,
     )
 
 
@@ -439,89 +422,3 @@ def macro_batch_homogeneous(macros) -> bool:
         if macro.redundancy_spares != spares or macro.process != process:
             return False
     return True
-
-
-# -- discrete ----------------------------------------------------------------
-
-
-def evaluate_discrete_batch(
-    evaluator, systems, requirements: ApplicationRequirements
-) -> BatchEvaluation:
-    """Vectorized ``Evaluator.evaluate_discrete`` over many systems.
-
-    All systems must share one part (see
-    :func:`discrete_batch_fallback_reason`).
-    """
-    from repro.power.idd import PC100_IDD, CorePowerModel
-    from repro.power.interface import OFF_CHIP_BUS
-
-    part = systems[0].part
-    timing = part.timing
-    n = len(systems)
-    n_chips_i = np.array(
-        [system.n_chips for system in systems], dtype=np.int64
-    )
-    n_chips = n_chips_i.astype(np.float64)
-    total_width = n_chips_i * part.width_bits
-    burst_bits = total_width * timing.burst_length
-    page_bits = part.organization.page_bits * n_chips_i
-    hit = requirements.locality * np.maximum(
-        0.0, 1.0 - burst_bits / page_bits
-    )
-    miss = 1.0 - hit
-    refresh_overhead = timing.t_rfc / (
-        (64e-3 * timing.clock_hz) / part.organization.n_rows
-    )
-    burst = timing.burst_length
-    cycles_single = burst + miss * (timing.t_rp + timing.t_rcd)
-    overlapped = np.maximum(
-        cycles_single / part.organization.n_banks, burst
-    )
-    efficiency = (burst / overlapped) * (
-        1.0 - min(0.5, refresh_overhead)
-    )
-    peak = total_width.astype(np.float64) * timing.clock_hz
-    sustained = peak * efficiency
-    utilization = np.minimum(
-        1.0,
-        requirements.sustained_bandwidth_bits_per_s
-        / np.maximum(sustained, 1.0),
-    )
-    base_latency_ns = (
-        hit * timing.row_hit_latency_ns
-        + miss * timing.row_miss_latency_ns
-        + burst * timing.clock_period_ns
-    )
-    clamped = np.minimum(utilization, evaluator.max_utilization)
-    latency = base_latency_ns * (
-        1.0 + clamped / (2.0 * (1.0 - clamped))
-    )
-    core = CorePowerModel(PC100_IDD)
-    busy = core.busy_power_w(requirements.read_fraction)
-    idle = core.idle_power_w()
-    core_w = n_chips * (
-        utilization * busy + (1 - utilization) * idle
-    )
-    spec = OFF_CHIP_BUS
-    line = spec.activity * spec.energy_per_line_toggle_j()
-    io_w = (
-        ((line * total_width.astype(np.float64)) * timing.clock_hz)
-        * utilization
-    ) * (1.0 + spec.control_overhead)
-
-    def label_of(index: int) -> str:
-        return f"discrete {n_chips_i[index]} x {part.name}"
-
-    return BatchEvaluation(
-        label_of=label_of,
-        requirements=requirements,
-        capacity_bits=n_chips_i * part.capacity_bits,
-        peak=peak,
-        sustained=sustained,
-        latency_ns=latency,
-        power_w=core_w + io_w,
-        area_mm2=np.zeros(n, dtype=np.float64),
-        n_chips=n_chips_i,
-        unit_cost=n_chips * part.unit_price,
-        embedded=False,
-    )

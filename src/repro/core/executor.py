@@ -41,9 +41,11 @@ fsync + unlink would pay on every chunk.
 * **Lease expiry** — a worker renews its lease's mtime after every
   evaluated point; a lease whose mtime is older than the manifest's
   ``lease_timeout_s`` belongs to a dead worker.
-* **Work stealing** — both the coordinator and idle workers requeue
-  expired leases (again by rename, so exactly one stealer wins), so a
-  ``SIGKILL``-ed worker's chunks are reassigned instead of lost.
+* **Work stealing** — the coordinator requeues expired leases (again
+  by rename) while its map runs, and the next idle worker claims them,
+  so a ``SIGKILL``-ed worker's chunks are reassigned instead of lost.
+  Only the coordinator requeues, so ``stats["requeued"]`` and the
+  ``lease_expired``/``queue_end`` ledger events count every steal.
 * **Durable results** — workers append every *fresh* evaluation to
   their own fsync'd :class:`~repro.core.store.ResultStore` segment
   before the chunk completes; a stolen chunk consults all segments
@@ -76,7 +78,6 @@ from repro.core.parallel import (
     parallel_map,
 )
 from repro.core.store import decode_outcome, encode_outcome
-from repro.obs.metrics import GLOBAL_METRICS
 
 #: Subdirectories of a work-queue directory.
 PENDING, LEASES, RESULTS, SEGMENTS, WORKERS = (
@@ -139,11 +140,10 @@ class SerialExecutor(Executor):
         self, fn, items, *, catch=(), keys=None, ledger=None,
         progress=None, cancel=None, on_chunk=None,
     ) -> list:
-        # workers=0 selects parallel_map's serial path, which still
-        # emits the canonical telemetry counter set — executor parity
-        # with the pool paths.  One-item chunks report (and check
-        # cancellation) per point, so a crash or cancel mid-map loses
-        # nothing already evaluated.
+        # workers=0 selects parallel_map's serial path, which reports
+        # chunks to the ledger and progress like the pool paths.
+        # One-item chunks report (and check cancellation) per point, so
+        # a crash or cancel mid-map loses nothing already evaluated.
         return parallel_map(
             fn,
             items,
@@ -356,22 +356,17 @@ class WorkQueue:
         document["_lease_path"] = str(target)
         return document
 
-    def claim_next(self, worker_id: str, lease_timeout_s: float):
-        """Claim the lowest pending chunk, stealing expired leases.
+    def claim_next(self, worker_id: str):
+        """Claim the pending chunk with the lowest index (so input order
+        is roughly preserved), or return None with nothing pending.
 
-        Pending chunks first (lowest index, so input order is roughly
-        preserved); with none pending, expired leases are requeued and
-        the claim retried once — the work-stealing path.
+        Expired leases come back to ``pending/`` only through the
+        coordinator's :meth:`requeue_expired`.
         """
         for name in sorted(os.listdir(self.directory(PENDING))):
             document = self.claim_chunk(name, worker_id)
             if document is not None:
                 return document
-        if self.requeue_expired(lease_timeout_s):
-            for name in sorted(os.listdir(self.directory(PENDING))):
-                document = self.claim_chunk(name, worker_id)
-                if document is not None:
-                    return document
         return None
 
     def renew_lease(self, lease_path: str) -> None:
@@ -827,12 +822,6 @@ class WorkQueueExecutor(Executor):
                 requeued=self.stats["requeued"],
                 store_hits=self.stats["store_hits"],
                 fresh=self.stats["fresh"],
-            )
-        if GLOBAL_METRICS.enabled:
-            GLOBAL_METRICS.counter("work_queue.runs").inc()
-            GLOBAL_METRICS.counter("work_queue.chunks").inc(len(chunks))
-            GLOBAL_METRICS.counter("work_queue.requeued").inc(
-                self.stats["requeued"]
             )
         return [outcomes[index] for index in range(len(items))]
 

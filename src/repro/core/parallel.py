@@ -12,37 +12,27 @@ across a process pool with
   from serial ones;
 * **graceful fallback** — if the platform cannot spawn workers (single
   CPU, sandboxed environment, non-picklable callables) the map degrades
-  to the serial path, which is always correct.  A pool that fails *after*
-  starting is re-run serially too, but loudly: the root cause is surfaced
-  as a :class:`ParallelFallbackWarning` and counted in the global metrics
-  registry (``parallel_map.fallbacks``), because side-effectful ``fn``s
-  may have executed twice on the items the pool already finished;
+  to the serial path, which is always correct; with a ledger, a map
+  that asked for a pool records why in one ``serial`` event.  A pool
+  that fails *after* starting is re-run serially too, but loudly: the
+  root cause is surfaced as a :class:`ParallelFallbackWarning` and a
+  ``fallback`` ledger event, because side-effectful ``fn``s may have
+  executed twice on the items the pool already finished;
 * **bounded retry** — *transient* pool failures (spawn/resource errors,
   broken executors; :data:`TRANSIENT_POOL_ERRORS`) are retried with
   exponential backoff (``ParallelConfig.max_retries`` /
-  ``backoff_s``, counted as ``parallel_map.retries``) before the serial
+  ``backoff_s``, one ``retry`` ledger event each) before the serial
   fallback; workload exceptions are deterministic and never retried;
 * **per-chunk timeouts** — with ``ParallelConfig.timeout_s`` set, a
   chunk that misses its result deadline is quarantined as failed
-  :class:`PointOutcome` entries (counted as ``parallel_map.timeouts``)
-  and the pool is abandoned without waiting, so a hung point cannot
-  hang the sweep.
+  :class:`PointOutcome` entries (a ``timeout`` ledger event) and the
+  pool is abandoned without waiting, so a hung point cannot hang the
+  sweep.
 
-Sweep worker telemetry (chunk wall times, pool runs, serial-path
-reasons) is recorded into :data:`repro.obs.metrics.GLOBAL_METRICS` when
-that registry is enabled; with it disabled (the default) the record
-calls hit no-op null metrics.  With telemetry on, the pool and serial
-paths emit the *same* canonical counter set (``parallel_map.runs`` /
-``.points`` counters, ``.workers`` / ``.chunks`` gauges, the
-``.chunk_us`` histogram) so dashboards don't go dark when a sweep
-degrades to the serial path; and worker processes snapshot their own
-``GLOBAL_METRICS`` per chunk, returning it alongside the chunk's
-outcomes, so ``parallel_map`` folds worker-side telemetry into the
-parent registry (:func:`repro.obs.aggregate.fold_snapshot`) instead of
-letting it die with the pool.
-
-``ledger=`` streams chunk timings, retries, timeouts and fallbacks to
-a :class:`repro.obs.ledger.RunLedger`; ``progress=`` feeds a
+``ledger=`` streams chunk timings, serial reasons, retries, timeouts
+and fallbacks to a :class:`repro.obs.ledger.RunLedger`; every chunk's
+``s`` is the wall time its worker spent evaluating it, on the pool and
+serial paths alike.  ``progress=`` feeds a
 :class:`repro.obs.progress.ProgressReporter` per merged chunk; and
 ``on_chunk=`` hands each merged chunk's outcomes to the caller (how
 :meth:`Sweep.run <repro.core.sweep.Sweep.run>` journals as it goes).
@@ -65,7 +55,6 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 
 from repro.errors import CancelledError, ConfigurationError
-from repro.obs.metrics import GLOBAL_METRICS
 
 #: Pool failures worth retrying: executor infrastructure breakage
 #: (broken pool, killed worker) and OS-level spawn/resource errors.
@@ -176,35 +165,18 @@ def _run_chunk(fn, chunk, catch):
     a tuple of exception types converted to failed outcomes; anything
     else propagates and fails the whole map (which then falls back to
     the serial path in the parent, re-raising deterministically).
+    Returns ``(elapsed, outcomes)``: the chunk's wall time in the
+    process that evaluated it, which is what its ``chunk`` ledger event
+    reports.
     """
+    start = time.perf_counter()
     outcomes = []
     for item in chunk:
         try:
             outcomes.append(PointOutcome(ok=True, value=fn(item)))
         except catch as error:
             outcomes.append(PointOutcome(ok=False, error=repr(error)))
-    return outcomes
-
-
-def _instrumented_run_chunk(fn, chunk, catch):
-    """Telemetry variant: wall time + the worker's metrics snapshot.
-
-    Runs in the worker process with its ``GLOBAL_METRICS`` force-enabled
-    and reset around the chunk, so whatever the workload records there
-    (``inject.*`` counters, workload histograms) is captured per chunk
-    and shipped back for the parent to fold — instead of dying with the
-    pool.  The registry is reset first because fork-start workers
-    inherit the parent's counts, which the parent already has.
-    """
-    GLOBAL_METRICS.enabled = True
-    GLOBAL_METRICS.reset()
-    start = time.perf_counter()
-    outcomes = _run_chunk(fn, chunk, catch)
-    elapsed = time.perf_counter() - start
-    snapshot = GLOBAL_METRICS.snapshot()
-    GLOBAL_METRICS.reset()
-    GLOBAL_METRICS.enabled = False
-    return elapsed, snapshot, outcomes
+    return time.perf_counter() - start, outcomes
 
 
 def _chunks(items: list, chunk_size: int) -> list:
@@ -244,7 +216,8 @@ def parallel_map(
         catch: Exception types captured per point as failed
             :class:`PointOutcome` entries instead of raised.
         ledger: Optional :class:`~repro.obs.ledger.RunLedger` receiving
-            ``chunk``/``retry``/``timeout``/``fallback`` events.
+            ``chunk``/``serial``/``retry``/``timeout``/``fallback``
+            events.
         progress: Optional
             :class:`~repro.obs.progress.ProgressReporter` advanced per
             merged chunk.
@@ -267,14 +240,12 @@ def parallel_map(
     if not items:
         return []
     if config is None:
-        # No telemetry here; one chunk per item only when there is a
-        # cancel token to check between them.
+        # No ledger or progress here; one chunk per item only when
+        # there is a cancel token to check between them.
         chunks = [items] if cancel is None else [[item] for item in items]
         return _serial_chunked(
-            fn, chunks, catch, False, None, None, cancel=cancel,
-            on_chunk=on_chunk,
+            fn, chunks, catch, None, None, cancel=cancel, on_chunk=on_chunk,
         )
-    telemetry = GLOBAL_METRICS.enabled
     workers = config.resolved_workers(len(items))
     chunk_size = config.chunk_size
     if chunk_size is None:
@@ -287,35 +258,23 @@ def parallel_map(
         serial_reason = "single_worker"
     elif not _picklable(fn, items[0]):
         serial_reason = "non_picklable"
-    if telemetry:
-        # The canonical counter set: identical names on the pool path
-        # and every serial path, so telemetry never silently thins out
-        # when a sweep degrades to serial execution.
-        GLOBAL_METRICS.counter("parallel_map.runs").inc()
-        GLOBAL_METRICS.counter("parallel_map.points").inc(len(items))
-        GLOBAL_METRICS.gauge("parallel_map.workers").set(
-            1 if serial_reason else workers
-        )
-        GLOBAL_METRICS.gauge("parallel_map.chunks").set(len(chunks))
     if serial_reason is not None:
-        GLOBAL_METRICS.counter(
-            f"parallel_map.serial.{serial_reason}"
-        ).inc()
+        # An explicitly serial config (workers 0 or 1, as
+        # SerialExecutor passes) asked for no pool, so there is no
+        # degradation to explain.
+        if ledger is not None and config.workers not in (0, 1):
+            ledger.event("serial", reason=serial_reason, items=len(items))
         return _serial_chunked(
-            fn, chunks, catch, telemetry, ledger, progress, cancel=cancel,
+            fn, chunks, catch, ledger, progress, cancel=cancel,
             on_chunk=on_chunk,
         )
-    if telemetry:
-        GLOBAL_METRICS.counter("parallel_map.pool_runs").inc()
-    worker_fn = _instrumented_run_chunk if telemetry else _run_chunk
     attempt = 0
     # One accounting notebook for the whole map call: a retried pool
     # attempt (or the serial fallback) re-processes chunks the failed
-    # attempt already reported, and without this dedup the ledger,
-    # progress line and quarantine counters double-count them — the
-    # pool and serial-fallback paths then disagree on
-    # `parallel_map.timeouts` for a chunk that timed out before a
-    # transient retry.
+    # attempt already reported, and without this dedup the ledger and
+    # progress line double-count them — the pool and serial-fallback
+    # paths then disagree on the `timeout` events of a chunk that
+    # timed out before a transient retry.
     noted: set = set()
     # on_chunk runs inside the pool attempt, but its failure (a sweep's
     # journal or store write) is the caller's: never retried or re-run.
@@ -331,13 +290,11 @@ def parallel_map(
     while True:
         try:
             return _pool_map(
-                worker_fn,
                 fn,
                 chunks,
                 catch,
                 workers,
                 config.timeout_s,
-                telemetry,
                 ledger,
                 progress,
                 noted,
@@ -364,7 +321,6 @@ def parallel_map(
                 and attempt < config.max_retries
             ):
                 attempt += 1
-                GLOBAL_METRICS.counter("parallel_map.retries").inc()
                 if ledger is not None:
                     ledger.event(
                         "retry", attempt=attempt, error=repr(error)
@@ -372,7 +328,6 @@ def parallel_map(
                 time.sleep(config.backoff_s * (2 ** (attempt - 1)))
                 continue
             # The loud serial re-run.
-            GLOBAL_METRICS.counter("parallel_map.fallbacks").inc()
             if ledger is not None:
                 ledger.event("fallback", error=repr(error), items=len(items))
             warnings.warn(
@@ -383,8 +338,8 @@ def parallel_map(
                 stacklevel=2,
             )
             return _serial_chunked(
-                fn, chunks, catch, telemetry, ledger, progress, noted,
-                cancel=cancel, on_chunk=on_chunk,
+                fn, chunks, catch, ledger, progress, noted, cancel=cancel,
+                on_chunk=on_chunk,
             )
 
 
@@ -406,11 +361,10 @@ def _note_chunk(
     All chunk-level accounting funnels through here: the caller's
     ``on_chunk`` (positions ``start`` onwards), the regular ``chunk``
     event/progress note *and* the quarantine path (``status="timeout"``:
-    the ``parallel_map.timeouts`` counter, the ``timeout``/``span_end``
-    ledger events, the failed-progress note).  ``noted`` is the
-    map-level set of already-reported chunk indices; a chunk
-    re-processed by a retry attempt or the serial fallback is merged
-    again but never reported twice.
+    the ``timeout``/``span_end`` ledger events, the failed-progress
+    note).  ``noted`` is the map-level set of already-reported chunk
+    indices; a chunk re-processed by a retry attempt or the serial
+    fallback is merged again but never reported twice.
     """
     if noted is not None:
         if index in noted:
@@ -419,7 +373,6 @@ def _note_chunk(
     if on_chunk is not None:
         on_chunk(list(range(start, start + len(chunk))), outcomes)
     if status == "timeout":
-        GLOBAL_METRICS.counter("parallel_map.timeouts").inc()
         if ledger is not None:
             ledger.event("timeout", index=index, size=len(chunk))
             # A completed chunk's duration reaches the report via its
@@ -454,23 +407,14 @@ def _note_chunk(
 
 
 def _serial_chunked(
-    fn, chunks, catch, telemetry, ledger, progress, noted=None, cancel=None,
+    fn, chunks, catch, ledger, progress, noted=None, cancel=None,
     on_chunk=None,
 ) -> list:
-    """Serial evaluation with the same per-chunk telemetry as the pool."""
+    """Serial evaluation with the same per-chunk reporting as the pool."""
     merged: list = []
     for index, chunk in enumerate(chunks):
         check_cancelled(cancel)
-        start = time.perf_counter()
-        outcomes = _run_chunk(fn, chunk, catch)
-        elapsed = time.perf_counter() - start
-        if telemetry and (noted is None or index not in noted):
-            # Mirror _note_chunk's dedup: a serial fallback re-runs
-            # chunks a failed pool attempt already recorded, and
-            # re-recording them would skew the chunk_us histogram.
-            GLOBAL_METRICS.histogram("parallel_map.chunk_us").record(
-                elapsed * 1e6
-            )
+        elapsed, outcomes = _run_chunk(fn, chunk, catch)
         _note_chunk(
             index, len(merged), chunk, outcomes, elapsed, ledger, progress,
             noted, on_chunk=on_chunk,
@@ -480,13 +424,11 @@ def _serial_chunked(
 
 
 def _pool_map(
-    worker_fn,
     fn,
     chunks,
     catch,
     workers,
     timeout_s,
-    telemetry,
     ledger,
     progress,
     noted=None,
@@ -500,8 +442,6 @@ def _pool_map(
     abandoned without waiting (``wait=False``), so one hung worker can
     never hang the parent or poison the other chunks' results.
     """
-    from repro.obs.aggregate import fold_snapshot
-
     global ProcessPoolExecutor
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
@@ -509,7 +449,7 @@ def _pool_map(
     abandoned = False
     try:
         futures = [
-            pool.submit(worker_fn, fn, chunk, catch) for chunk in chunks
+            pool.submit(_run_chunk, fn, chunk, catch) for chunk in chunks
         ]
         merged: list = []
         for index, (chunk, future) in enumerate(zip(chunks, futures)):
@@ -520,7 +460,7 @@ def _pool_map(
                 abandoned = True
                 check_cancelled(cancel)
             try:
-                payload = future.result(timeout=timeout_s)
+                elapsed, outcomes = future.result(timeout=timeout_s)
             except FuturesTimeout:
                 abandoned = True
                 message = (
@@ -545,23 +485,6 @@ def _pool_map(
                 )
                 merged.extend(outcomes)
                 continue
-            if telemetry:
-                elapsed, snapshot, outcomes = payload
-                if noted is None or index not in noted:
-                    # A retried pool attempt re-delivers chunks the
-                    # failed attempt already reported; folding their
-                    # snapshots (or re-recording chunk_us) again would
-                    # double-count worker-side counters.
-                    GLOBAL_METRICS.histogram(
-                        "parallel_map.chunk_us"
-                    ).record(elapsed * 1e6)
-                    # Fold the worker's own metrics into this process's
-                    # registry — the whole point of shipping the
-                    # snapshot.
-                    fold_snapshot(GLOBAL_METRICS, snapshot)
-            else:
-                elapsed = 0.0
-                outcomes = payload
             _note_chunk(
                 index, len(merged), chunk, outcomes, elapsed, ledger,
                 progress, noted, on_chunk=on_chunk,

@@ -38,7 +38,6 @@ import uuid
 from repro.errors import ConfigurationError
 from repro.core.executor import LEASES, PENDING, WORKERS, WorkQueue
 from repro.core.worker import worker_loop
-from repro.obs.metrics import GLOBAL_METRICS
 
 class ForkedWorker:
     """A :class:`subprocess.Popen`-shaped handle on a forked worker
@@ -107,10 +106,6 @@ def _forked_worker_main(log_fd: int, queue_dir, **options):
         os.dup2(log_fd, 1)
         os.dup2(log_fd, 2)
         sys.stdout = sys.stderr = os.fdopen(log_fd, "w", buffering=1)
-        # What a fresh interpreter would start with (as the fork-start
-        # pool workers in parallel.py do).
-        GLOBAL_METRICS.enabled = False
-        GLOBAL_METRICS.reset()
         worker_loop(queue_dir, **options)
         code = 0
     except BaseException:

@@ -56,7 +56,6 @@ from pathlib import Path
 from repro.errors import CancelledError, ConfigurationError
 from repro.core.parallel import ParallelConfig, PointOutcome, check_cancelled
 from repro.obs.ledger import coerce_ledger
-from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.progress import ProgressReporter
 
 
@@ -397,11 +396,6 @@ class Sweep:
                             n_failed = sum(
                                 1 for o in outcomes.values() if not o.ok
                             )
-                            if GLOBAL_METRICS.enabled:
-                                run_ledger.event(
-                                    "metrics",
-                                    snapshot=GLOBAL_METRICS.snapshot(),
-                                )
                             run_ledger.event(
                                 "run_end",
                                 workload="sweep",

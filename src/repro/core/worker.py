@@ -10,8 +10,9 @@ sharing the queue directory — cooperate on one
 
 1. claim the lowest pending chunk by atomic rename (losing a rename
    race is normal: move to the next file);
-2. with no pending chunks, requeue expired leases (work stealing) and
-   try again;
+2. with no pending chunks, poll again: the coordinator requeues a dead
+   worker's expired lease into ``pending/`` (work stealing), and the
+   next idle worker claims it there;
 3. evaluate the chunk point by point, renewing the lease's mtime after
    every point so a live worker on a slow chunk is never robbed;
 4. append every fresh evaluation to this worker's own fsync'd
@@ -148,7 +149,6 @@ def worker_loop(
             if time.monotonic() - idle_since > max_idle_s:
                 return 0
             time.sleep(poll_s)
-        lease_timeout_s = float(manifest.get("lease_timeout_s", 10.0))
         fn, catch = queue.load_task()
         chunks_done = 0
         last_beat = 0.0
@@ -176,7 +176,7 @@ def worker_loop(
             while True:
                 if queue.done() or draining["flag"]:
                     break
-                chunk = queue.claim_next(worker_id, lease_timeout_s)
+                chunk = queue.claim_next(worker_id)
                 if chunk is None:
                     beat()
                     if time.monotonic() - idle_since > max_idle_s:

@@ -25,16 +25,13 @@ _EXPORTS = {
     "BoundedHistogram": "metrics",
     "Counter": "metrics",
     "Gauge": "metrics",
-    "GLOBAL_METRICS": "metrics",
     "MetricsRegistry": "metrics",
-    "NULL_METRIC": "metrics",
     "Observability": "observability",
     "ProgressReporter": "progress",
     "RunLedger": "ledger",
     "TraceContext": "tracectx",
     "TraceRecorder": "trace",
     "coerce_trace": "tracectx",
-    "fold_snapshot": "aggregate",
     "merge_snapshots": "aggregate",
 }
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

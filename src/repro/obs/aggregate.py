@@ -1,9 +1,7 @@
-"""Cross-process metrics aggregation: fold snapshots into registries.
+"""Offline metrics aggregation: ``repro metrics --merge``.
 
-A process-pool sweep runs its points in worker processes whose
-``GLOBAL_METRICS`` die with the pool — before this module, every
-counter a worker incremented was silently dropped.  The aggregation
-contract is *losslessness*:
+Merges saved :meth:`MetricsRegistry.snapshot` files (one per run or
+process) into one snapshot.  The contract is *losslessness*:
 
 * counters add, so the merged count equals what a single process would
   have counted;
@@ -12,12 +10,7 @@ contract is *losslessness*:
   built — ``merge_snapshots(a.snapshot(), b.snapshot())`` compares
   equal to the snapshot of a registry that recorded everything itself;
 * gauges are last-write-wins by definition, so the merge keeps the
-  last folded value (fold order = chunk submission order in
-  ``parallel_map``, file order in ``repro metrics --merge``).
-
-The same :func:`fold_snapshot` is the single code path behind the
-worker-side folding in :func:`repro.core.parallel.parallel_map` and
-the offline ``repro metrics --merge`` CLI.
+  value of the last snapshot (file order on the command line).
 """
 
 from __future__ import annotations
@@ -26,42 +19,31 @@ from repro.errors import ConfigurationError
 from repro.obs.metrics import BoundedHistogram, MetricsRegistry
 
 
-def fold_snapshot(registry: MetricsRegistry, snapshot: dict) -> None:
-    """Fold one :meth:`MetricsRegistry.snapshot` dict into ``registry``.
-
-    A disabled registry absorbs nothing (folding must stay
-    zero-overhead when observability is off).  Histogram folds require
-    matching binning parameters; a mismatch raises
-    :class:`~repro.errors.ConfigurationError` rather than merging
-    lossily.
-    """
-    if not registry.enabled:
-        return
-    if not isinstance(snapshot, dict):
-        raise ConfigurationError(
-            f"metrics snapshot must be a dict, got {type(snapshot).__name__}"
-        )
-    for name, value in snapshot.get("counters", {}).items():
-        registry.counter(name).inc(value)
-    for name, value in snapshot.get("gauges", {}).items():
-        registry.gauge(name).set(value)
-    for name, dumped in snapshot.get("histograms", {}).items():
-        incoming = BoundedHistogram.from_dict(dumped)
-        target = registry.histogram(
-            name,
-            exact_limit=incoming.exact_limit,
-            bins_per_octave=incoming.bins_per_octave,
-        )
-        target.merge(incoming)
-
-
 def merge_snapshots(*snapshots: dict) -> dict:
-    """Merge snapshot dicts into one, via the :func:`fold_snapshot` path.
+    """Merge snapshot dicts into the one a single registry would have
+    produced had it recorded every sample itself (gauges excepted: the
+    last snapshot wins).
 
-    Returns the snapshot a single registry would have produced had it
-    recorded every sample itself (gauges excepted: last snapshot wins).
+    Histogram merges require matching binning parameters; a mismatch
+    raises :class:`~repro.errors.ConfigurationError` rather than
+    merging lossily, as does a snapshot that is not a dict.
     """
-    merged = MetricsRegistry(enabled=True)
+    merged = MetricsRegistry()
     for snapshot in snapshots:
-        fold_snapshot(merged, snapshot)
+        if not isinstance(snapshot, dict):
+            raise ConfigurationError(
+                "metrics snapshot must be a dict, got "
+                f"{type(snapshot).__name__}"
+            )
+        for name, value in snapshot.get("counters", {}).items():
+            merged.counter(name).inc(value)
+        for name, value in snapshot.get("gauges", {}).items():
+            merged.gauge(name).set(value)
+        for name, dumped in snapshot.get("histograms", {}).items():
+            incoming = BoundedHistogram.from_dict(dumped)
+            merged.histogram(
+                name,
+                exact_limit=incoming.exact_limit,
+                bins_per_octave=incoming.bins_per_octave,
+            ).merge(incoming)
     return merged.snapshot()

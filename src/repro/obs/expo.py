@@ -12,7 +12,7 @@ library.
 Conventions (documented in ``docs/OBSERVABILITY.md``):
 
 * every metric is prefixed ``repro_`` and dots become underscores —
-  the registry's ``serve.shed`` counter exports as ``repro_serve_shed``;
+  the service's ``serve.shed`` count exports as ``repro_serve_shed``;
 * dotted *per-key* families split their tail into a label: with
   ``labels_from={"serve.job_ms": "workload"}`` the registry histogram
   ``serve.job_ms.edram_tradeoff`` exports as

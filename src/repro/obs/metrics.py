@@ -1,21 +1,19 @@
-"""Zero-overhead-when-off metrics: counters, gauges, bounded histograms.
+"""Metrics registries: counters, gauges, bounded histograms.
 
 The observability layer's contract is that instrumentation must never
-change what the simulator computes and must cost nothing when disabled:
+change what the simulator computes and must cost nothing when off:
 
 * instrumented call sites guard with ``if obs is not None`` (one
   attribute check per *event*, never per cycle);
-* a disabled :class:`MetricsRegistry` hands out a shared
-  :data:`NULL_METRIC` whose methods are no-ops, so library code can
-  record unconditionally without branching;
+* every registry belongs to an owner that asked for it — a simulation
+  run's :class:`~repro.obs.observability.Observability`, a service's
+  job-latency table — so there is no process-wide registry to switch
+  on or off; sweep, pool, queue and fallback telemetry goes to the run
+  ledger (:mod:`repro.obs.ledger`) instead;
 * :class:`BoundedHistogram` has a fixed memory footprint no matter how
   many samples it absorbs — exact unit-width bins for small integer
   values (latencies in cycles) and geometric bins beyond, so a
   week-long run costs the same bytes as a smoke run.
-
-:data:`GLOBAL_METRICS` is the process-wide registry (disabled by
-default) used by machinery with no natural owner object, e.g. the
-``parallel_map`` fallback counter.
 """
 
 from __future__ import annotations
@@ -50,24 +48,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-
-class _NullMetric:
-    """No-op stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def record(self, value: float) -> None:
-        pass
-
-
-NULL_METRIC = _NullMetric()
 
 
 class BoundedHistogram:
@@ -200,9 +180,9 @@ class BoundedHistogram:
         Two histograms with the same binning parameters partition the
         value axis identically, so summing their bin tables yields
         exactly the histogram the union of their samples would have
-        built — merged registries therefore compare equal (``==``) to
-        single-process ones, which is what makes cross-process
-        aggregation trustworthy.
+        built — merged snapshots therefore compare equal (``==``) to
+        single-registry ones, which is what makes ``repro metrics
+        --merge`` trustworthy.
 
         Raises:
             ConfigurationError: The binning parameters differ (the
@@ -320,37 +300,25 @@ class BoundedHistogram:
 
 @dataclass
 class MetricsRegistry:
-    """Named metrics with one shared namespace per registry.
+    """Named metrics with one shared namespace per registry."""
 
-    A disabled registry returns :data:`NULL_METRIC` from every factory,
-    so callers can keep unconditional ``registry.counter(...).inc()``
-    call sites with near-zero cost when observability is off.
-    """
-
-    enabled: bool = True
     _counters: dict = field(default_factory=dict, init=False, repr=False)
     _gauges: dict = field(default_factory=dict, init=False, repr=False)
     _histograms: dict = field(default_factory=dict, init=False, repr=False)
 
     def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return NULL_METRIC
         metric = self._counters.get(name)
         if metric is None:
             metric = self._counters[name] = Counter(name)
         return metric
 
     def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return NULL_METRIC
         metric = self._gauges.get(name)
         if metric is None:
             metric = self._gauges[name] = Gauge(name)
         return metric
 
     def histogram(self, name: str, **kwargs) -> BoundedHistogram:
-        if not self.enabled:
-            return NULL_METRIC
         metric = self._histograms.get(name)
         if metric is None:
             metric = self._histograms[name] = BoundedHistogram(**kwargs)
@@ -387,9 +355,3 @@ class MetricsRegistry:
                 for name, metric in sorted(self._histograms.items())
             },
         }
-
-
-#: Process-wide registry for machinery without an owner object (the
-#: ``parallel_map`` sweep telemetry and fallback counter).  Disabled by
-#: default: zero overhead unless a tool or test opts in.
-GLOBAL_METRICS = MetricsRegistry(enabled=False)

@@ -5,7 +5,7 @@ self-contained human-readable summary — Markdown or single-file HTML —
 answering the questions a sweep operator actually asks: what ran, where
 the time went (phase waterfall), which chunks were slowest, what the
 resilience machinery did (retries, timeouts, fallbacks, quarantines)
-and what the aggregated metrics registry saw.
+and how many events of each kind the run wrote.
 
 The same module owns the perf-history side of the story:
 ``benchmarks/bench_perf.py`` appends one JSONL entry per run to
@@ -69,7 +69,7 @@ def summarize_ledger(events: list) -> dict:
 
     Returns a plain dict (JSON-able) with the run table, span
     waterfall, slowest chunks, resilience counts, quarantine details
-    and the final aggregated metrics snapshot.
+    and event counts by kind.
     """
     if not events:
         raise ConfigurationError("cannot summarize an empty ledger")
@@ -84,7 +84,6 @@ def summarize_ledger(events: list) -> dict:
     span_starts: dict = {}
     chunks: list = []
     quarantines: list = []
-    metrics_snapshot = None
     resumes = 0
     for event in events:
         kind = event["kind"]
@@ -148,8 +147,6 @@ def summarize_ledger(events: list) -> dict:
                     "error": event.get("error"),
                 }
             )
-        elif kind == "metrics":
-            metrics_snapshot = event.get("snapshot")
     chunks.sort(key=lambda c: c["s"], reverse=True)
     trace_ids = sorted(
         {e.get("trace_id") for e in events if e.get("trace_id")}
@@ -174,7 +171,6 @@ def summarize_ledger(events: list) -> dict:
             kind: counts.get(kind, 0) for kind in RESILIENCE_KINDS
         },
         "events_by_kind": dict(sorted(counts.items())),
-        "metrics": metrics_snapshot,
     }
 
 
@@ -287,28 +283,6 @@ def render_markdown(summary: dict, top: int = 10) -> str:
             for q in summary["quarantines"][:top]
         ]
         lines += _md_table(["index", "parameters", "error"], rows)
-    metrics = summary.get("metrics")
-    if metrics:
-        lines += ["", "## Metrics", ""]
-        counter_rows = sorted(metrics.get("counters", {}).items())
-        if counter_rows:
-            lines += _md_table(["counter", "value"], counter_rows)
-        hist_rows = [
-            (
-                name,
-                hist.get("count", 0),
-                f"{hist.get('mean', 0.0):.1f}",
-                _fmt(hist.get("p50", 0)),
-                _fmt(hist.get("p95", 0)),
-                _fmt(hist.get("max", 0)),
-            )
-            for name, hist in sorted(metrics.get("histograms", {}).items())
-        ]
-        if hist_rows:
-            lines += [""]
-            lines += _md_table(
-                ["histogram", "n", "mean", "p50", "p95", "max"], hist_rows
-            )
     lines += ["", "## Events by kind", ""]
     lines += _md_table(
         ["kind", "count"], sorted(summary["events_by_kind"].items())
@@ -414,12 +388,6 @@ def render_html(summary: dict, top: int = 10) -> str:
             for q in summary["quarantines"][:top]
         ]
         parts += _html_table(["index", "parameters", "error"], rows)
-    metrics = summary.get("metrics")
-    if metrics and metrics.get("counters"):
-        parts.append("<h2>Metrics</h2>")
-        parts += _html_table(
-            ["counter", "value"], sorted(metrics["counters"].items())
-        )
     parts.append("</body></html>")
     return "".join(parts)
 

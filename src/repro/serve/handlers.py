@@ -59,7 +59,7 @@ from pathlib import Path
 
 from repro.errors import CancelledError, ConfigurationError, ReproError
 from repro.obs.ledger import MemoryLedger
-from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
 from repro.obs.tracectx import TraceContext
 from repro.serve.cache import ResultCache
@@ -183,9 +183,9 @@ class ExplorationService:
         self.journal_dir = Path(journal_dir) if journal_dir else None
         self.tracing = bool(tracing)
         # Per-instance registry for service telemetry (job latency
-        # histograms); always enabled — unlike GLOBAL_METRICS it never
-        # sits on a hot evaluation path, only on job boundaries.
-        self.metrics = MetricsRegistry(enabled=True)
+        # histograms): it records on job boundaries only, never on a
+        # hot evaluation path.
+        self.metrics = MetricsRegistry()
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
@@ -300,8 +300,6 @@ class ExplorationService:
         if self.admission is not None:
             if not self.admission.try_admit(key):
                 self.stats["shed"] += 1
-                if GLOBAL_METRICS.enabled:
-                    GLOBAL_METRICS.counter("serve.shed").inc()
                 raise RequestError(
                     f"service at capacity "
                     f"(depth {self.admission.depth}/"
@@ -312,17 +310,11 @@ class ExplorationService:
                         "retry_after_s": self.resilience.shed_retry_after_s
                     },
                 )
-            if GLOBAL_METRICS.enabled:
-                GLOBAL_METRICS.gauge("serve.queue_depth").set(
-                    self.admission.depth
-                )
         if self.breakers is not None:
             allowed, retry_after_s = self.breakers.allow(key)
             if not allowed:
                 if self.admission is not None:
                     self.admission.release(key)
-                if GLOBAL_METRICS.enabled:
-                    GLOBAL_METRICS.counter("serve.breaker_rejected").inc()
                 raise RequestError(
                     f"circuit breaker open for workload {key!r}; "
                     f"retry later",
@@ -454,10 +446,6 @@ class ExplorationService:
                 )
             if self.admission is not None:
                 self.admission.release(key)
-                if GLOBAL_METRICS.enabled:
-                    GLOBAL_METRICS.gauge("serve.queue_depth").set(
-                        self.admission.depth
-                    )
 
     def _resolve_cancelled(self, job: JobRecord) -> None:
         """Move a cold primary (and its followers) to ``cancelled``.
@@ -472,8 +460,6 @@ class ExplorationService:
         reason = (token.reason if token is not None else None) or "cancelled"
         if self.breakers is not None:
             self.breakers.record_cancelled(self._breaker_key(job.spec))
-        if GLOBAL_METRICS.enabled:
-            GLOBAL_METRICS.counter("serve.cancelled").inc()
         job.events.append(
             {"kind": "cancelled", "reason": reason, "partial": job.progress}
         )

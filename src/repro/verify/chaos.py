@@ -198,8 +198,9 @@ def kill_worker_holding_lease(executor, timeout_s: float = 30.0):
     otherwise it is thawed and the check retried.  A live worker holds
     at most one lease, so once the unfinished leases number at least
     the live workers, the frozen one holds one.  Its chunk then cannot
-    complete until that lease expires and is requeued (by the
-    coordinator, or by a worker with nothing pending) and stolen.
+    complete until that lease expires, the coordinator requeues it
+    (counted in ``executor.stats["requeued"]``) and another worker
+    claims it.
     """
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -322,8 +323,9 @@ def _kill_worker(seed: int, tmp_dir: Path) -> ScenarioResult:
 
 @scenario("freeze_worker")
 def _freeze_worker(seed: int, tmp_dir: Path) -> ScenarioResult:
-    """SIGSTOP one of two workers; its sibling must steal the expired
-    lease and the answers must not change."""
+    """SIGSTOP one of two workers; once the coordinator requeues its
+    expired lease the sibling must take the chunk over, and the answers
+    must not change."""
     from repro.core.executor import WorkQueueExecutor
 
     check = _Check()

@@ -16,8 +16,6 @@ import pytest
 
 from repro.core.batch import (
     batch_fallback_reason,
-    discrete_batch_fallback_reason,
-    evaluate_discrete_batch,
     evaluate_macro_batch,
     evaluate_macro_grid,
 )
@@ -25,7 +23,6 @@ from repro.core.evaluator import Evaluator
 from repro.core.explorer import DesignSpaceExplorer
 from repro.core.pareto import pareto_frontier_mask
 from repro.core.requirements import ApplicationRequirements
-from repro.dram.catalog import COMMODITY_PARTS, DiscreteSystem
 from repro.dram.edram import EDRAMMacro
 from repro.errors import ConfigurationError
 from repro.experiments.e10_design_space import mpeg2_requirements
@@ -111,31 +108,6 @@ def test_batch_fallback_reasons():
         ),
     ]
     assert batch_fallback_reason(mixed) is not None
-
-
-def test_discrete_batch_exact():
-    part = COMMODITY_PARTS[0]
-
-    def system(chips: int, which: int = 0) -> DiscreteSystem:
-        chosen = COMMODITY_PARTS[which]
-        return DiscreteSystem(
-            part=chosen,
-            n_chips=chips,
-            required_bits=chosen.capacity_bits,
-            required_width=chosen.width_bits,
-        )
-
-    systems = [system(n) for n in (1, 2, 4, 8)]
-    scalar = [
-        Evaluator().evaluate_discrete(s, REQ) for s in systems
-    ]
-    batch = evaluate_discrete_batch(Evaluator(), systems, REQ)
-    assert batch.metrics_list() == scalar
-    assert discrete_batch_fallback_reason(systems) is None
-    assert discrete_batch_fallback_reason([]) == "empty batch"
-    if len(COMMODITY_PARTS) > 1:
-        mixed = [system(1, which=0), system(1, which=1)]
-        assert discrete_batch_fallback_reason(mixed) is not None
 
 
 def test_evaluate_macros_batched_and_fallback():

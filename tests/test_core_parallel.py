@@ -19,7 +19,7 @@ from repro.core.requirements import ApplicationRequirements
 from repro.core.sweep import Sweep
 from repro.dram.edram import EDRAMMacro
 from repro.errors import ConfigurationError, InfeasibleError
-from repro.obs.metrics import GLOBAL_METRICS
+from repro.obs.ledger import MemoryLedger
 from repro.units import MBIT
 
 
@@ -49,6 +49,13 @@ def _slow_square(x):
     if x == 2:
         time.sleep(1.5)
     return x * x
+
+
+def _sleep_20ms(x):
+    import time
+
+    time.sleep(0.02)
+    return x
 
 
 def _sweep_eval(width, banks):
@@ -117,14 +124,9 @@ class _ExplodingPool:
         raise OSError("spawn blocked by sandbox")
 
 
-@pytest.fixture
-def global_metrics():
-    """Enable the global registry for one test, restored afterwards."""
-    GLOBAL_METRICS.enabled = True
-    GLOBAL_METRICS.reset()
-    yield GLOBAL_METRICS
-    GLOBAL_METRICS.reset()
-    GLOBAL_METRICS.enabled = False
+def _events(ledger, kind):
+    """The ledger's events of one kind, in emission order."""
+    return [event for event in ledger.events if event["kind"] == kind]
 
 
 class TestParallelFallback:
@@ -144,17 +146,20 @@ class TestParallelFallback:
         # The serial re-run still produces complete, ordered results.
         assert [o.value for o in outcomes] == [x * x for x in range(6)]
 
-    def test_fallback_counted_in_global_metrics(
-        self, monkeypatch, global_metrics
-    ):
+    def test_fallback_recorded_on_ledger(self, monkeypatch):
         monkeypatch.setattr(
             parallel_module, "ProcessPoolExecutor", _ExplodingPool
         )
+        ledger = MemoryLedger(run_id="fallback")
         with pytest.warns(ParallelFallbackWarning):
             parallel_map(
-                _square, range(4), config=ParallelConfig(workers=2)
+                _square, range(4), config=ParallelConfig(workers=2),
+                ledger=ledger,
             )
-        assert global_metrics.value("parallel_map.fallbacks") == 1
+        fallbacks = _events(ledger, "fallback")
+        assert len(fallbacks) == 1
+        assert "sandbox" in fallbacks[0]["error"]
+        assert fallbacks[0]["items"] == 4
 
     def test_worker_crash_reraises_serially_with_warning(self):
         # An exception outside `catch` escapes the pool; the serial
@@ -177,146 +182,84 @@ class TestParallelFallback:
             if issubclass(w.category, ParallelFallbackWarning)
         ]
 
-    def test_telemetry_recorded_when_enabled(self, global_metrics):
+    def test_pool_chunks_recorded_on_ledger(self):
+        ledger = MemoryLedger(run_id="pool")
         parallel_map(
             _square,
             range(10),
             config=ParallelConfig(workers=2, chunk_size=5),
+            ledger=ledger,
         )
-        assert global_metrics.value("parallel_map.pool_runs") == 1
-        assert global_metrics.value("parallel_map.points") == 10
-        assert global_metrics.value("parallel_map.workers") == 2
-        assert global_metrics.value("parallel_map.chunks") == 2
-        assert global_metrics.value("parallel_map.chunk_us") == 2
+        chunks = _events(ledger, "chunk")
+        assert [(c["index"], c["size"]) for c in chunks] == [(0, 5), (1, 5)]
+        assert _events(ledger, "serial") == []
 
-    def test_serial_reasons_counted(self, global_metrics):
-        parallel_map(_square, [1, 2], config=ParallelConfig(workers=1))
+    def test_serial_reasons_recorded_on_ledger(self):
+        single = MemoryLedger(run_id="single")
+        parallel_map(
+            _square, [1], config=ParallelConfig(workers=2), ledger=single
+        )
+        unpicklable = MemoryLedger(run_id="unpicklable")
         parallel_map(
             lambda x: x,  # noqa: E731 - deliberately unpicklable
             [1, 2],
             config=ParallelConfig(workers=2),
+            ledger=unpicklable,
         )
-        assert (
-            global_metrics.value("parallel_map.serial.single_worker") == 1
-        )
-        assert (
-            global_metrics.value("parallel_map.serial.non_picklable") == 1
-        )
+        assert [
+            (e["reason"], e["items"]) for e in _events(single, "serial")
+        ] == [("single_worker", 1)]
+        assert [
+            (e["reason"], e["items"])
+            for e in _events(unpicklable, "serial")
+        ] == [("non_picklable", 2)]
 
-    #: Path-marker counters: legitimately present only on the path
-    #: that took them (pool entry, serial reason, resilience events).
-    PATH_MARKERS = {
-        "parallel_map.pool_runs",
-        "parallel_map.fallbacks",
-        "parallel_map.retries",
-        "parallel_map.timeouts",
-    }
-
-    @classmethod
-    def _canonical_names(cls, snapshot):
-        """Telemetry names minus the per-path markers."""
-        counters = {
-            name
-            for name in snapshot["counters"]
-            if name not in cls.PATH_MARKERS
-            and not name.startswith("parallel_map.serial.")
-        }
-        return (
-            counters,
-            set(snapshot["gauges"]),
-            set(snapshot["histograms"]),
-        )
-
-    def test_serial_paths_emit_pool_counter_set(self, global_metrics):
-        """Counter-name parity: every execution path must record the
-        same canonical telemetry, or dashboards silently go dark when
-        a sweep degrades to serial."""
-        parallel_map(
-            _square,
-            range(10),
-            config=ParallelConfig(workers=2, chunk_size=5),
-        )
-        pool = self._canonical_names(global_metrics.snapshot())
-
-        global_metrics.reset()
-        parallel_map(
-            _square,
-            range(10),
-            config=ParallelConfig(workers=1, chunk_size=5),
-        )
-        single_worker = self._canonical_names(global_metrics.snapshot())
-
-        global_metrics.reset()
-        parallel_map(
-            lambda x: x,  # noqa: E731 - deliberately unpicklable
-            range(10),
-            config=ParallelConfig(workers=2, chunk_size=5),
-        )
-        non_picklable = self._canonical_names(global_metrics.snapshot())
-
-        assert pool == single_worker == non_picklable
-        # And the canonical values line up on the serial path too.
-        assert global_metrics.value("parallel_map.runs") == 1
-        assert global_metrics.value("parallel_map.points") == 10
-        assert global_metrics.value("parallel_map.workers") == 1
-        assert global_metrics.value("parallel_map.chunks") == 2
-        assert global_metrics.value("parallel_map.chunk_us") == 2
-
-    def test_fallback_path_emits_pool_counter_set(
-        self, monkeypatch, global_metrics
-    ):
-        parallel_map(
-            _square,
-            range(10),
-            config=ParallelConfig(workers=2, chunk_size=5),
-        )
-        pool = self._canonical_names(global_metrics.snapshot())
-
-        global_metrics.reset()
-        monkeypatch.setattr(
-            parallel_module, "ProcessPoolExecutor", _ExplodingPool
-        )
-        with pytest.warns(ParallelFallbackWarning):
+    def test_explicitly_serial_config_records_no_reason(self):
+        # workers 0 or 1 asked for no pool: nothing degraded.
+        for workers in (0, 1):
+            ledger = MemoryLedger(run_id=f"serial-{workers}")
             parallel_map(
                 _square,
-                range(10),
-                config=ParallelConfig(workers=2, chunk_size=5),
+                range(4),
+                config=ParallelConfig(workers=workers),
+                ledger=ledger,
             )
-        fallback = self._canonical_names(global_metrics.snapshot())
-        assert pool == fallback
+            assert _events(ledger, "serial") == []
+            assert len(_events(ledger, "chunk")) == 1
 
 
 class TestRetryAndTimeout:
     """Bounded retry for transient pool failures; per-chunk timeouts."""
 
-    def test_transient_failure_retried_then_fallback(
-        self, monkeypatch, global_metrics
-    ):
+    def test_transient_failure_retried_then_fallback(self, monkeypatch):
         monkeypatch.setattr(
             parallel_module, "ProcessPoolExecutor", _ExplodingPool
         )
+        ledger = MemoryLedger(run_id="retry")
         config = ParallelConfig(workers=2, max_retries=2, backoff_s=0.0)
         with pytest.warns(ParallelFallbackWarning, match="sandbox"):
-            outcomes = parallel_map(_square, range(4), config=config)
+            outcomes = parallel_map(
+                _square, range(4), config=config, ledger=ledger
+            )
         assert [o.value for o in outcomes] == [0, 1, 4, 9]
-        assert global_metrics.value("parallel_map.retries") == 2
-        assert global_metrics.value("parallel_map.fallbacks") == 1
+        assert [e["attempt"] for e in _events(ledger, "retry")] == [1, 2]
+        assert len(_events(ledger, "fallback")) == 1
 
-    def test_zero_retries_fall_back_immediately(
-        self, monkeypatch, global_metrics
-    ):
+    def test_zero_retries_fall_back_immediately(self, monkeypatch):
         monkeypatch.setattr(
             parallel_module, "ProcessPoolExecutor", _ExplodingPool
         )
+        ledger = MemoryLedger(run_id="no-retry")
         config = ParallelConfig(workers=2, max_retries=0)
         with pytest.warns(ParallelFallbackWarning):
-            parallel_map(_square, range(4), config=config)
-        assert global_metrics.value("parallel_map.retries") is None
-        assert global_metrics.value("parallel_map.fallbacks") == 1
+            parallel_map(_square, range(4), config=config, ledger=ledger)
+        assert _events(ledger, "retry") == []
+        assert len(_events(ledger, "fallback")) == 1
 
-    def test_workload_exception_not_retried(self, global_metrics):
+    def test_workload_exception_not_retried(self):
         # Deterministic worker crashes must go straight to the serial
         # re-run: retrying would just pay pool spawns to re-raise.
+        ledger = MemoryLedger(run_id="workload-error")
         with pytest.warns(ParallelFallbackWarning):
             with pytest.raises(InfeasibleError):
                 parallel_map(
@@ -325,8 +268,10 @@ class TestRetryAndTimeout:
                     config=ParallelConfig(
                         workers=2, chunk_size=1, max_retries=3
                     ),
+                    ledger=ledger,
                 )
-        assert global_metrics.value("parallel_map.retries") is None
+        assert _events(ledger, "retry") == []
+        assert len(_events(ledger, "fallback")) == 1
 
     def test_on_chunk_reports_each_chunk_in_order(self):
         reported: list = []
@@ -341,7 +286,7 @@ class TestRetryAndTimeout:
         assert [o.value for o in outcomes] == [0, 1, 4, 9]
         assert reported == [([0], [0]), ([1], [1]), ([2], [4]), ([3], [9])]
 
-    def test_on_chunk_failure_not_retried(self, global_metrics):
+    def test_on_chunk_failure_not_retried(self):
         # The caller's bookkeeping failed, not the pool: an OSError
         # from on_chunk (a journal flush) must surface unchanged, not
         # be retried as a transient pool error or degrade to serial.
@@ -349,6 +294,7 @@ class TestRetryAndTimeout:
             if positions == [1]:
                 raise OSError("journal disk full")
 
+        ledger = MemoryLedger(run_id="on-chunk-error")
         with warnings.catch_warnings():
             warnings.simplefilter("error", ParallelFallbackWarning)
             with pytest.raises(OSError, match="journal disk full"):
@@ -359,25 +305,28 @@ class TestRetryAndTimeout:
                         workers=2, chunk_size=1, max_retries=2,
                         backoff_s=0.0,
                     ),
+                    ledger=ledger,
                     on_chunk=record,
                 )
-        assert global_metrics.value("parallel_map.retries") is None
-        assert global_metrics.value("parallel_map.fallbacks") is None
+        assert _events(ledger, "retry") == []
+        assert _events(ledger, "fallback") == []
 
-    def test_timed_out_chunk_quarantined(self, global_metrics):
+    def test_timed_out_chunk_quarantined(self):
+        ledger = MemoryLedger(run_id="timeout")
         config = ParallelConfig(workers=2, chunk_size=1, timeout_s=0.4)
-        outcomes = parallel_map(_slow_square, [1, 2, 3], config=config)
+        outcomes = parallel_map(
+            _slow_square, [1, 2, 3], config=config, ledger=ledger
+        )
         assert len(outcomes) == 3
         assert outcomes[0].ok and outcomes[0].value == 1
         assert not outcomes[1].ok
         assert "TimeoutError" in outcomes[1].error
-        assert global_metrics.value("parallel_map.timeouts") == 1
+        assert [e["index"] for e in _events(ledger, "timeout")] == [1]
 
     def test_timed_out_chunk_emits_timeout_span(self):
         # Regression: the quarantined chunk used to leave only a bare
         # `timeout` event, so the run report's span waterfall silently
         # dropped the chunk that cost the most wall time.
-        from repro.obs.ledger import MemoryLedger
         from repro.reporting.runreport import summarize_ledger
 
         ledger = MemoryLedger(run_id="timeout-span")
@@ -414,6 +363,59 @@ class TestRetryAndTimeout:
             ParallelConfig(max_retries=-1)
         with pytest.raises(ConfigurationError):
             ParallelConfig(backoff_s=-0.1)
+
+
+class TestChunkTimings:
+    def test_pool_chunk_events_carry_worker_wall_time(self):
+        from repro.reporting.runreport import render_markdown, summarize_ledger
+
+        ledger = MemoryLedger(run_id="chunk-times")
+        outcomes = parallel_map(
+            _sleep_20ms,
+            range(4),
+            config=ParallelConfig(workers=2, chunk_size=1),
+            ledger=ledger,
+        )
+        assert [o.value for o in outcomes] == [0, 1, 2, 3]
+        assert _events(ledger, "serial") == []
+        chunks = _events(ledger, "chunk")
+        assert sorted(c["index"] for c in chunks) == [0, 1, 2, 3]
+        assert all(c["s"] >= 0.02 for c in chunks), chunks
+        summary = summarize_ledger(ledger.events)
+        assert sorted(c["s"] for c in summary["chunks"]) == sorted(
+            c["s"] for c in chunks
+        )
+        report = render_markdown(summary)
+        for chunk in chunks:
+            assert f"| {chunk['index']} | 1 | {chunk['s']:.4f} | 0 |" in report
+
+
+    def test_serial_chunk_events_carry_wall_time(self):
+        ledger = MemoryLedger(run_id="serial-chunk-times")
+        parallel_map(
+            _sleep_20ms,
+            range(4),
+            config=ParallelConfig(workers=1, chunk_size=2),
+            ledger=ledger,
+        )
+        chunks = _events(ledger, "chunk")
+        assert [(c["index"], c["size"]) for c in chunks] == [(0, 2), (1, 2)]
+        assert all(c["s"] >= 0.04 for c in chunks), chunks
+
+    def test_fallback_rerun_records_no_serial_reason(self, monkeypatch):
+        # The loud fallback is its own event; `serial` is only for maps
+        # that never started a pool.
+        monkeypatch.setattr(
+            parallel_module, "ProcessPoolExecutor", _ExplodingPool
+        )
+        ledger = MemoryLedger(run_id="fallback-no-serial")
+        with pytest.warns(ParallelFallbackWarning):
+            parallel_map(
+                _square, range(4), config=ParallelConfig(workers=2),
+                ledger=ledger,
+            )
+        assert len(_events(ledger, "fallback")) == 1
+        assert _events(ledger, "serial") == []
 
 
 class _FirstChunkThenFailPool:
@@ -460,10 +462,8 @@ class TestChunkAccountingParity:
         )
 
     def test_fallback_does_not_double_count_reported_chunks(
-        self, monkeypatch, global_metrics
+        self, monkeypatch
     ):
-        from repro.obs.ledger import MemoryLedger
-
         monkeypatch.setattr(
             parallel_module,
             "ProcessPoolExecutor",
@@ -495,11 +495,7 @@ class TestChunkAccountingParity:
         assert progress.done + progress.failed == 6
         assert progress.failed == 0
 
-    def test_timeout_accounting_counts_each_chunk_once(
-        self, global_metrics
-    ):
-        from repro.obs.ledger import MemoryLedger
-
+    def test_timeout_accounting_counts_each_chunk_once(self):
         ledger = MemoryLedger(run_id="timeout-parity")
         progress = self._progress(total=3)
         config = ParallelConfig(workers=2, chunk_size=1, timeout_s=0.4)
@@ -521,7 +517,7 @@ class TestChunkAccountingParity:
             if event["kind"] in ("chunk", "timeout")
         ]
         assert sorted(reported) == [0, 1, 2]
-        assert global_metrics.value("parallel_map.timeouts") == 1
+        assert len(_events(ledger, "timeout")) == 1
 
 
 class TestEvaluatorMemo:

@@ -24,7 +24,6 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     MetricsRegistry,
-    NULL_METRIC,
 )
 from repro.obs.trace import TraceRecorder
 from repro.obs.workloads import mpeg2_decoder_simulator
@@ -53,19 +52,22 @@ class TestMetricsPrimitives:
         assert registry.value("h") == 1
         assert registry.value("missing") is None
 
-    def test_disabled_registry_returns_null_metric(self):
-        registry = MetricsRegistry(enabled=False)
-        assert registry.counter("a") is NULL_METRIC
-        assert registry.gauge("b") is NULL_METRIC
-        assert registry.histogram("c") is NULL_METRIC
-        NULL_METRIC.inc()
-        NULL_METRIC.set(1)
-        NULL_METRIC.record(1)
-        assert registry.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-        }
+    def test_every_registry_records(self):
+        # There is no disabled registry: every instance hands out real
+        # metrics and reports them in its snapshot.
+        registry = MetricsRegistry()
+        assert not hasattr(registry, "enabled")
+        with pytest.raises(TypeError):
+            MetricsRegistry(enabled=False)
+        assert isinstance(registry.counter("a"), Counter)
+        assert isinstance(registry.gauge("b"), Gauge)
+        registry.counter("a").inc()
+        registry.gauge("b").set(2)
+        registry.histogram("c").record(3)
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == {"a": 1}
+        assert snapshot["gauges"] == {"b": 2}
+        assert snapshot["histograms"]["c"]["count"] == 1
 
     def test_snapshot_json_round_trip(self):
         registry = MetricsRegistry()

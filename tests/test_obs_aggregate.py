@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.aggregate import fold_snapshot, merge_snapshots
+from repro.obs.aggregate import merge_snapshots
 from repro.obs.metrics import BoundedHistogram, MetricsRegistry
 
 
@@ -121,45 +121,31 @@ class TestHistogramRoundTrip:
         assert merged == union
 
 
-class TestFoldSnapshot:
+class TestMergeSnapshots:
     def test_counters_add_gauges_last_write_wins(self):
-        registry = MetricsRegistry(enabled=True)
-        fold_snapshot(
-            registry,
+        merged = merge_snapshots(
             {"counters": {"c": 2}, "gauges": {"g": 1.0}, "histograms": {}},
-        )
-        fold_snapshot(
-            registry,
             {"counters": {"c": 3}, "gauges": {"g": 7.0}, "histograms": {}},
         )
-        assert registry.value("c") == 5
-        assert registry.value("g") == 7.0
+        assert merged["counters"] == {"c": 5}
+        assert merged["gauges"] == {"g": 7.0}
 
-    def test_histograms_fold_losslessly(self):
-        registry = MetricsRegistry(enabled=True)
-        fold_snapshot(
-            registry,
+    def test_histograms_merge_losslessly(self):
+        merged = merge_snapshots(
             {"histograms": {"h": _histogram_of([1, 2]).to_dict()}},
-        )
-        fold_snapshot(
-            registry,
             {"histograms": {"h": _histogram_of([2, 9000]).to_dict()}},
         )
-        assert registry.histogram("h") == _histogram_of([1, 2, 2, 9000])
-
-    def test_disabled_registry_absorbs_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        fold_snapshot(registry, {"counters": {"c": 5}})
-        registry.enabled = True
-        assert registry.value("c") is None
+        assert BoundedHistogram.from_dict(
+            merged["histograms"]["h"]
+        ) == _histogram_of([1, 2, 2, 9000])
 
     def test_non_dict_snapshot_rejected(self):
         with pytest.raises(ConfigurationError, match="dict"):
-            fold_snapshot(MetricsRegistry(enabled=True), [1, 2])
+            merge_snapshots([1, 2])
 
     def test_merge_snapshots_matches_single_registry(self):
-        solo = MetricsRegistry(enabled=True)
-        workers = [MetricsRegistry(enabled=True) for _ in range(3)]
+        solo = MetricsRegistry()
+        workers = [MetricsRegistry() for _ in range(3)]
         for index, worker in enumerate(workers):
             for value in range(index + 2):
                 solo.counter("points").inc()
@@ -170,4 +156,4 @@ class TestFoldSnapshot:
         assert merged == solo.snapshot()
 
     def test_merge_snapshots_empty(self):
-        assert merge_snapshots() == MetricsRegistry(enabled=True).snapshot()
+        assert merge_snapshots() == MetricsRegistry().snapshot()

@@ -6,8 +6,7 @@ Pins the three telemetry contracts of docs/OBSERVABILITY.md:
   ids, a ``resume`` event at the seam) and identical results;
 * telemetry never changes results — a sweep with ledger + progress on
   produces bit-identical :func:`result_fingerprint`\\ s;
-* worker-side counters recorded inside pool processes surface in the
-  parent's ``GLOBAL_METRICS`` after the pool run.
+* a pool sweep's ``chunk`` events carry each chunk's worker wall time.
 """
 
 import io
@@ -15,11 +14,10 @@ import json
 
 import pytest
 
-from repro.core.parallel import ParallelConfig, parallel_map
+from repro.core.parallel import ParallelConfig
 from repro.core.sweep import Sweep
 from repro.errors import ConfigurationError
 from repro.obs.ledger import RunLedger, coerce_ledger
-from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.progress import ProgressReporter, _format_eta
 from repro.obs.workloads import mpeg2_decoder_simulator
 from repro.verify.differential import result_fingerprint
@@ -28,22 +26,6 @@ from repro.verify.differential import result_fingerprint
 def read_events(path):
     with open(path, "r", encoding="utf-8") as handle:
         return [json.loads(line) for line in handle if line.strip()]
-
-
-@pytest.fixture
-def global_metrics():
-    GLOBAL_METRICS.enabled = True
-    GLOBAL_METRICS.reset()
-    yield GLOBAL_METRICS
-    GLOBAL_METRICS.reset()
-    GLOBAL_METRICS.enabled = False
-
-
-# Module-level so the process pool can pickle it.
-def _count_and_square(x):
-    GLOBAL_METRICS.counter("workload.points").inc()
-    GLOBAL_METRICS.histogram("workload.value").record(x)
-    return x * x
 
 
 def _sim_point(cycles, load):
@@ -327,40 +309,23 @@ class TestSweepLedger:
         ]
         assert "4/4" in stream.getvalue()
 
-    def test_worker_counters_fold_into_parent(
-        self, tmp_path, global_metrics
-    ):
-        """Counters incremented inside pool workers surface in the
-        parent registry after the run (the aggregation tentpole)."""
-        outcomes = parallel_map(
-            _count_and_square,
-            range(10),
-            config=ParallelConfig(workers=2, chunk_size=5),
-        )
-        assert [o.value for o in outcomes] == [x * x for x in range(10)]
-        assert global_metrics.value("parallel_map.pool_runs") == 1
-        assert global_metrics.value("workload.points") == 10
-        histogram = global_metrics.histogram("workload.value")
-        assert histogram.count == 10
-        assert histogram.maximum == 9
-
-    def test_parallel_sweep_metrics_event_carries_worker_counters(
-        self, tmp_path, global_metrics
-    ):
+    def test_parallel_sweep_chunks_carry_worker_wall_time(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        Sweep(axes={"x": list(range(8))}).run(
-            _count_and_square_kw,
-            parallel=ParallelConfig(workers=2, chunk_size=4),
+        Sweep(axes={"x": list(range(4))}).run(
+            _sleep_10ms,
+            parallel=ParallelConfig(workers=2, chunk_size=2),
             ledger=path,
         )
-        metrics_events = [
-            e for e in read_events(path) if e["kind"] == "metrics"
-        ]
-        assert len(metrics_events) == 1
-        counters = metrics_events[0]["snapshot"]["counters"]
-        assert counters["workload.points"] == 8
+        events = read_events(path)
+        chunks = [e for e in events if e["kind"] == "chunk"]
+        assert sorted(e["index"] for e in chunks) == [0, 1]
+        assert all(e["s"] >= 0.02 for e in chunks), chunks
+        assert not [e for e in events if e["kind"] == "metrics"]
 
 
 # Module-level so the process pool can pickle it (kwargs form for Sweep).
-def _count_and_square_kw(x):
-    return _count_and_square(x)
+def _sleep_10ms(x):
+    import time
+
+    time.sleep(0.01)
+    return x

@@ -305,7 +305,7 @@ class TestTraceMerge:
 
 class TestExposition:
     def test_render_parse_round_trip(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("serve.shed").inc(3)
         registry.gauge("serve.queue_depth").set(2)
         hist = registry.histogram("serve.job_ms.edram_tradeoff")
@@ -374,7 +374,7 @@ class TestExposition:
         assert labels["detail"] == 'quote " slash \\ nl \n end'
 
     def test_kind_conflict_rejected(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("serve.x").inc()
         with pytest.raises(ConfigurationError):
             render_prometheus(

@@ -28,7 +28,6 @@ from repro.core.executor import (
 )
 from repro.core.store import ResultStore
 from repro.obs.ledger import RunLedger
-from repro.obs.metrics import GLOBAL_METRICS
 
 
 # Module-level: queue tasks are pickled by reference.
@@ -38,10 +37,6 @@ def _square(x):
 
 def _exit_abruptly(_item):
     os._exit(3)
-
-
-def _metrics_view(_item):
-    return [GLOBAL_METRICS.enabled, GLOBAL_METRICS.value("fork.inherited")]
 
 
 def _executor(path, **overrides):
@@ -161,20 +156,6 @@ def test_crashing_workload_exhausts_the_respawn_budget(tmp_path, forks):
     assert len(forks) == executor.workers * (1 + 2)
     assert all(proc.returncode == 3 for proc in executor.fleet.procs)
     _assert_reaped(forks)
-
-
-def test_forked_workers_start_with_metrics_off(tmp_path):
-    GLOBAL_METRICS.enabled = True
-    GLOBAL_METRICS.reset()
-    GLOBAL_METRICS.counter("fork.inherited").inc(5)
-    executor = _executor(tmp_path / "q")
-    try:
-        outcomes = executor.map(_metrics_view, list(range(4)))
-    finally:
-        executor.close()
-        GLOBAL_METRICS.reset()
-        GLOBAL_METRICS.enabled = False
-    assert [o.value for o in outcomes] == [[False, None]] * 4
 
 
 def test_close_reaps_a_worker_it_had_to_kill(tmp_path, monkeypatch):

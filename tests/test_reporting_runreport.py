@@ -68,6 +68,9 @@ class TestLedgerSummary:
         # Chunks come sorted slowest-first for the top-N table.
         chunk_times = [c["s"] for c in summary["chunks"]]
         assert chunk_times == sorted(chunk_times, reverse=True)
+        # Pool chunks carry their worker wall time.
+        assert all(s > 0.0 for s in chunk_times)
+        assert "metrics" not in summary
 
     def test_markdown_report_sections(self, sweep_ledger):
         summary = summarize_ledger(load_ledger(sweep_ledger))
@@ -85,6 +88,29 @@ class TestLedgerSummary:
         assert "<h1>Run report</h1>" in html
         assert "src=" not in html  # no external assets
         assert "href=" not in html
+
+    def test_legacy_metrics_event_counted_not_rendered(self, sweep_ledger):
+        # Ledgers written before the run ledger became the only
+        # telemetry record may end in a `metrics` snapshot event: it
+        # still counts as an event but no longer gets a report section.
+        events = load_ledger(sweep_ledger)
+        legacy = {
+            "id": len(events), "t": events[-1]["t"], "run": events[-1]["run"],
+            "kind": "metrics",
+            "snapshot": {"counters": {"parallel_map.runs": 1},
+                         "gauges": {}, "histograms": {}},
+        }
+        with open(sweep_ledger, "a") as handle:
+            handle.write(json.dumps(legacy) + "\n")
+        summary = summarize_ledger(load_ledger(sweep_ledger))
+        assert "metrics" not in summary
+        assert summary["events_by_kind"]["metrics"] == 1
+        markdown = render_markdown(summary)
+        assert "## Metrics" not in markdown
+        assert "parallel_map.runs" not in markdown
+        html = render_html(summary)
+        assert "<h2>Metrics</h2>" not in html
+        assert "parallel_map.runs" not in html
 
     def test_explorer_ledger_has_phase_waterfall(self, tmp_path):
         from repro.core.explorer import DesignSpaceExplorer
@@ -265,6 +291,30 @@ class TestReportCli:
         assert rc == 0
         assert "# Run report" in md.read_text()
         assert html.read_text().startswith("<!doctype html>")
+
+    def test_report_prom_renders_run_gauges(self, sweep_ledger, tmp_path):
+        from repro.obs.expo import parse_prometheus, sample_value
+
+        out = tmp_path / "report.prom"
+        rc = cli_main(
+            ["report", str(sweep_ledger), "--format", "prom",
+             "--out", str(out)]
+        )
+        assert rc == 0
+        parsed = parse_prometheus(out.read_text())
+        assert parsed["families"] == {
+            "repro_report_events": "gauge",
+            "repro_report_resilience": "counter",
+            "repro_report_wall_s": "gauge",
+        }
+        events = load_ledger(sweep_ledger)
+        assert sample_value(parsed, "repro_report_events") == len(events)
+        assert sample_value(
+            parsed, "repro_report_resilience", kind="quarantine"
+        ) == 2
+        assert sample_value(
+            parsed, "repro_report_resilience", kind="fallback"
+        ) == 0
 
     def test_report_stdout_default(self, sweep_ledger, capsys):
         rc = cli_main(["report", str(sweep_ledger)])

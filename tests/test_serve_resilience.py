@@ -258,6 +258,49 @@ class TestSheddingService:
         finally:
             unregister_workload("t_gated")
 
+    def test_shed_and_depth_scrape_from_live_snapshots(self):
+        # /v1/metrics samples shed counts and queue depth from the
+        # service's own stats and admission snapshot.
+        from repro.obs.expo import parse_prometheus, sample_value
+
+        register_workload("t_gated", gated_workload, replace=True)
+        try:
+            with in_process_service(
+                max_workers=2,
+                resilience=ResilienceConfig(max_depth=1),
+            ) as (service, client):
+                reset_gate("scrape")
+                first = client.submit(
+                    {
+                        "kind": "sweep",
+                        "workload": "t_gated",
+                        "axes": {"x": [1], "gate": ["scrape"]},
+                    }
+                )
+                status, _ = client.request(
+                    "POST",
+                    "/v1/jobs",
+                    {
+                        "kind": "sweep",
+                        "workload": "t_gated",
+                        "axes": {"x": [2], "gate": ["scrape"]},
+                    },
+                )
+                assert status == 429
+                parsed = parse_prometheus(service.metrics_text())
+                assert sample_value(parsed, "repro_serve_shed") == 1
+                assert sample_value(parsed, "repro_serve_queue_depth") == 1
+                assert (
+                    sample_value(parsed, "repro_serve_queue_depth_limit")
+                    == 1
+                )
+                open_gate("scrape")
+                final = client.wait(first["job_id"], timeout_s=30.0)
+                assert final["status"] == "done"
+        finally:
+            open_gate("scrape")
+            unregister_workload("t_gated")
+
     def test_cache_hits_and_followers_bypass_admission(self):
         register_workload("t_gated", gated_workload, replace=True)
         try:
