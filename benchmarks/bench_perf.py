@@ -81,6 +81,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -621,10 +622,23 @@ def bench_obs_tracing(report: PerfReport, cycles: int = 400) -> None:
     )
 
 
+#: Fresh 2-worker executors the ``distributed`` section times, and the
+#: maps each runs after its first (fresh) one.
+QUEUE_ROUNDS = 5
+REUSED_MAPS = 3
+#: Ceiling on the 2-worker queue's fixed cost per map: fresh map and
+#: close() minus serial sweep (docs/DISTRIBUTED.md gives the figures
+#: behind it).
+QUEUE_FIXED_COST_CEILING_S = 0.05
+#: Ceiling on a reused map's cost over a fresh one (median reused map
+#: / median fresh map and close()).
+REUSE_RATIO_CEILING = 1.2
+
+
 def bench_distributed(report: PerfReport, smoke: bool = False) -> None:
     """Work-queue executor vs the serial reference, plus kill/resume.
 
-    Three gates, in order:
+    Four gates, in order:
 
     1. **Identity** — a 2-worker (and, with the CPUs for it, 4-worker)
        work-queue sweep over the simulation workload must match the
@@ -644,6 +658,20 @@ def bench_distributed(report: PerfReport, smoke: bool = False) -> None:
        requeue (only the coordinator requeues), so it is at least 1.
        A second run against the same store must evaluate zero fresh
        points (the no-fingerprint-evaluated-twice probe).
+    4. **Fixed cost** — each of :data:`QUEUE_ROUNDS` fresh 2-worker
+       executors runs :data:`REUSED_MAPS` more maps after its first,
+       each identical to serial (``seconds_2w`` is the median fresh
+       map, ``close_2w_s`` the median ``close()``).  A reused map
+       drains the previous map's fleet, as a fresh executor's
+       ``close()`` does, so a fresh map is costed with its close: the
+       section records ``fixed_cost_2w_s`` (median of fresh map plus
+       close minus the serial sweep timed beside it) and
+       ``reuse_ratio`` (median reused map over median fresh map plus
+       close) with their ceilings, :data:`QUEUE_FIXED_COST_CEILING_S` and
+       :data:`REUSE_RATIO_CEILING`; ``test_perf_smoke`` and CI assert
+       them.  At the smoke size the points are too short for two
+       workers to beat serial, so the probe measures the queue's
+       fixed cost, not scaling.
     """
     import shutil
     import tempfile
@@ -676,32 +704,61 @@ def bench_distributed(report: PerfReport, smoke: bool = False) -> None:
         "serial_seconds": serial_s,
     }
     try:
-        worker_counts = [2] if (smoke or cpu < 4) else [2, 4]
-        for workers in worker_counts:
+        def timed_maps(name: str, workers: int, maps: int) -> tuple:
+            """Wall time of each of ``maps`` maps on one executor, and
+            of its ``close()``."""
             executor = WorkQueueExecutor(
-                os.path.join(tmpdir, f"queue-{workers}w"),
+                os.path.join(tmpdir, name),
                 workers=workers,
                 lease_timeout_s=30.0,
                 timeout_s=600.0,
             )
+            seconds = []
             try:
-                dist_s, dist_result = measure(
-                    lambda: sweep.run(
-                        sim_fingerprint,
-                        skip_errors=True,
-                        executor=executor,
-                    ),
-                    repeat=1,
-                )
+                for _ in range(maps):
+                    elapsed, result = measure(
+                        lambda: sweep.run(
+                            sim_fingerprint,
+                            skip_errors=True,
+                            executor=executor,
+                        )
+                    )
+                    if [
+                        (p.parameters, p.result) for p in result.points
+                    ] != reference:
+                        raise AssertionError(
+                            f"{workers}-worker work-queue sweep "
+                            "diverged from the serial reference"
+                        )
+                    seconds.append(elapsed)
             finally:
+                started = time.perf_counter()
                 executor.close()
-            if [
-                (p.parameters, p.result) for p in dist_result.points
-            ] != reference:
-                raise AssertionError(
-                    f"{workers}-worker work-queue sweep diverged from "
-                    "the serial reference"
-                )
+            return seconds, time.perf_counter() - started
+
+        # Two workers: QUEUE_ROUNDS rounds of a serial sweep beside a
+        # fresh executor that then runs REUSED_MAPS more maps.  Pairing
+        # each fresh map with its round's serial sweep keeps host-speed
+        # drift out of the fixed cost.  A reused map drains the last
+        # map's fleet, which a fresh executor does in close(), so a
+        # fresh map's cost includes its close().
+        serials, fresh, closes, reused = [], [], [], []
+        for round_index in range(QUEUE_ROUNDS):
+            serials.append(
+                measure(
+                    lambda: sweep.run(sim_fingerprint, skip_errors=True)
+                )[0]
+            )
+            seconds, close_s = timed_maps(
+                f"queue-2w-{round_index}", 2, 1 + REUSED_MAPS
+            )
+            fresh.append(seconds[0])
+            closes.append(close_s)
+            reused.extend(seconds[1:])
+        seconds_by_workers = {2: statistics.median(fresh)}
+        if not smoke and cpu >= 4:
+            seconds_by_workers[4] = timed_maps("queue-4w", 4, 1)[0][0]
+        for workers, dist_s in seconds_by_workers.items():
             expected = cpu >= workers
             speedup = serial_s / dist_s
             section[f"seconds_{workers}w"] = dist_s
@@ -714,6 +771,19 @@ def bench_distributed(report: PerfReport, smoke: bool = False) -> None:
             section[f"target_met_{workers}w"] = (
                 not expected or speedup >= target
             )
+        fresh_closed = [f + c for f, c in zip(fresh, closes)]
+        section.update(
+            close_2w_s=statistics.median(closes),
+            fixed_cost_2w_s=statistics.median(
+                f - s for f, s in zip(fresh_closed, serials)
+            ),
+            fixed_cost_ceiling_s=QUEUE_FIXED_COST_CEILING_S,
+            seconds_2w_reused=statistics.median(reused),
+            reuse_ratio=(
+                statistics.median(reused) / statistics.median(fresh_closed)
+            ),
+            reuse_ratio_ceiling=REUSE_RATIO_CEILING,
+        )
         # -- kill/resume cycle ------------------------------------------------
         store = ResultStore(
             path=os.path.join(tmpdir, "results.store.jsonl")
@@ -1273,12 +1343,11 @@ def test_perf_smoke() -> None:
     assert dist["identical"]
     assert dist["resume_identical"]
     assert dist["warm_identical"]
-    # Scaling targets only hold where the CPUs exist to back them; a
-    # 1-CPU CI box measures coordination overhead, not parallelism.
-    if dist.get("scaling_expected_2w"):
-        assert dist["speedup_2w"] > 1.0, dist
-    if dist.get("scaling_expected_4w"):
-        assert dist["speedup_4w"] > 1.0, dist
+    # At 8 x 200 cycles the points are too short for two workers to
+    # beat serial: the probe measures the queue's fixed cost, so that
+    # is what is bounded (docs/DISTRIBUTED.md).
+    assert dist["fixed_cost_2w_s"] <= QUEUE_FIXED_COST_CEILING_S, dist
+    assert dist["reuse_ratio"] <= REUSE_RATIO_CEILING, dist
     cold = report.sections["cold_start"]
     assert cold["repro_modules"] <= COLD_START_MODULE_CEILING, cold
 

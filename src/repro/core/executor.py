@@ -65,6 +65,7 @@ import base64
 import json
 import os
 import pickle
+import select
 import time
 import uuid
 from dataclasses import dataclass, field as dataclass_field
@@ -596,7 +597,10 @@ class WorkQueueExecutor(Executor):
     leases so dead workers' chunks are reassigned.  Its ``workers``
     local workers are :attr:`fleet`, a
     :class:`~repro.core.supervisor.WorkerSupervisor` started at each
-    map, polled while results land and drained by :meth:`close`.  More
+    map, polled while results land and drained by :meth:`close`.  Its
+    forks wake the coordinator through a pipe as each chunk lands, so
+    ``poll_s`` is only the ceiling that serves external workers, lease
+    expiry, ``timeout_s`` and fleet supervision.  More
     workers on this or other machines join with ``repro workers start
     --queue DIR``.  Local workers are forks, but the task function is
     loaded from ``task.pkl`` by reference, so it must be importable
@@ -811,8 +815,12 @@ class WorkQueueExecutor(Executor):
             # Runs on cancellation too: the done sentinel tells workers
             # to finish their current chunk and exit, and the segments
             # they flushed keep whatever completed (resumable, never
-            # double-evaluated).
+            # double-evaluated).  Releasing the fleet wakes its idle
+            # workers to leave now, while this map winds up, so the
+            # next map's drain or close() finds them gone.
             self.queue.mark_done(queue_id)
+            if self.fleet is not None:
+                self.fleet.release()
         self._merge_segments(ledger)
         if ledger is not None:
             ledger.event(
@@ -873,7 +881,18 @@ class WorkQueueExecutor(Executor):
                     f"exhausted; {len(pending_chunks)} chunk(s) "
                     "outstanding"
                 )
+            self._wait_for_results()
+
+    def _wait_for_results(self) -> None:
+        """Wait until a forked worker reports a published chunk, or
+        ``poll_s`` — the ceiling that serves external workers, lease
+        expiry, the deadline and fleet supervision."""
+        fd = self.fleet.results_fd if self.fleet is not None else None
+        if fd is None:
             time.sleep(self.poll_s)
+        elif select.select([fd], [], [], self.poll_s)[0]:
+            # One scan of results/ answers every byte read here.
+            os.read(fd, 4096)
 
     def _merge_result(
         self, result, outcomes, ledger, progress, on_chunk

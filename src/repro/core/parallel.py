@@ -240,11 +240,12 @@ def parallel_map(
     if not items:
         return []
     if config is None:
-        # No ledger or progress here; one chunk per item only when
-        # there is a cancel token to check between them.
+        # One chunk per item only when there is a cancel token to check
+        # between them.
         chunks = [items] if cancel is None else [[item] for item in items]
         return _serial_chunked(
-            fn, chunks, catch, None, None, cancel=cancel, on_chunk=on_chunk,
+            fn, chunks, catch, ledger, progress, cancel=cancel,
+            on_chunk=on_chunk,
         )
     workers = config.resolved_workers(len(items))
     chunk_size = config.chunk_size

@@ -16,9 +16,20 @@ respawn never shares a heartbeat, segment or log with its predecessor.
   ``heartbeat_timeout_s`` is SIGKILLed, reaped and respawned as a
   crash; lease expiry hands its chunk to a sibling, and its fsync'd
   segment serves the points it already evaluated;
-* **drain** — SIGTERM (each worker finishes its chunk, flushes its
-  segment and releases its lease), a grace period, then SIGKILL and
-  reap for the stragglers.
+* **drain** — close the release pipe (below), SIGTERM (each worker
+  finishes its chunk, flushes its segment and releases its lease), a
+  grace period, then SIGKILL and reap for the stragglers.
+
+Two pipes, opened before the first fork of a fleet, let its forks wait
+on events instead of sleeps.  Each worker writes one byte to the
+*results* pipe after it publishes a chunk, which wakes the coordinator
+at once (:attr:`WorkerSupervisor.results_fd`).  Only the supervisor
+holds the *release* pipe's write end and never writes to it; idle
+workers select on its read end, so closing it
+(:meth:`WorkerSupervisor.release`, the first step of a drain) wakes
+every one of them at EOF.  ``poll_s`` stays the ceiling on both waits,
+which serves external workers, lease expiry and deadlines.  A drain
+closes both pipes, and the next fork opens a fresh pair.
 
 The supervisor owns *processes*, not work: work distribution stays in
 the queue directory protocol, so fleets on several machines and
@@ -38,6 +49,12 @@ import uuid
 from repro.errors import ConfigurationError
 from repro.core.executor import LEASES, PENDING, WORKERS, WorkQueue
 from repro.core.worker import worker_loop
+
+
+def _close_pipe(pipe: tuple | None) -> None:
+    for fd in pipe or ():
+        os.close(fd)
+
 
 class ForkedWorker:
     """A :class:`subprocess.Popen`-shaped handle on a forked worker
@@ -86,7 +103,9 @@ class ForkedWorker:
         self.send_signal(signal.SIGKILL)
 
 
-def _forked_worker_main(log_fd: int, queue_dir, **options):
+def _forked_worker_main(
+    log_fd: int, queue_dir, results: tuple, release: tuple, **options
+):
     """The body of a forked worker; leaves only through ``os._exit``.
 
     The child is a copy of the supervising process, so nothing of the
@@ -98,6 +117,11 @@ def _forked_worker_main(log_fd: int, queue_dir, **options):
     code = 1
     try:
         gc.freeze()
+        # Keep only the worker's ends of the (read, write) pipes: while
+        # a child holds the release pipe's write end, its EOF never
+        # comes.
+        os.close(results[0])
+        os.close(release[1])
         # Ctrl-C belongs to the parent, which drains the fleet with
         # SIGTERM.  The fork blocked both; SIGTERM stays blocked until
         # worker_loop has its drain handler in place.
@@ -106,7 +130,10 @@ def _forked_worker_main(log_fd: int, queue_dir, **options):
         os.dup2(log_fd, 1)
         os.dup2(log_fd, 2)
         sys.stdout = sys.stderr = os.fdopen(log_fd, "w", buffering=1)
-        worker_loop(queue_dir, **options)
+        worker_loop(
+            queue_dir, notify_fd=results[1], release_fd=release[0],
+            **options,
+        )
         code = 0
     except BaseException:
         # Not re-raised: it would unwind into the parent's code.
@@ -171,12 +198,30 @@ class WorkerSupervisor:
         self._slots = [_Slot() for _ in range(n_workers)]
         self._id_prefix = f"{os.getpid()}-{uuid.uuid4().hex[:6]}"
         self._drain_requested = False
+        # (read, write) ends of the results and release pipes; None
+        # while no fleet runs.
+        self._results: tuple | None = None
+        self._release: tuple | None = None
         self.stats = {"spawned": 0, "respawned": 0, "killed_frozen": 0}
 
     # -- process management ---------------------------------------------------
 
+    @property
+    def results_fd(self) -> int | None:
+        """Read end of the pipe every forked worker writes one byte to
+        per published chunk; None while no fleet runs."""
+        return None if self._results is None else self._results[0]
+
     def _spawn(self, slot: _Slot) -> None:
         """Fork one worker into ``slot`` under a fresh worker id."""
+        if self._release is None:
+            # The first fork of a fleet, or the first since a release:
+            # fresh pipes.
+            _close_pipe(self._results)
+            self._results = os.pipe()
+            # A full pipe already wakes the coordinator: never block.
+            os.set_blocking(self._results[1], False)
+            self._release = os.pipe()
         worker_id = f"{self._id_prefix}-{self.stats['spawned']}"
         workers_dir = self.queue.directory(WORKERS)
         workers_dir.mkdir(parents=True, exist_ok=True)
@@ -202,6 +247,8 @@ class WorkerSupervisor:
                 _forked_worker_main(
                     log_fd,
                     self.queue.root,
+                    self._results,
+                    self._release,
                     worker_id=worker_id,
                     max_idle_s=self.max_idle_s,
                     poll_s=self.worker_poll_s,
@@ -312,10 +359,23 @@ class WorkerSupervisor:
     def request_drain(self) -> None:
         self._drain_requested = True
 
+    def release(self) -> None:
+        """Close the release pipe without waiting: every idle worker
+        wakes at EOF and drains, and a busy one does when it next finds
+        nothing to claim."""
+        _close_pipe(self._release)
+        self._release = None
+
     def drain(self, timeout_s: float = 30.0) -> None:
-        """SIGTERM the fleet, wait up to ``timeout_s`` for graceful
-        exits, then SIGKILL and reap the stragglers."""
+        """Close the release pipe and SIGTERM the fleet, wait up to
+        ``timeout_s`` for graceful exits, then SIGKILL and reap the
+        stragglers; the pipes close with the fleet.
+
+        EOF on the release pipe wakes every idle worker at once and
+        asks it to drain; SIGTERM asks a busy one, which finishes its
+        chunk first."""
         live = [proc for proc in self.procs if proc.poll() is None]
+        self.release()
         for proc in live:
             try:
                 proc.send_signal(signal.SIGTERM)
@@ -328,6 +388,8 @@ class WorkerSupervisor:
             except TimeoutError:
                 proc.kill()
                 proc.wait()
+        _close_pipe(self._results)
+        self._results = None
 
     # -- main loop ------------------------------------------------------------
 

@@ -35,6 +35,14 @@ supervisor's drain relies on.  While
 running it also refreshes its heartbeat file once a second, throttled
 (idle polls, per evaluated point and per chunk), so a supervisor can
 tell a frozen worker from a busy one.
+
+A supervisor's forks wait on events, not sleeps (see
+:mod:`repro.core.supervisor`): after each published chunk they write
+one byte to ``notify_fd``, which wakes the coordinator, and while idle
+they select on ``release_fd``, whose EOF — the supervisor releasing
+its fleet, or gone — is a drain request too.  A worker without these
+fds, such as ``python -m repro.core.worker``, sleeps ``poll_s``
+between polls.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import argparse
 import base64
 import os
 import pickle
+import select
 import signal
 import sys
 import time
@@ -115,12 +124,16 @@ def worker_loop(
     poll_s: float = 0.05,
     once: bool = False,
     heartbeat_s: float = 1.0,
+    notify_fd: int | None = None,
+    release_fd: int | None = None,
 ) -> int:
     """Main loop; returns the number of chunks this worker completed.
 
     Installs a ``SIGTERM`` handler (main thread only) that requests a
     graceful drain: the in-flight chunk completes, publishes and
-    releases before the loop exits.
+    releases before the loop exits.  ``notify_fd`` gets one byte per
+    published chunk; ``release_fd``, never written to, is waited on
+    while idle, and its EOF requests a drain.
     """
     worker_id = worker_id or f"{os.getpid()}-{uuid.uuid4().hex[:6]}"
     queue = WorkQueue(queue_dir)
@@ -128,6 +141,12 @@ def worker_loop(
 
     def _request_drain(signum, frame):
         draining["flag"] = True
+
+    def idle_wait() -> None:
+        if release_fd is None:
+            time.sleep(poll_s)
+        elif select.select([release_fd], [], [], poll_s)[0]:
+            draining["flag"] = True
 
     try:
         previous_handler = signal.signal(signal.SIGTERM, _request_drain)
@@ -148,7 +167,7 @@ def worker_loop(
                 return 0
             if time.monotonic() - idle_since > max_idle_s:
                 return 0
-            time.sleep(poll_s)
+            idle_wait()
         fn, catch = queue.load_task()
         chunks_done = 0
         last_beat = 0.0
@@ -181,7 +200,7 @@ def worker_loop(
                     beat()
                     if time.monotonic() - idle_since > max_idle_s:
                         break
-                    time.sleep(poll_s)
+                    idle_wait()
                     continue
                 idle_since = time.monotonic()
                 trace = chunk.get("trace")
@@ -232,6 +251,13 @@ def worker_loop(
                     chunk, worker_id, outcomes, sources, elapsed
                 )
                 queue.release_lease(chunk["_lease_path"])
+                if notify_fd is not None:
+                    # A full pipe wakes the coordinator anyway, and a
+                    # closed one has no reader left to wake.
+                    try:
+                        os.write(notify_fd, b"\0")
+                    except (BlockingIOError, BrokenPipeError):
+                        pass
                 chunks_done += 1
                 beat()
                 if once:

@@ -519,6 +519,20 @@ class TestChunkAccountingParity:
         assert sorted(reported) == [0, 1, 2]
         assert len(_events(ledger, "timeout")) == 1
 
+    def test_default_config_reports_to_ledger_and_progress(self):
+        # config=None is the serial path; it keeps the ledger and the
+        # progress line like every other path.
+        ledger = MemoryLedger(run_id="no-config")
+        progress = self._progress(total=3)
+        outcomes = parallel_map(
+            _square, [1, 2, 3], ledger=ledger, progress=progress
+        )
+        assert [o.value for o in outcomes] == [1, 4, 9]
+        chunks = _events(ledger, "chunk")
+        assert [(c["index"], c["size"]) for c in chunks] == [(0, 3)]
+        assert progress.done == 3
+        assert progress.failed == 0
+
 
 class TestEvaluatorMemo:
     def test_memo_hit_returns_same_object(self):

@@ -9,6 +9,10 @@ with metrics off as a fresh interpreter would, ``close()`` reaps every
 child, including one it had to SIGKILL, and a workload that kills its
 worker on every call spends the fleet's per-worker respawn budget and
 fails the map instead of forking without end.
+
+The forks wait on events, not on ``poll_s``: a published chunk wakes
+the coordinator through the results pipe, a drain wakes idle workers
+through the release pipe's EOF, and neither pipe outlives ``close()``.
 """
 
 import json
@@ -20,13 +24,16 @@ import pytest
 
 import repro.core.executor as executor_module
 from repro.core.executor import (
+    MANIFEST,
     TASK_FILE,
     WORKERS,
     ExecutorError,
     WorkQueue,
     WorkQueueExecutor,
+    atomic_write_json,
 )
 from repro.core.store import ResultStore
+from repro.core.worker import worker_loop
 from repro.obs.ledger import RunLedger
 
 
@@ -176,3 +183,78 @@ def test_close_reaps_a_worker_it_had_to_kill(tmp_path, monkeypatch):
     assert proc.returncode == -signal.SIGKILL
     assert executor.fleet.alive_workers() == 0
     _assert_reaped([proc.pid])
+
+
+def _published_queue(path, n_chunks):
+    queue = WorkQueue(path)
+    queue.reset()
+    queue.write_task(_square, ())
+    for index in range(n_chunks):
+        queue.publish_chunk(index, [index], [index], None)
+    atomic_write_json(
+        queue.root / MANIFEST, {"n_chunks": n_chunks, "lease_timeout_s": 5.0}
+    )
+    return queue
+
+
+def test_map_and_close_wait_on_events_not_the_poll(tmp_path):
+    # poll_s is 2 s, so a coordinator or an idle worker that slept it
+    # out even once would blow the budget.
+    started = time.monotonic()
+    executor = _executor(tmp_path / "q", poll_s=2.0)
+    try:
+        outcomes = executor.map(_square, [1, 2, 3, 4])
+    finally:
+        executor.close()
+    elapsed = time.monotonic() - started
+    assert [o.value for o in outcomes] == [1, 4, 9, 16]
+    assert executor.fleet.alive_workers() == 0
+    assert elapsed < 1.0, elapsed
+
+
+def test_worker_writes_one_notify_byte_per_published_chunk(tmp_path):
+    queue = _published_queue(tmp_path / "q", n_chunks=2)
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)
+    try:
+        for index in range(2):
+            done = worker_loop(
+                queue.root, worker_id="w1", once=True, max_idle_s=5.0,
+                notify_fd=write_end,
+            )
+            assert done == 1
+            assert queue.read_result(index) is not None
+            assert os.read(read_end, 64) == b"\0"
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+def test_idle_worker_leaves_at_release_eof(tmp_path):
+    queue = _published_queue(tmp_path / "q", n_chunks=0)
+    read_end, write_end = os.pipe()
+    os.close(write_end)
+    started = time.monotonic()
+    try:
+        done = worker_loop(
+            queue.root, worker_id="w1", poll_s=30.0, max_idle_s=60.0,
+            release_fd=read_end,
+        )
+    finally:
+        os.close(read_end)
+    assert done == 0
+    assert time.monotonic() - started < 5.0
+
+
+def test_fleet_pipes_close_with_the_executor(tmp_path):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    for round_index in range(3):
+        executor = _executor(tmp_path / f"q{round_index}")
+        try:
+            assert executor.map(_square, [1, 2, 3])[2].value == 9
+        finally:
+            executor.close()
+    assert open_fds() == before
