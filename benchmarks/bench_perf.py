@@ -487,6 +487,23 @@ def bench_parallel_sweep(report: PerfReport) -> None:
     )
 
 
+def measure_alternating(off, on, repeat: int = 3) -> tuple:
+    """Best-of-``repeat`` wall times of ``off()`` and ``on()``, run
+    alternately so host drift during the probe lands on both sides
+    instead of in their ratio.
+
+    Returns ``(off_s, off_result, on_s, on_result)``; each result is
+    its side's last.
+    """
+    off_s = on_s = float("inf")
+    for _ in range(repeat):
+        seconds, off_result = measure(off)
+        off_s = min(off_s, seconds)
+        seconds, on_result = measure(on)
+        on_s = min(on_s, seconds)
+    return off_s, off_result, on_s, on_result
+
+
 def evaluate_telemetry_point(seed: int, cycles: int) -> tuple:
     """One sweep point of the telemetry bench: a short simulation,
     reduced to its :func:`result_fingerprint` so the on/off comparison
@@ -518,10 +535,6 @@ def bench_sweep_telemetry(
 
     sweep = Sweep(axes={"seed": list(range(24)), "cycles": [cycles]})
     n = sweep.n_points
-    off_s, off_result = measure(
-        lambda: sweep.run(evaluate_telemetry_point, skip_errors=True),
-        repeat=3,
-    )
     tmpdir = tempfile.mkdtemp(prefix="bench-ledger-")
     counter = itertools.count()
     last_ledger: list = []
@@ -544,7 +557,10 @@ def bench_sweep_telemetry(
             progress=progress,
         )
 
-    on_s, on_result = measure(run_with_telemetry, repeat=3)
+    off_s, off_result, on_s, on_result = measure_alternating(
+        lambda: sweep.run(evaluate_telemetry_point, skip_errors=True),
+        run_with_telemetry,
+    )
     identical = [
         (p.parameters, p.result) for p in off_result.points
     ] == [(p.parameters, p.result) for p in on_result.points]
@@ -601,9 +617,9 @@ def bench_obs_tracing(report: PerfReport, cycles: int = 400) -> None:
         finally:
             ledger.close()
 
-    off_s, off_result = measure(lambda: run_with_ledger(None), repeat=3)
-    on_s, on_result = measure(
-        lambda: run_with_ledger(TraceContext.root()), repeat=3
+    off_s, off_result, on_s, on_result = measure_alternating(
+        lambda: run_with_ledger(None),
+        lambda: run_with_ledger(TraceContext.root()),
     )
     shutil.rmtree(tmpdir, ignore_errors=True)
     identical = [
@@ -1116,140 +1132,6 @@ def bench_cold_start(report: PerfReport, repeats: int = 5) -> None:
     )
 
 
-def overload_point(x: float = 0.0, delay_s: float = 0.0) -> dict:
-    if delay_s:
-        time.sleep(delay_s)
-    return {"x": x}
-
-
-def bench_serve_overload(report: PerfReport) -> None:
-    """Resilience layer under load: warm-path tax and shed latency.
-
-    Two budgets from docs/SERVICE.md.  First, admission control and
-    circuit breakers must cost the happy path almost nothing: the same
-    warm cache-hit job is timed with resilience off and on, and the
-    ratio must stay under 1.10 (a 10% tax on a dict lookup is already
-    generous; the check retries to absorb scheduler noise on a
-    microsecond-scale path).  Second, shedding must be *fast*: against
-    a ``max_depth=1`` service saturated by a slow sweep, every flood
-    submission is answered 429 and the p99 shed-response latency must
-    stay under 250 ms — an overloaded service that answers slowly is
-    just a different kind of outage.
-    """
-    from repro.serve.client import InProcessClient
-    from repro.serve.handlers import ExplorationService
-    from repro.serve.resilience import ResilienceConfig
-    from repro.serve.workloads import register_workload, unregister_workload
-
-    register_workload("bench_overload", overload_point, replace=True)
-    try:
-        warm_job = {
-            "kind": "sweep",
-            "workload": "bench_overload",
-            "axes": {"x": [float(i) for i in range(32)]},
-        }
-
-        def warm_latency(resilience) -> float:
-            service = ExplorationService(
-                max_workers=2, resilience=resilience
-            )
-            client = InProcessClient(service)
-            try:
-                client.run(warm_job, timeout_s=60.0)  # cold fill
-                seconds, _ = measure(
-                    lambda: client.run(warm_job, timeout_s=60.0),
-                    repeat=50,
-                )
-                return seconds
-            finally:
-                service.close()
-
-        ratio = float("inf")
-        baseline_s = resilient_s = 0.0
-        for _ in range(3):  # sub-ms path: retry through noise spikes
-            baseline_s = warm_latency(False)
-            resilient_s = warm_latency(ResilienceConfig())
-            ratio = resilient_s / baseline_s
-            if ratio < 1.10:
-                break
-        if ratio >= 1.10:
-            raise AssertionError(
-                "resilience layer taxes the warm path "
-                f"{ratio:.2f}x (budget: < 1.10x)"
-            )
-
-        service = ExplorationService(
-            max_workers=2,
-            resilience=ResilienceConfig(
-                max_depth=1, shed_retry_after_s=0.05
-            ),
-        )
-        client = InProcessClient(service)
-        try:
-            slow = client.submit(
-                {
-                    "kind": "sweep",
-                    "workload": "bench_overload",
-                    "axes": {
-                        "x": [float(i) for i in range(8)],
-                        "delay_s": [0.1],
-                    },
-                }
-            )
-            shed_latencies = []
-            for index in range(200):
-                # Distinct fingerprints: an identical job would join
-                # the in-flight one as a coalesced follower, not shed.
-                flood = {
-                    "kind": "sweep",
-                    "workload": "bench_overload",
-                    "axes": {"x": [float(index)], "delay_s": [0.2]},
-                }
-                start = time.perf_counter()
-                status, _ = client.request("POST", "/v1/jobs", flood)
-                elapsed = time.perf_counter() - start
-                if status == 429:
-                    shed_latencies.append(elapsed)
-            if not shed_latencies:
-                raise AssertionError(
-                    "saturated service shed none of the flood"
-                )
-            shed_latencies.sort()
-            p99_index = max(
-                0, int(len(shed_latencies) * 0.99 + 0.5) - 1
-            )
-            shed_p99 = shed_latencies[p99_index]
-            if shed_p99 >= 0.25:
-                raise AssertionError(
-                    f"shed responses too slow: p99 {shed_p99:.3f}s "
-                    "(budget: < 0.25s)"
-                )
-            final = client.wait(slow["job_id"], timeout_s=60.0)
-            if final["status"] != "done":
-                raise AssertionError(
-                    "the accepted job did not survive the flood: "
-                    f"{final['status']}"
-                )
-            report.add(
-                "serve_overload",
-                # Deliberately not *_seconds: both paths are micro-
-                # second scale, so the +30% history gate on timing
-                # metrics would trip on pure scheduler noise.
-                warm_off_latency_s=baseline_s,
-                warm_on_latency_s=resilient_s,
-                warm_overhead_ratio=ratio,
-                flood_requests=200,
-                shed=len(shed_latencies),
-                shed_p99_s=shed_p99,
-                shed_worst_s=shed_latencies[-1],
-                accepted_job_done=final["status"] == "done",
-            )
-        finally:
-            service.close()
-    finally:
-        unregister_workload("bench_overload")
-
-
 def run(
     smoke: bool = False,
     seed: int = 0,
@@ -1284,7 +1166,6 @@ def run(
     )
     bench_obs_tracing(report, cycles=400 if smoke else 4_000)
     bench_serve(report)
-    bench_serve_overload(report)
     bench_distributed(report, smoke=smoke)
     bench_cold_start(report)
     return report
@@ -1334,11 +1215,6 @@ def test_perf_smoke() -> None:
     # The documented service budget: a warm content-addressed hit is at
     # least 10x faster than the cold exploration it replays.
     assert serve["speedup"] >= 10.0, serve
-    overload = report.sections["serve_overload"]
-    assert overload["shed"] > 0
-    assert overload["warm_overhead_ratio"] < 1.10, overload
-    assert overload["shed_p99_s"] < 0.25, overload
-    assert overload["accepted_job_done"]
     dist = report.sections["distributed"]
     assert dist["identical"]
     assert dist["resume_identical"]

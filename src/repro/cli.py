@@ -639,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top",
         help="live TTY dashboard over a running `repro serve` "
-        "instance (jobs, queue depth, breakers, latency); degrades "
+        "instance (jobs, in-flight, per-workload latency); degrades "
         "to periodic plain text when stdout is not a TTY",
     )
     top.add_argument(

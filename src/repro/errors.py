@@ -51,8 +51,8 @@ class CancelledError(ReproError):
     :class:`~repro.serve.resilience.CancelToken` fires (client cancel
     or a lapsed ``deadline_s``).  Deliberately *not* a subclass of
     :class:`ConfigurationError`: a cancelled run is neither a bad input
-    nor a workload failure, so ``skip_errors`` quarantine and circuit
-    breakers must not swallow it.
+    nor a workload failure, so ``skip_errors`` quarantine must not
+    swallow it.
     """
 
 

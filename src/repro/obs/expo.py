@@ -12,7 +12,8 @@ library.
 Conventions (documented in ``docs/OBSERVABILITY.md``):
 
 * every metric is prefixed ``repro_`` and dots become underscores —
-  the service's ``serve.shed`` count exports as ``repro_serve_shed``;
+  the service's ``serve.cancelled`` count exports as
+  ``repro_serve_cancelled``;
 * dotted *per-key* families split their tail into a label: with
   ``labels_from={"serve.job_ms": "workload"}`` the registry histogram
   ``serve.job_ms.edram_tradeoff`` exports as
@@ -124,7 +125,7 @@ def render_prometheus(snapshot: dict, extra=None, labels_from=None) -> str:
 
     ``extra`` is an iterable of ``{"name", "value", "type", "labels"}``
     dicts for service-level samples that do not live in a registry
-    (queue depth, breaker states, cache ratios); same name may repeat
+    (in-flight count, jobs by status, cache ratios); same name may repeat
     with different labels.  ``labels_from`` maps dotted family prefixes
     to the label key their name tail becomes (see module docstring).
     """

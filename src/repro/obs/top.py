@@ -1,9 +1,8 @@
 """``repro top`` — live TTY dashboard over a running service.
 
 Polls ``GET /v1/metrics`` (Prometheus text) and renders a compact
-one-screen summary: job counts by status, queue depth against its
-limit, per-workload breaker state and latency quantiles, shed /
-coalesced / cache rates.  On a real TTY the screen is redrawn in place
+one-screen summary: job counts by status, jobs in flight, per-workload
+latency quantiles, coalesced / cache rates.  On a real TTY the screen is redrawn in place
 with ANSI clear codes; when stdout is not a TTY (CI logs, pipes) it
 degrades to plain periodic text blocks, one per poll.
 
@@ -56,20 +55,13 @@ def render_dashboard(text: str, title: str = "repro top") -> str:
         f"jobs      {total_jobs} ({by_status})" if jobs else "jobs      0"
     )
 
-    depth = sample_value(parsed, "repro_serve_queue_depth")
-    limit = sample_value(parsed, "repro_serve_queue_depth_limit")
     in_flight = sample_value(parsed, "repro_serve_in_flight")
-    lines.append(
-        f"queue     depth {_fmt(depth, 1)}"
-        + (f"/{int(limit)}" if limit is not None else "")
-        + f"   in-flight {_fmt(in_flight, 1)}"
-    )
+    lines.append(f"queue     in-flight {_fmt(in_flight, 1)}")
 
-    shed = sample_value(parsed, "repro_serve_shed")
     coalesced = sample_value(parsed, "repro_serve_coalesced")
     cache_ratio = sample_value(parsed, "repro_serve_cache_hit_ratio")
     lines.append(
-        f"pressure  shed {_fmt(shed, 1)}   coalesced {_fmt(coalesced, 1)}"
+        f"pressure  coalesced {_fmt(coalesced, 1)}"
         + (
             f"   cache-hit {cache_ratio * 100:.0f}%"
             if cache_ratio is not None
@@ -77,13 +69,8 @@ def render_dashboard(text: str, title: str = "repro top") -> str:
         )
     )
 
-    # Per-workload: breaker state + latency summary on one row each.
+    # Per-workload: latency summary on one row each.
     workloads: dict = {}
-    for labels, value in _series(parsed, "repro_serve_breaker_state"):
-        if value >= 1:
-            workloads.setdefault(labels.get("workload", "?"), {})[
-                "state"
-            ] = labels.get("state", "?")
     for labels, value in _series(parsed, "repro_serve_job_ms"):
         entry = workloads.setdefault(labels.get("workload", "?"), {})
         entry[f"q{labels.get('quantile', '?')}"] = value
@@ -93,14 +80,11 @@ def render_dashboard(text: str, title: str = "repro top") -> str:
         ] = value
     if workloads:
         lines.append("")
-        lines.append(
-            "workload              breaker     jobs   p50ms   p95ms"
-        )
+        lines.append("workload                jobs   p50ms   p95ms")
         for name in sorted(workloads):
             entry = workloads[name]
             lines.append(
                 f"{name[:20].ljust(20)}  "
-                f"{entry.get('state', 'closed').ljust(9)} "
                 f"{_fmt(entry.get('count'))} "
                 f"{_fmt(entry.get('q0.5'), 7)} "
                 f"{_fmt(entry.get('q0.95'), 7)}"

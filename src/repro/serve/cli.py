@@ -37,39 +37,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="job executor threads",
     )
     parser.add_argument(
-        "--max-depth",
-        type=int,
-        default=None,
-        help="admission limit: queued+running jobs beyond this are "
-        "shed with 429 (default 64; see docs/SERVICE.md)",
-    )
-    parser.add_argument(
-        "--per-workload",
-        type=int,
-        default=None,
-        help="per-workload admission limit (default: no per-workload "
-        "cap)",
-    )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=None,
-        help="consecutive failures that open a workload's circuit "
-        "breaker (default 5; 0 disables breakers)",
-    )
-    parser.add_argument(
-        "--breaker-cooldown-s",
-        type=float,
-        default=None,
-        help="seconds an open breaker waits before a half-open probe "
-        "(default 5)",
-    )
-    parser.add_argument(
-        "--no-resilience",
-        action="store_true",
-        help="disable admission control and circuit breakers entirely",
-    )
-    parser.add_argument(
         "--journal-dir",
         default=None,
         help="directory for per-job sweep checkpoints: cancelled jobs "
@@ -81,26 +48,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="do not mint trace contexts at job submission (ledger "
         "events lose their trace_id/span_id stamps)",
     )
-
-
-def _resilience_from_args(args: argparse.Namespace):
-    """False to disable, None for defaults, or an explicit config."""
-    if args.no_resilience:
-        return False
-    overrides = {}
-    if args.max_depth is not None:
-        overrides["max_depth"] = args.max_depth
-    if args.per_workload is not None:
-        overrides["per_workload"] = args.per_workload
-    if args.breaker_threshold is not None:
-        overrides["breaker_threshold"] = args.breaker_threshold
-    if args.breaker_cooldown_s is not None:
-        overrides["breaker_cooldown_s"] = args.breaker_cooldown_s
-    if not overrides:
-        return None
-    from repro.serve.resilience import ResilienceConfig
-
-    return ResilienceConfig(**overrides)
 
 
 def run_serve(args: argparse.Namespace) -> int:
@@ -117,7 +64,6 @@ def run_serve(args: argparse.Namespace) -> int:
         cache_path=args.cache_path,
         max_workers=args.workers,
         ready=ready,
-        resilience=_resilience_from_args(args),
         journal_dir=args.journal_dir,
         tracing=not args.no_tracing,
     )
@@ -188,11 +134,6 @@ def build_client_parser() -> argparse.ArgumentParser:
         help="Prometheus exposition text from GET /v1/metrics",
     )
     sub.add_parser("healthz", help="liveness check")
-    sub.add_parser(
-        "readyz",
-        help="readiness / overload snapshot (admission depth, "
-        "breaker states)",
-    )
     return parser
 
 
@@ -229,8 +170,6 @@ def client_main(argv=None) -> int:
             sys.stdout.write(client.metrics_text())
         elif args.command == "healthz":
             _emit(client.healthz(), None)
-        elif args.command == "readyz":
-            _emit(client.readyz(), None)
     except ServeClientError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

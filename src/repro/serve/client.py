@@ -75,14 +75,6 @@ class _ClientCore:
     def healthz(self) -> dict:
         return self._call("GET", "/v1/healthz")
 
-    def readyz(self) -> dict:
-        """Readiness snapshot; a 503 (over capacity) still returns the
-        document — not-ready is an answer, not a failure."""
-        status, payload = self.request("GET", "/v1/readyz")
-        if status not in (200, 503):
-            raise ServeClientError(status, payload)
-        return payload
-
     def cancel(self, job_id: str) -> dict:
         """Request cooperative cancellation of a running job."""
         return self._call("POST", f"/v1/jobs/{job_id}/cancel")
@@ -120,31 +112,9 @@ class _ClientCore:
             delay = min(delay * 2.0, 1.0)
 
     def run(self, job: dict, timeout_s: float = 60.0) -> dict:
-        """Submit, wait, and return the result envelope.
-
-        A 429 ``overloaded`` rejection is retried until ``timeout_s``
-        runs out, sleeping the server-suggested ``retry_after_s``
-        (jittered upward) between attempts; 503 ``circuit_open`` and
-        every other error propagate immediately.
-        """
+        """Submit, wait, and return the result envelope."""
         deadline = time.monotonic() + timeout_s
-        while True:
-            try:
-                submitted = self.submit(job)
-                break
-            except ServeClientError as error:
-                if error.status != 429:
-                    raise
-                retry_after = float(
-                    ((error.payload or {}).get("error") or {}).get(
-                        "retry_after_s", 0.05
-                    )
-                )
-                pause = retry_after * random.uniform(1.0, 1.5)
-                if time.monotonic() + pause >= deadline:
-                    raise
-                time.sleep(pause)
-        job_id = submitted["job_id"]
+        job_id = self.submit(job)["job_id"]
         final = self.wait(
             job_id, timeout_s=max(0.0, deadline - time.monotonic())
         )

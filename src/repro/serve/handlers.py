@@ -13,16 +13,12 @@ Execution path per job::
 
     submit -> cache.get(fingerprint)   -- hit: done instantly, cached=True
            -> coalescer.admit          -- in flight: follow the primary
-           -> breaker.allow            -- workload broken: 503 circuit_open
-           -> admission.try_admit      -- at capacity: 429 overloaded
-           -> executor.submit          -- cold: run it
+           -> executor.submit          -- cold: queue it and run it
 
-Only a *cold primary* occupies an executor slot, so only it is subject
-to the breaker and admission checks: cache hits and coalesced
-followers are answered even when the service is saturated.  Rejected
-submissions create no job record and do not count as ``submitted`` —
-the bookkeeping invariant ``submitted == executions + cache_hits +
-coalesced`` holds with resilience enabled.
+Only a *cold primary* occupies an executor thread, and every valid
+cold submission is queued for one: none is refused.  Cache hits and
+coalesced followers never touch the executor, so once every cold run
+has succeeded ``submitted == executions + cache_hits + coalesced``.
 
 Every cold primary carries a :class:`~repro.serve.resilience.CancelToken`
 (armed with the job's optional ``deadline_s``).  ``POST
@@ -30,7 +26,7 @@ Every cold primary carries a :class:`~repro.serve.resilience.CancelToken`
 parallel / executor chunk boundaries and the simulator watchdog
 observe it and unwind with :class:`~repro.errors.CancelledError`.  A
 cancelled job reaches the terminal ``cancelled`` state, frees its
-admission slot, journals partial progress (resumable via the service's
+executor thread, journals partial progress (resumable via the service's
 ``journal_dir``), and never touches the result cache.
 
 A cold run wires a :class:`~repro.obs.ledger.MemoryLedger` and a
@@ -64,12 +60,7 @@ from repro.obs.progress import ProgressReporter
 from repro.obs.tracectx import TraceContext
 from repro.serve.cache import ResultCache
 from repro.serve.coalescer import RequestCoalescer
-from repro.serve.resilience import (
-    AdmissionController,
-    CancelToken,
-    CircuitBreaker,
-    ResilienceConfig,
-)
+from repro.serve.resilience import CancelToken
 from repro.serve.protocol import (
     RequestError,
     SCHEMA_VERSION,
@@ -140,16 +131,9 @@ class ExplorationService:
         coalescer: In-flight de-duplicator.
         stats: Counters — ``submitted``, ``executions`` (cold runs
             actually performed), ``cache_hits``, ``evaluations``
-            (workload calls + explored points), ``shed`` (submissions
-            rejected 429), ``cancelled`` (jobs reaching the cancelled
-            terminal state), plus ``serve.coalesced`` via the
-            coalescer.
-        resilience: The :class:`ResilienceConfig` in force, or None
-            when overload protection is disabled (``resilience=False``).
-        admission: The :class:`AdmissionController` (None when
-            disabled).
-        breakers: The :class:`CircuitBreaker` registry (None when
-            disabled).
+            (workload calls + explored points), ``cancelled`` (jobs
+            reaching the cancelled terminal state), plus
+            ``serve.coalesced`` via the coalescer.
         journal_dir: Directory for per-job sweep journals.  When set,
             cold sweep jobs checkpoint per-point results there; a
             cancelled job's journal is kept so a resubmission resumes
@@ -162,7 +146,6 @@ class ExplorationService:
         cache: ResultCache | None = None,
         max_workers: int = 4,
         max_wait_s: float = MAX_WAIT_S,
-        resilience: ResilienceConfig | None | bool = None,
         journal_dir=None,
         tracing: bool = True,
     ) -> None:
@@ -171,15 +154,6 @@ class ExplorationService:
         self.cache = cache if cache is not None else ResultCache()
         self.coalescer = RequestCoalescer()
         self.max_wait_s = max_wait_s
-        if resilience is None or resilience is True:
-            resilience = ResilienceConfig()
-        elif resilience is False:
-            resilience = None
-        self.resilience = resilience
-        self.admission = (
-            AdmissionController(resilience) if resilience else None
-        )
-        self.breakers = CircuitBreaker(resilience) if resilience else None
         self.journal_dir = Path(journal_dir) if journal_dir else None
         self.tracing = bool(tracing)
         # Per-instance registry for service telemetry (job latency
@@ -197,7 +171,6 @@ class ExplorationService:
             "executions": 0,
             "cache_hits": 0,
             "evaluations": 0,
-            "shed": 0,
             "cancelled": 0,
         }
 
@@ -215,13 +188,7 @@ class ExplorationService:
     # -- submission ----------------------------------------------------------
 
     def submit(self, payload) -> dict:
-        """Validate and admit one job; returns the submit response.
-
-        Raises :class:`RequestError` 429 ``overloaded`` when admission
-        is full and 503 ``circuit_open`` when the workload's breaker is
-        open — both carry ``retry_after_s`` in the error envelope, and
-        neither registers a job record.
-        """
+        """Validate and accept one job; returns the submit response."""
         spec = parse_job(payload)
         fingerprint = spec.fingerprint()
         with self._lock:
@@ -246,11 +213,6 @@ class ExplorationService:
                 if primary is not None:
                     job.coalesced_with = primary.job_id
                 else:
-                    try:
-                        self._check_capacity(self._breaker_key(spec))
-                    except RequestError:
-                        self.coalescer.release(fingerprint, job)
-                        raise
                     job.cancel_token = CancelToken(
                         deadline_s=spec.deadline_s
                     )
@@ -282,46 +244,10 @@ class ExplorationService:
                 return primary.status
         return job.status
 
-    # -- overload protection -------------------------------------------------
-
     @staticmethod
-    def _breaker_key(spec) -> str:
-        """Admission/breaker bucket: the workload name, or ``explore``."""
+    def _workload_key(spec) -> str:
+        """Latency-histogram label: the workload name, or ``explore``."""
         return spec.workload if spec.kind == "sweep" else "explore"
-
-    def _check_capacity(self, key: str) -> None:
-        """Claim an admission slot for ``key`` or raise 429/503.
-
-        Admission is claimed *before* the breaker is consulted so a
-        half-open probe admitted by the breaker can never be shed
-        afterwards (which would strand the breaker half-open with no
-        probe in flight); a breaker rejection releases the slot again.
-        """
-        if self.admission is not None:
-            if not self.admission.try_admit(key):
-                self.stats["shed"] += 1
-                raise RequestError(
-                    f"service at capacity "
-                    f"(depth {self.admission.depth}/"
-                    f"{self.resilience.max_depth}); retry later",
-                    code="overloaded",
-                    http_status=429,
-                    extra={
-                        "retry_after_s": self.resilience.shed_retry_after_s
-                    },
-                )
-        if self.breakers is not None:
-            allowed, retry_after_s = self.breakers.allow(key)
-            if not allowed:
-                if self.admission is not None:
-                    self.admission.release(key)
-                raise RequestError(
-                    f"circuit breaker open for workload {key!r}; "
-                    f"retry later",
-                    code="circuit_open",
-                    http_status=503,
-                    extra={"retry_after_s": round(retry_after_s, 3)},
-                )
 
     def cancel_job(self, job_id: str, reason: str = "client_cancel") -> dict:
         """Request cooperative cancellation of a job (idempotent).
@@ -363,34 +289,6 @@ class ExplorationService:
             job_id=job.job_id, status=self.status_of(job), cancelled=True
         )
 
-    def readyz_document(self) -> tuple:
-        """``(http_status, payload)`` for ``GET /v1/readyz``.
-
-        503 once the admission queue is full — load balancers should
-        stop routing here; 200 otherwise.  The payload carries the
-        admission and breaker snapshots either way.
-        """
-        admission = (
-            self.admission.snapshot() if self.admission is not None else None
-        )
-        breakers = (
-            self.breakers.snapshot() if self.breakers is not None else None
-        )
-        ready = True
-        if admission is not None and admission["depth"] >= admission[
-            "max_depth"
-        ]:
-            ready = False
-        payload = ok_envelope(
-            ready=ready,
-            admission=admission,
-            breakers=breakers,
-            in_flight=self.coalescer.in_flight,
-            shed=self.stats["shed"],
-            cancelled=self.stats["cancelled"],
-        )
-        return (200 if ready else 503), payload
-
     # -- execution -----------------------------------------------------------
 
     def _count_evaluations(self, n: int = 1) -> None:
@@ -398,7 +296,7 @@ class ExplorationService:
             self.stats["evaluations"] += n
 
     def _execute(self, job: JobRecord) -> None:
-        key = self._breaker_key(job.spec)
+        key = self._workload_key(job.spec)
         token = job.cancel_token
         started = None
         try:
@@ -418,23 +316,17 @@ class ExplorationService:
                 self._resolve_cancelled(job)
                 return
             except ReproError as error:
-                if self.breakers is not None:
-                    self.breakers.record_failure(key)
                 self._resolve(job, error={
                     "code": "evaluation_failed",
                     "message": f"{type(error).__name__}: {error}",
                 })
                 return
             except Exception as error:  # noqa: BLE001 - jobs must not kill workers
-                if self.breakers is not None:
-                    self.breakers.record_failure(key)
                 self._resolve(job, error={
                     "code": "internal_error",
                     "message": f"{type(error).__name__}: {error}",
                 })
                 return
-            if self.breakers is not None:
-                self.breakers.record_success(key)
             self.cache.put(job.fingerprint, text)
             with self._lock:
                 self.stats["executions"] += 1
@@ -444,22 +336,15 @@ class ExplorationService:
                 self.metrics.histogram(f"serve.job_ms.{key}").record(
                     (time.perf_counter() - started) * 1e3
                 )
-            if self.admission is not None:
-                self.admission.release(key)
 
     def _resolve_cancelled(self, job: JobRecord) -> None:
         """Move a cold primary (and its followers) to ``cancelled``.
 
-        Not a breaker failure (the workload did nothing wrong) — but a
-        cancelled half-open probe re-opens the breaker so it is not
-        stranded waiting for a probe verdict that will never come.
         The result cache is never touched; a journaled partial stays
         on disk for resumption.
         """
         token = job.cancel_token
         reason = (token.reason if token is not None else None) or "cancelled"
-        if self.breakers is not None:
-            self.breakers.record_cancelled(self._breaker_key(job.spec))
         job.events.append(
             {"kind": "cancelled", "reason": reason, "partial": job.progress}
         )
@@ -746,16 +631,6 @@ class ExplorationService:
             in_flight=self.coalescer.in_flight,
             coalesced=self.coalescer.coalesced,
             cache=self.cache.stats(),
-            admission=(
-                self.admission.snapshot()
-                if self.admission is not None
-                else None
-            ),
-            breakers=(
-                self.breakers.snapshot()
-                if self.breakers is not None
-                else None
-            ),
             **counters,
         )
 
@@ -763,8 +638,8 @@ class ExplorationService:
         """Prometheus exposition of the full service telemetry surface.
 
         Scrape-time assembly: the per-instance registry contributes the
-        job-latency histograms; everything else (queue depth, breaker
-        states, cache ratio, job counts) is sampled from the live
+        job-latency histograms; everything else (in-flight count, cache
+        ratio, job counts) is sampled from the live
         snapshots so the gauges can never drift from the actual state.
         Served at ``GET /v1/metrics`` and by ``repro metrics``.
         """
@@ -773,11 +648,9 @@ class ExplorationService:
         with self._lock:
             counters = dict(self.stats)
             jobs_by_status: dict = {}
-            workload_keys = set()
             for job in self._jobs.values():
                 status = job.status
                 jobs_by_status[status] = jobs_by_status.get(status, 0) + 1
-                workload_keys.add(self._breaker_key(job.spec))
         extra = [
             {
                 "name": f"serve.{name}",
@@ -815,56 +688,6 @@ class ExplorationService:
                 "value": (cache["hits"] / lookups) if lookups else 0.0,
             }
         )
-        if self.admission is not None:
-            snapshot = self.admission.snapshot()
-            extra.append(
-                {"name": "serve.queue_depth", "value": snapshot["depth"]}
-            )
-            extra.append(
-                {
-                    "name": "serve.queue_depth_limit",
-                    "value": snapshot["max_depth"],
-                }
-            )
-            for key in sorted(snapshot["per_workload"]):
-                extra.append(
-                    {
-                        "name": "serve.workload_depth",
-                        "value": snapshot["per_workload"][key],
-                        "labels": {"workload": key},
-                    }
-                )
-        if self.breakers is not None:
-            snapshot = self.breakers.snapshot()
-            extra.append(
-                {
-                    "name": "serve.breaker_opened",
-                    "value": snapshot["opened"],
-                    "type": "counter",
-                }
-            )
-            extra.append(
-                {
-                    "name": "serve.breaker_rejected",
-                    "value": snapshot["rejected"],
-                    "type": "counter",
-                }
-            )
-            # The snapshot only lists workloads with failure history;
-            # every workload the service has seen still gets a series
-            # (healthy reads as closed=1).
-            for key in sorted(workload_keys | set(snapshot["states"])):
-                # One-hot per state so dashboards can sum/alert without
-                # decoding an enum value.
-                state = snapshot["states"].get(key, "closed")
-                for candidate in ("closed", "open", "half_open"):
-                    extra.append(
-                        {
-                            "name": "serve.breaker_state",
-                            "value": 1 if state == candidate else 0,
-                            "labels": {"workload": key, "state": candidate},
-                        }
-                    )
         return render_prometheus(
             self.metrics.snapshot(),
             extra=extra,
@@ -878,15 +701,6 @@ _JOB_PATH = re.compile(
     r"^/v1/jobs/(?P<job_id>[A-Za-z0-9_-]+)"
     r"(?:/(?P<leaf>result|report|events|cancel))?$"
 )
-
-#: Paths that exist (for 405-vs-404 discrimination).
-_KNOWN_FIXED_PATHS = {
-    "/v1/jobs",
-    "/v1/healthz",
-    "/v1/readyz",
-    "/v1/stats",
-    "/v1/metrics",
-}
 
 
 def parse_wait_s(query: str) -> float | None:
@@ -919,9 +733,7 @@ def route(service: ExplorationService, method: str, path: str, body=None):
     try:
         return _route(service, method, path, body)
     except RequestError as error:
-        return error.http_status, error_envelope(
-            error.code, str(error), **error.extra
-        )
+        return error.http_status, error_envelope(error.code, str(error))
 
 
 def _route(service, method, path, body):
@@ -958,10 +770,6 @@ def _route(service, method, path, body):
         if method != "GET":
             raise _method_not_allowed(method, path)
         return 200, ok_envelope(status="healthy", jobs=len(service._jobs))
-    if path == "/v1/readyz":
-        if method != "GET":
-            raise _method_not_allowed(method, path)
-        return service.readyz_document()
     if path == "/v1/stats":
         if method != "GET":
             raise _method_not_allowed(method, path)

@@ -61,14 +61,10 @@ class RequestError(ConfigurationError):
         message: str,
         code: str = "bad_request",
         http_status: int = 400,
-        extra: dict | None = None,
     ) -> None:
         super().__init__(message)
         self.code = code
         self.http_status = http_status
-        #: Extra machine-readable fields folded into the error envelope
-        #: (e.g. ``retry_after_s`` on 429/503 rejections).
-        self.extra = extra or {}
 
 
 def canonical_json(document) -> str:
@@ -498,13 +494,10 @@ def ok_envelope(**fields) -> dict:
     return envelope
 
 
-def error_envelope(code: str, message: str, **extra) -> dict:
-    """The error response document; ``extra`` fields (``retry_after_s``
-    on overload/breaker rejections) land inside the ``error`` object."""
-    error = {"code": code, "message": message}
-    error.update(extra)
+def error_envelope(code: str, message: str) -> dict:
+    """The error response document."""
     return {
         "schema_version": SCHEMA_VERSION,
         "ok": False,
-        "error": error,
+        "error": {"code": code, "message": message},
     }

@@ -1,250 +1,19 @@
-"""Overload protection for the exploration service.
+"""Cooperative cancellation for the exploration service.
 
-Three small, lock-free-on-the-read-path primitives the service wires
-into its submit path (see :mod:`repro.serve.handlers`):
-
-* :class:`AdmissionController` — a bounded admission count with
-  per-workload concurrency limits.  A submit that would exceed either
-  bound is *shed* with a 429 ``overloaded`` envelope carrying
-  ``retry_after_s`` instead of queueing without bound; cache hits and
-  coalesced followers consume no slot, so a saturated service still
-  answers everything it already knows.
-* :class:`CircuitBreaker` — per-workload consecutive-failure tracking.
-  ``breaker_threshold`` failures in a row open the breaker; while open,
-  submits for that workload are rejected with a 503 ``circuit_open``
-  envelope so one broken workload cannot exhaust the executor pool.
-  After ``breaker_cooldown_s`` the breaker goes *half-open* and admits
-  exactly one probe; a probe success closes it, a failure re-opens it.
-* :class:`CancelToken` — cooperative cancellation with an optional
-  monotonic deadline.  The service hands one to every cold execution;
-  ``Sweep.run``/``parallel_map``/``WorkQueueExecutor`` check it at
-  chunk boundaries and the simulator watchdog checks it at its
-  512-cycle cadence, so an abandoned or expired job frees its capacity
-  instead of running to completion.
-
-All the mutating entry points the service calls are guarded by the
-service's own submit lock; the classes here only lock where they can be
-reached from job threads too.
+:class:`CancelToken` is a cancellation flag with an optional monotonic
+deadline.  The service hands one to every cold execution;
+``Sweep.run``/``parallel_map``/``WorkQueueExecutor`` check it at chunk
+boundaries and the simulator watchdog checks it at its 512-cycle
+cadence, so an abandoned or expired job frees its executor thread
+instead of running to completion.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 
 from repro.errors import CancelledError, ConfigurationError
-
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Admission and breaker settings for one service instance.
-
-    Attributes:
-        max_depth: Jobs admitted for execution (queued + running) at
-            once, across all workloads.  Submissions beyond this are
-            shed with 429 ``overloaded``.
-        per_workload: Same bound per workload key (None = ``max_depth``
-            — only the global bound applies).
-        shed_retry_after_s: ``retry_after_s`` hint on 429 responses.
-        breaker_threshold: Consecutive failures that open a workload's
-            circuit breaker (0 disables breakers).
-        breaker_cooldown_s: Seconds an open breaker rejects submissions
-            before allowing one half-open probe.
-    """
-
-    max_depth: int = 64
-    per_workload: int | None = None
-    shed_retry_after_s: float = 0.1
-    breaker_threshold: int = 5
-    breaker_cooldown_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.max_depth < 1:
-            raise ConfigurationError("max_depth must be >= 1")
-        if self.per_workload is not None and self.per_workload < 1:
-            raise ConfigurationError("per_workload must be >= 1")
-        if self.shed_retry_after_s <= 0:
-            raise ConfigurationError("shed_retry_after_s must be positive")
-        if self.breaker_threshold < 0:
-            raise ConfigurationError("breaker_threshold must be >= 0")
-        if self.breaker_cooldown_s <= 0:
-            raise ConfigurationError("breaker_cooldown_s must be positive")
-
-    def workload_limit(self) -> int:
-        limit = self.per_workload
-        return self.max_depth if limit is None else min(limit, self.max_depth)
-
-
-class AdmissionController:
-    """Bounded admission: global depth plus per-workload concurrency.
-
-    ``try_admit``/``release`` bracket a job's executor occupancy; the
-    depth gauge is what ``/v1/readyz`` and the bench's overload section
-    report.
-    """
-
-    def __init__(self, config: ResilienceConfig) -> None:
-        self.config = config
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._per_key: dict = {}
-        self.shed = 0
-
-    @property
-    def depth(self) -> int:
-        with self._lock:
-            return self._depth
-
-    def key_depth(self, key: str) -> int:
-        with self._lock:
-            return self._per_key.get(key, 0)
-
-    def try_admit(self, key: str) -> bool:
-        """Claim one slot for ``key``; False (and a shed count) if full."""
-        with self._lock:
-            if (
-                self._depth >= self.config.max_depth
-                or self._per_key.get(key, 0) >= self.config.workload_limit()
-            ):
-                self.shed += 1
-                return False
-            self._depth += 1
-            self._per_key[key] = self._per_key.get(key, 0) + 1
-            return True
-
-    def release(self, key: str) -> None:
-        with self._lock:
-            self._depth = max(0, self._depth - 1)
-            count = self._per_key.get(key, 0) - 1
-            if count <= 0:
-                self._per_key.pop(key, None)
-            else:
-                self._per_key[key] = count
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "depth": self._depth,
-                "max_depth": self.config.max_depth,
-                "per_workload_limit": self.config.workload_limit(),
-                "per_workload": dict(self._per_key),
-                "shed": self.shed,
-            }
-
-
-#: Breaker states.
-CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
-
-
-class _Breaker:
-    __slots__ = ("state", "failures", "opened_at")
-
-    def __init__(self) -> None:
-        self.state = CLOSED
-        self.failures = 0
-        self.opened_at = 0.0
-
-
-class CircuitBreaker:
-    """Per-key consecutive-failure breakers (closed/open/half-open)."""
-
-    def __init__(self, config: ResilienceConfig) -> None:
-        self.config = config
-        self._lock = threading.Lock()
-        self._breakers: dict = {}
-        self.opened = 0
-        self.rejected = 0
-
-    def _breaker(self, key: str) -> _Breaker:
-        breaker = self._breakers.get(key)
-        if breaker is None:
-            breaker = self._breakers[key] = _Breaker()
-        return breaker
-
-    def allow(self, key: str) -> tuple:
-        """``(allowed, retry_after_s)`` for one submission of ``key``.
-
-        An open breaker past its cooldown transitions to half-open and
-        admits the caller as the single probe; a second caller during
-        the probe is rejected with the full cooldown as its hint.
-        """
-        if self.config.breaker_threshold == 0:
-            return True, None
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None or breaker.state == CLOSED:
-                return True, None
-            now = time.monotonic()
-            if breaker.state == OPEN:
-                remaining = (
-                    breaker.opened_at + self.config.breaker_cooldown_s - now
-                )
-                if remaining > 0:
-                    self.rejected += 1
-                    return False, max(remaining, 0.001)
-                breaker.state = HALF_OPEN
-                return True, None
-            # half-open: a probe is already in flight
-            self.rejected += 1
-            return False, self.config.breaker_cooldown_s
-
-    def record_success(self, key: str) -> None:
-        if self.config.breaker_threshold == 0:
-            return
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                return
-            breaker.state = CLOSED
-            breaker.failures = 0
-
-    def record_failure(self, key: str) -> None:
-        if self.config.breaker_threshold == 0:
-            return
-        with self._lock:
-            breaker = self._breaker(key)
-            breaker.failures += 1
-            if (
-                breaker.state == HALF_OPEN
-                or breaker.failures >= self.config.breaker_threshold
-            ):
-                if breaker.state != OPEN:
-                    self.opened += 1
-                breaker.state = OPEN
-                breaker.opened_at = time.monotonic()
-
-    def record_cancelled(self, key: str) -> None:
-        """A probe/job was cancelled: neither a success nor a failure.
-
-        A cancelled half-open probe would otherwise strand the breaker
-        half-open forever (every later submit rejected, no probe left
-        to deliver a verdict) — re-open it with a fresh cooldown so the
-        next window admits a new probe.  Closed/open breakers are left
-        untouched.
-        """
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is not None and breaker.state == HALF_OPEN:
-                breaker.state = OPEN
-                breaker.opened_at = time.monotonic()
-
-    def state_of(self, key: str) -> str:
-        with self._lock:
-            breaker = self._breakers.get(key)
-            return CLOSED if breaker is None else breaker.state
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "opened": self.opened,
-                "rejected": self.rejected,
-                "states": {
-                    key: breaker.state
-                    for key, breaker in self._breakers.items()
-                    if breaker.state != CLOSED or breaker.failures
-                },
-            }
 
 
 class CancelToken:

@@ -245,7 +245,6 @@ def run_server(
     cache_path=None,
     max_workers: int = 4,
     ready=None,
-    resilience=None,
     journal_dir=None,
     tracing: bool = True,
 ) -> None:
@@ -253,9 +252,7 @@ def run_server(
 
     ``ready``, when given, is called with the bound ``(host, port)``
     once the socket listens — the test harness and CLI use it to print
-    the resolved port before blocking.  ``resilience`` is a
-    :class:`~repro.serve.resilience.ResilienceConfig` (or ``False`` to
-    disable admission control and breakers); ``journal_dir`` enables
+    the resolved port before blocking.  ``journal_dir`` enables
     per-job sweep checkpoints for resumable cancellation.
     """
     from repro.serve.cache import ResultCache
@@ -263,7 +260,6 @@ def run_server(
     service = ExplorationService(
         cache=ResultCache(maxsize=cache_size, path=cache_path),
         max_workers=max_workers,
-        resilience=resilience,
         journal_dir=journal_dir,
         tracing=tracing,
     )

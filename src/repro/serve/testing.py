@@ -30,23 +30,18 @@ from repro.serve.server import ReproServer
 def in_process_service(
     cache=None,
     max_workers: int = 4,
-    resilience=None,
     journal_dir=None,
     tracing: bool = True,
 ):
     """Yields ``(service, client)`` with guaranteed teardown.
 
-    ``resilience`` and ``journal_dir`` forward to
-    :class:`ExplorationService` — pass a
-    :class:`~repro.serve.resilience.ResilienceConfig` to shrink
-    admission capacity or speed up breaker cooldowns for a test.
+    ``journal_dir`` forwards to :class:`ExplorationService`.
     ``tracing=False`` disables trace-context minting, for pinning the
     off-by-default byte-identity contract.
     """
     service = ExplorationService(
         cache=cache,
         max_workers=max_workers,
-        resilience=resilience,
         journal_dir=journal_dir,
         tracing=tracing,
     )

@@ -1,25 +1,22 @@
 """Chaos harness: induced failures with asserted invariants.
 
 ``repro verify chaos`` composes the failure modes the resilience layer
-claims to survive — killed workers, frozen workers, torn queue files,
-deadline-cancelled jobs, client floods past admission capacity, and
-circuit-breaker trips — and asserts the invariants that make those
-claims true:
+claims to survive — killed workers, frozen workers, torn queue files
+and deadline-cancelled jobs — and asserts the invariants that make
+those claims true:
 
 * no accepted job is lost: every submitted item produces exactly one
   outcome;
 * completed results are bit-identical to an undisturbed serial run
   (fingerprint comparison — crash recovery must not change answers);
-* shed requests are answered within bounded latency with a
-  ``retry_after_s`` hint, and retrying them eventually succeeds;
-* an open circuit breaker recovers through its half-open probe once
-  the workload heals.
+* a cancelled job frees its executor thread, journals its partial
+  progress and never reaches the result cache.
 
 Scenarios are seeded and self-contained (each builds its own queue
 directory or in-process service) and write one JSONL *chaos ledger*
 record apiece, so CI can archive exactly what was induced and what
-survived.  Profiles: ``smoke`` (kill + flood, fast enough for a CI
-gate) and ``full`` (everything).
+survived.  Profiles: ``smoke`` (kill + deadline cancel, fast enough
+for a CI gate) and ``full`` (everything).
 
 The worker-facing evaluation functions live at module level because
 work-queue tasks are pickled by reference (``module.qualname``) — see
@@ -36,20 +33,18 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 
 #: Scenario registry: name -> callable(seed, tmp_dir) -> ScenarioResult.
 _SCENARIOS: dict = {}
 
 PROFILES = {
-    "smoke": ("kill_worker", "client_flood"),
+    "smoke": ("kill_worker", "deadline_cancel"),
     "full": (
         "kill_worker",
         "freeze_worker",
         "torn_files",
         "deadline_cancel",
-        "client_flood",
-        "breaker_recovery",
     ),
 }
 
@@ -137,17 +132,6 @@ def chaos_sim_point(seed: int) -> tuple:
 
     time.sleep(0.05)
     return sim_fingerprint(seed=seed, cycles=400)
-
-
-#: Flipped by breaker_recovery: True = chaos_flaky raises.
-_FLAKY = {"fail": True}
-
-
-def chaos_flaky(x: float = 0.0) -> dict:
-    """Service workload that fails while ``_FLAKY['fail']`` is set."""
-    if _FLAKY["fail"]:
-        raise SimulationError("chaos: induced workload failure")
-    return {"x": x, "ok": True}
 
 
 def chaos_slow(x: float = 0.0, delay_s: float = 0.02) -> dict:
@@ -497,7 +481,6 @@ def _deadline_cancel(seed: int, tmp_dir: Path) -> ScenarioResult:
     """A job that cannot meet its deadline must reach ``cancelled``,
     journal its partial progress, free capacity, and leave the result
     cache untouched."""
-    from repro.serve.resilience import ResilienceConfig
     from repro.serve.testing import in_process_service
     from repro.serve.workloads import register_workload, unregister_workload
 
@@ -508,7 +491,6 @@ def _deadline_cancel(seed: int, tmp_dir: Path) -> ScenarioResult:
     try:
         with in_process_service(
             max_workers=2,
-            resilience=ResilienceConfig(),
             journal_dir=journal_dir,
         ) as (service, client):
             doomed = {
@@ -539,10 +521,10 @@ def _deadline_cancel(seed: int, tmp_dir: Path) -> ScenarioResult:
                 journal.exists() and journal.stat().st_size > 0,
                 "no resumable journal left behind for the partial",
             )
-            ready = client.readyz()
+            in_flight = client.stats()["in_flight"]
             check.that(
-                ready["ready"] and ready["admission"]["depth"] == 0,
-                f"capacity not freed after cancel: {ready['admission']!r}",
+                in_flight == 0,
+                f"capacity not freed after cancel: {in_flight} in flight",
             )
             # Freed capacity is usable: a quick job completes.
             quick = client.run(
@@ -569,202 +551,6 @@ def _deadline_cancel(seed: int, tmp_dir: Path) -> ScenarioResult:
         ok=not check.failures,
         elapsed_s=time.perf_counter() - start,
         details={},
-        failures=check.failures,
-    )
-
-
-@scenario("client_flood")
-def _client_flood(seed: int, tmp_dir: Path) -> ScenarioResult:
-    """Flood submissions at >2x admission capacity: accepted jobs all
-    complete, shed ones get fast 429s with retry hints, and retrying
-    the shed jobs eventually lands every one."""
-    from repro.serve.client import ServeClientError
-    from repro.serve.resilience import ResilienceConfig
-    from repro.serve.testing import in_process_service
-    from repro.serve.workloads import register_workload, unregister_workload
-
-    check = _Check()
-    start = time.perf_counter()
-    max_depth = 2
-    flood = 3 * max_depth
-    register_workload("chaos_slow", chaos_slow, replace=True)
-    try:
-        with in_process_service(
-            max_workers=max_depth,
-            resilience=ResilienceConfig(
-                max_depth=max_depth, shed_retry_after_s=0.05
-            ),
-        ) as (service, client):
-            accepted: list = []
-            shed: list = []
-            shed_latencies: list = []
-            jobs = [
-                {
-                    "kind": "sweep",
-                    "workload": "chaos_slow",
-                    # Distinct axes -> distinct fingerprints: no
-                    # cache hits or coalescing soften the flood.
-                    "axes": {
-                        "x": [float(seed), float(index)],
-                        "delay_s": [0.15],
-                    },
-                }
-                for index in range(flood)
-            ]
-            for job in jobs:
-                asked = time.perf_counter()
-                try:
-                    accepted.append((job, client.submit(job)))
-                except ServeClientError as error:
-                    shed_latencies.append(time.perf_counter() - asked)
-                    check.that(
-                        error.status == 429,
-                        f"shed with {error.status}, wanted 429",
-                    )
-                    retry_after = (
-                        (error.payload or {}).get("error") or {}
-                    ).get("retry_after_s")
-                    check.that(
-                        isinstance(retry_after, (int, float))
-                        and retry_after > 0,
-                        f"429 without usable retry_after_s: "
-                        f"{error.payload!r}",
-                    )
-                    shed.append(job)
-            check.that(
-                len(shed) >= flood - max_depth - 1,
-                f"flood of {flood} only shed {len(shed)} "
-                f"(capacity {max_depth})",
-            )
-            check.that(
-                accepted and len(accepted) >= max_depth,
-                f"flood admitted only {len(accepted)} jobs",
-            )
-            check.that(
-                all(latency < 0.5 for latency in shed_latencies),
-                f"shed responses not bounded: {shed_latencies!r}",
-            )
-            for job, response in accepted:
-                final = client.wait(response["job_id"], timeout_s=60.0)
-                check.that(
-                    final["status"] == "done",
-                    f"accepted job {response['job_id']} ended "
-                    f"{final['status']!r}",
-                )
-            # client.run retries 429s honoring retry_after_s: every
-            # shed job must eventually complete.
-            for job in shed:
-                result = client.run(job, timeout_s=60.0)
-                check.that(
-                    result["result"]["n_ok"] == 2,
-                    "retried shed job returned a wrong result",
-                )
-            stats = client.stats()
-            check.that(
-                stats["shed"] >= len(shed),
-                f"shed counter {stats['shed']} < {len(shed)}",
-            )
-            check.that(
-                stats["submitted"]
-                == stats["executions"]
-                + stats["cache_hits"]
-                + stats["coalesced"],
-                f"bookkeeping invariant broken under flood: {stats!r}",
-            )
-    finally:
-        unregister_workload("chaos_slow")
-    return ScenarioResult(
-        name="client_flood",
-        ok=not check.failures,
-        elapsed_s=time.perf_counter() - start,
-        details={
-            "flood": flood,
-            "capacity": max_depth,
-            "shed": len(shed_latencies),
-            "shed_latency_max_s": round(max(shed_latencies), 4)
-            if shed_latencies
-            else None,
-        },
-        failures=check.failures,
-    )
-
-
-@scenario("breaker_recovery")
-def _breaker_recovery(seed: int, tmp_dir: Path) -> ScenarioResult:
-    """Consecutive failures open the workload's breaker (503); after
-    the cooldown a half-open probe against the healed workload closes
-    it again."""
-    from repro.serve.client import ServeClientError
-    from repro.serve.resilience import ResilienceConfig
-    from repro.serve.testing import in_process_service
-    from repro.serve.workloads import register_workload, unregister_workload
-
-    check = _Check()
-    start = time.perf_counter()
-    cooldown_s = 0.3
-    register_workload("chaos_flaky", chaos_flaky, replace=True)
-    _FLAKY["fail"] = True
-    try:
-        with in_process_service(
-            max_workers=2,
-            resilience=ResilienceConfig(
-                breaker_threshold=2, breaker_cooldown_s=cooldown_s
-            ),
-        ) as (service, client):
-            def job_for(value: float) -> dict:
-                return {
-                    "kind": "sweep",
-                    "workload": "chaos_flaky",
-                    "axes": {"x": [value]},
-                }
-
-            for index in range(2):
-                response = client.submit(job_for(float(seed + index)))
-                final = client.wait(response["job_id"], timeout_s=30.0)
-                check.that(
-                    final["status"] == "failed",
-                    f"induced failure ended {final['status']!r}",
-                )
-            check.that(
-                service.breakers.state_of("chaos_flaky") == "open",
-                "breaker did not open after threshold failures",
-            )
-            try:
-                client.submit(job_for(float(seed + 50)))
-                check.that(False, "open breaker accepted a submission")
-            except ServeClientError as error:
-                check.that(
-                    error.status == 503
-                    and (error.payload or {})["error"]["code"]
-                    == "circuit_open",
-                    f"open breaker rejected with {error.status}: "
-                    f"{error.payload!r}",
-                )
-            _FLAKY["fail"] = False
-            time.sleep(cooldown_s * 1.5)
-            probe = client.submit(job_for(float(seed + 99)))
-            final = client.wait(probe["job_id"], timeout_s=30.0)
-            check.that(
-                final["status"] == "done",
-                f"half-open probe ended {final['status']!r}",
-            )
-            check.that(
-                service.breakers.state_of("chaos_flaky") == "closed",
-                "breaker did not close after a successful probe",
-            )
-            again = client.run(job_for(float(seed + 7)), timeout_s=30.0)
-            check.that(
-                again["result"]["n_ok"] == 1,
-                "post-recovery job did not run",
-            )
-    finally:
-        _FLAKY["fail"] = True
-        unregister_workload("chaos_flaky")
-    return ScenarioResult(
-        name="breaker_recovery",
-        ok=not check.failures,
-        elapsed_s=time.perf_counter() - start,
-        details={"cooldown_s": cooldown_s},
         failures=check.failures,
     )
 

@@ -171,13 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_cmd = sub.add_parser(
         "chaos",
         help="induce failures (killed/frozen workers, torn files, "
-        "floods, breaker trips) and assert the recovery invariants",
+        "deadline-cancelled jobs) and assert the recovery invariants",
     )
     chaos_cmd.add_argument(
         "--profile",
         choices=("smoke", "full"),
         default="smoke",
-        help="smoke = kill + flood (CI gate); full = every scenario",
+        help="smoke = kill + deadline cancel (CI gate); full = every "
+        "scenario",
     )
     chaos_cmd.add_argument("--seed", type=int, default=0)
     chaos_cmd.add_argument(

@@ -11,7 +11,7 @@ from repro.units import KBIT, MBIT
 
 
 class TestEvaluatorClamps:
-    def test_overloaded_latency_clamped(self):
+    def test_oversubscribed_latency_clamped(self):
         # Demanding more than the macro sustains: utilization clamps at
         # the queueing knee instead of diverging.
         macro = EDRAMMacro.build(size_bits=8 * MBIT, width=16, banks=1)

@@ -306,8 +306,8 @@ class TestTraceMerge:
 class TestExposition:
     def test_render_parse_round_trip(self):
         registry = MetricsRegistry()
-        registry.counter("serve.shed").inc(3)
-        registry.gauge("serve.queue_depth").set(2)
+        registry.counter("serve.cancelled").inc(3)
+        registry.gauge("serve.in_flight").set(2)
         hist = registry.histogram("serve.job_ms.edram_tradeoff")
         for value in (1.0, 2.0, 3.0, 10.0):
             hist.record(value)
@@ -315,18 +315,18 @@ class TestExposition:
             registry.snapshot(),
             extra=[
                 {
-                    "name": "serve.breaker_state",
+                    "name": "serve.jobs",
                     "value": 1,
-                    "labels": {"workload": "edram_tradeoff",
-                               "state": "closed"},
+                    "labels": {"status": "done"},
                 }
             ],
             labels_from={"serve.job_ms": "workload"},
         )
         parsed = parse_prometheus(text)
-        assert parsed["families"]["repro_serve_shed"] == "counter"
+        assert parsed["families"]["repro_serve_cancelled"] == "counter"
         assert parsed["families"]["repro_serve_job_ms"] == "summary"
-        assert sample_value(parsed, "repro_serve_shed") == 3
+        assert sample_value(parsed, "repro_serve_cancelled") == 3
+        assert sample_value(parsed, "repro_serve_in_flight") == 2
         assert (
             sample_value(
                 parsed,
@@ -335,15 +335,7 @@ class TestExposition:
             )
             == 4
         )
-        assert (
-            sample_value(
-                parsed,
-                "repro_serve_breaker_state",
-                workload="edram_tradeoff",
-                state="closed",
-            )
-            == 1
-        )
+        assert sample_value(parsed, "repro_serve_jobs", status="done") == 1
 
     def test_sanitize_prefixes_and_cleans(self):
         assert sanitize_name("serve.job_ms") == "repro_serve_job_ms"
@@ -474,21 +466,12 @@ class TestTopDashboard:
             "# TYPE repro_serve_jobs gauge",
             'repro_serve_jobs{status="done"} 3',
             'repro_serve_jobs{status="running"} 1',
-            "# TYPE repro_serve_queue_depth gauge",
-            "repro_serve_queue_depth 1",
-            "# TYPE repro_serve_queue_depth_limit gauge",
-            "repro_serve_queue_depth_limit 8",
             "# TYPE repro_serve_in_flight gauge",
             "repro_serve_in_flight 1",
-            "# TYPE repro_serve_shed counter",
-            "repro_serve_shed 2",
             "# TYPE repro_serve_coalesced gauge",
             "repro_serve_coalesced 0",
             "# TYPE repro_serve_cache_hit_ratio gauge",
             "repro_serve_cache_hit_ratio 0.5",
-            "# TYPE repro_serve_breaker_state gauge",
-            'repro_serve_breaker_state{state="closed",'
-            'workload="edram_tradeoff"} 1',
             "# TYPE repro_serve_job_ms summary",
             'repro_serve_job_ms{quantile="0.5",'
             'workload="edram_tradeoff"} 12.5',
@@ -506,10 +489,10 @@ class TestTopDashboard:
     def test_render_dashboard_shows_the_story(self):
         frame = render_dashboard(self.SCRAPE, title="t")
         assert "jobs      4 (done=3, running=1)" in frame
-        assert "depth 1/8" in frame
-        assert "cache-hit 50%" in frame
+        assert "queue     in-flight 1\n" in frame
+        assert "pressure  coalesced 0   cache-hit 50%" in frame
+        assert "breaker" not in frame
         assert "edram_tradeoff" in frame
-        assert "closed" in frame
         assert "12.50" in frame
         assert "chunk-000002" in frame
 
@@ -559,15 +542,7 @@ class TestServiceMetricsEndpoint:
                 >= 1
             )
             assert sample_value(parsed, "repro_serve_executions") == 1
-            assert (
-                sample_value(
-                    parsed,
-                    "repro_serve_breaker_state",
-                    workload="edram_tradeoff",
-                    state="closed",
-                )
-                == 1
-            )
+            assert sample_value(parsed, "repro_serve_in_flight") == 0
             assert (
                 sample_value(
                     parsed,

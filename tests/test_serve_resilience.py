@@ -1,177 +1,44 @@
-"""Tests for the service's overload protection and cancellation.
+"""Tests for the service's acceptance and cancellation behavior.
 
-Covers the resilience primitives (admission, breakers, cancel tokens)
-in isolation, then the service-level behaviors they compose into:
-shedding with 429, breaker trips with 503, cooperative cancellation
-with journaled partials, deadline enforcement, readiness reporting,
-and the client's bounded-backoff wait/retry loops.
+Covers the cancel token in isolation, then the service-level
+behaviors: every valid cold submission is queued (none refused),
+cooperative cancellation with journaled partials, deadline
+enforcement, the client's bounded-backoff wait loop, and the surface
+the service no longer has (serve flags, metric series, constructor
+arguments) so none of it creeps back.
 """
 
 from __future__ import annotations
 
-import threading
+import argparse
+import inspect
 import time
 
 import pytest
 
 from repro.errors import CancelledError, ConfigurationError
+from repro.obs.expo import parse_prometheus, sample_value
+from repro.serve import resilience
+from repro.serve.cli import add_serve_arguments, build_client_parser
 from repro.serve.client import InProcessClient, ServeClientError
-from repro.serve.resilience import (
-    AdmissionController,
-    CancelToken,
-    CircuitBreaker,
-    ResilienceConfig,
-)
-from repro.serve.testing import in_process_service
+from repro.serve.handlers import ExplorationService
+from repro.serve.protocol import error_envelope
+from repro.serve.resilience import CancelToken
+from repro.serve.testing import in_process_service, running_server
+from repro.verify.chaos import PROFILES, scenario_names
 from repro.serve.workloads import register_workload, unregister_workload
-from tests.serve_helpers import gated_workload, open_gate, reset_gate
+from tests.serve_helpers import (
+    CONTRACT_JOB,
+    contract_env,
+    gated_workload,
+    open_gate,
+    reset_gate,
+)
 
 
 def sleepy_workload(x: float = 0.0, delay_s: float = 0.01) -> dict:
     time.sleep(delay_s)
     return {"x": x}
-
-
-def failing_workload(x: float = 0.0) -> dict:
-    raise ConfigurationError("always broken")
-
-
-class TestResilienceConfig:
-    def test_defaults_valid(self):
-        config = ResilienceConfig()
-        assert config.max_depth == 64
-        assert config.workload_limit() == 64
-
-    def test_per_workload_caps_at_max_depth(self):
-        config = ResilienceConfig(max_depth=4, per_workload=100)
-        assert config.workload_limit() == 4
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_depth": 0},
-            {"per_workload": 0},
-            {"shed_retry_after_s": 0.0},
-            {"breaker_threshold": -1},
-            {"breaker_cooldown_s": 0.0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(**kwargs)
-
-
-class TestAdmissionController:
-    def test_global_depth_bound(self):
-        admission = AdmissionController(ResilienceConfig(max_depth=2))
-        assert admission.try_admit("a")
-        assert admission.try_admit("b")
-        assert not admission.try_admit("c")
-        assert admission.shed == 1
-        admission.release("a")
-        assert admission.try_admit("c")
-
-    def test_per_workload_bound(self):
-        admission = AdmissionController(
-            ResilienceConfig(max_depth=10, per_workload=1)
-        )
-        assert admission.try_admit("a")
-        assert not admission.try_admit("a")
-        assert admission.try_admit("b")
-        admission.release("a")
-        assert admission.try_admit("a")
-
-    def test_snapshot(self):
-        admission = AdmissionController(ResilienceConfig(max_depth=3))
-        admission.try_admit("a")
-        snapshot = admission.snapshot()
-        assert snapshot["depth"] == 1
-        assert snapshot["max_depth"] == 3
-        assert snapshot["per_workload"] == {"a": 1}
-
-
-class TestCircuitBreaker:
-    def config(self, **overrides):
-        defaults = {"breaker_threshold": 2, "breaker_cooldown_s": 0.1}
-        defaults.update(overrides)
-        return ResilienceConfig(**defaults)
-
-    def test_opens_after_consecutive_failures(self):
-        breaker = CircuitBreaker(self.config())
-        breaker.record_failure("w")
-        assert breaker.state_of("w") == "closed"
-        breaker.record_failure("w")
-        assert breaker.state_of("w") == "open"
-        allowed, retry_after = breaker.allow("w")
-        assert not allowed
-        assert retry_after > 0
-
-    def test_success_resets_failure_streak(self):
-        breaker = CircuitBreaker(self.config())
-        breaker.record_failure("w")
-        breaker.record_success("w")
-        breaker.record_failure("w")
-        assert breaker.state_of("w") == "closed"
-
-    def test_half_open_admits_single_probe(self):
-        breaker = CircuitBreaker(self.config())
-        breaker.record_failure("w")
-        breaker.record_failure("w")
-        time.sleep(0.12)
-        allowed, _ = breaker.allow("w")
-        assert allowed
-        assert breaker.state_of("w") == "half_open"
-        # A second caller during the probe is rejected.
-        allowed, retry_after = breaker.allow("w")
-        assert not allowed
-        assert retry_after == pytest.approx(0.1)
-
-    def test_probe_success_closes(self):
-        breaker = CircuitBreaker(self.config())
-        breaker.record_failure("w")
-        breaker.record_failure("w")
-        time.sleep(0.12)
-        breaker.allow("w")
-        breaker.record_success("w")
-        assert breaker.state_of("w") == "closed"
-        assert breaker.allow("w") == (True, None)
-
-    def test_probe_failure_reopens(self):
-        breaker = CircuitBreaker(self.config())
-        breaker.record_failure("w")
-        breaker.record_failure("w")
-        time.sleep(0.12)
-        breaker.allow("w")
-        breaker.record_failure("w")
-        assert breaker.state_of("w") == "open"
-
-    def test_cancelled_probe_reopens_instead_of_stranding(self):
-        breaker = CircuitBreaker(self.config())
-        breaker.record_failure("w")
-        breaker.record_failure("w")
-        time.sleep(0.12)
-        breaker.allow("w")
-        assert breaker.state_of("w") == "half_open"
-        breaker.record_cancelled("w")
-        # Open again with a fresh cooldown — a later window gets a
-        # new probe instead of rejecting forever.
-        assert breaker.state_of("w") == "open"
-        time.sleep(0.12)
-        allowed, _ = breaker.allow("w")
-        assert allowed
-
-    def test_threshold_zero_disables(self):
-        breaker = CircuitBreaker(self.config(breaker_threshold=0))
-        for _ in range(10):
-            breaker.record_failure("w")
-        assert breaker.allow("w") == (True, None)
-
-    def test_keys_are_independent(self):
-        breaker = CircuitBreaker(self.config())
-        breaker.record_failure("bad")
-        breaker.record_failure("bad")
-        assert breaker.state_of("bad") == "open"
-        assert breaker.allow("good") == (True, None)
 
 
 class TestCancelToken:
@@ -201,207 +68,182 @@ class TestCancelToken:
         with pytest.raises(ConfigurationError):
             CancelToken(deadline_s=0.0)
 
+    def test_no_deadline_never_self_cancels(self):
+        token = CancelToken()
+        assert token.remaining_s() is None
+        assert not token.cancelled
+        token.raise_if_cancelled()
 
-class TestSheddingService:
-    def test_flood_is_shed_with_429(self):
+    def test_explicit_cancel_before_deadline_keeps_its_reason(self):
+        token = CancelToken(deadline_s=0.02)
+        assert token.cancel("client_cancel")
+        time.sleep(0.03)
+        assert token.cancelled
+        assert token.reason == "client_cancel"
+
+
+def _gated_job(index: int, gate: str) -> dict:
+    return {
+        "kind": "sweep",
+        "workload": "t_gated",
+        "axes": {"x": [index], "gate": [gate]},
+    }
+
+
+def _assert_bookkeeping(stats: dict) -> None:
+    assert (
+        stats["submitted"]
+        == stats["executions"] + stats["cache_hits"] + stats["coalesced"]
+    )
+
+
+class TestAcceptance:
+    def test_every_cold_job_is_queued_never_refused(self):
+        # One executor thread held by a gated job: 65 distinct cold
+        # jobs all wait their turn instead of any being refused.
         register_workload("t_gated", gated_workload, replace=True)
+        n_jobs = 65
         try:
-            with in_process_service(
-                max_workers=2,
-                resilience=ResilienceConfig(
-                    max_depth=1, shed_retry_after_s=0.07
-                ),
-            ) as (service, client):
-                reset_gate("shed")
-                first = client.submit(
-                    {
-                        "kind": "sweep",
-                        "workload": "t_gated",
-                        "axes": {"x": [1], "gate": ["shed"]},
-                    }
-                )
-                status, payload = client.request(
-                    "POST",
-                    "/v1/jobs",
-                    {
-                        "kind": "sweep",
-                        "workload": "t_gated",
-                        "axes": {"x": [2], "gate": ["shed"]},
-                    },
-                )
-                assert status == 429
-                assert payload["error"]["code"] == "overloaded"
-                assert payload["error"]["retry_after_s"] == 0.07
-                # The rejected submission never became a job.
-                assert service.stats["submitted"] == 1
-                assert service.stats["shed"] == 1
-                assert len(service._jobs) == 1
-                # Saturated: readyz reports not-ready with the depth.
-                status, ready = client.request("GET", "/v1/readyz")
-                assert status == 503
-                assert ready["ready"] is False
-                assert ready["admission"]["depth"] == 1
-                open_gate("shed")
-                final = client.wait(first["job_id"], timeout_s=30.0)
-                assert final["status"] == "done"
-                # The admission slot is released just *after* the job
-                # resolves (executor-thread finally) — poll briefly.
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
-                    status, ready = client.request("GET", "/v1/readyz")
-                    if status == 200:
-                        break
-                    time.sleep(0.01)
-                assert status == 200
-                assert ready["ready"] is True
-                assert ready["admission"]["depth"] == 0
-        finally:
-            unregister_workload("t_gated")
-
-    def test_shed_and_depth_scrape_from_live_snapshots(self):
-        # /v1/metrics samples shed counts and queue depth from the
-        # service's own stats and admission snapshot.
-        from repro.obs.expo import parse_prometheus, sample_value
-
-        register_workload("t_gated", gated_workload, replace=True)
-        try:
-            with in_process_service(
-                max_workers=2,
-                resilience=ResilienceConfig(max_depth=1),
-            ) as (service, client):
-                reset_gate("scrape")
-                first = client.submit(
-                    {
-                        "kind": "sweep",
-                        "workload": "t_gated",
-                        "axes": {"x": [1], "gate": ["scrape"]},
-                    }
-                )
-                status, _ = client.request(
-                    "POST",
-                    "/v1/jobs",
-                    {
-                        "kind": "sweep",
-                        "workload": "t_gated",
-                        "axes": {"x": [2], "gate": ["scrape"]},
-                    },
-                )
-                assert status == 429
-                parsed = parse_prometheus(service.metrics_text())
-                assert sample_value(parsed, "repro_serve_shed") == 1
-                assert sample_value(parsed, "repro_serve_queue_depth") == 1
-                assert (
-                    sample_value(parsed, "repro_serve_queue_depth_limit")
-                    == 1
-                )
-                open_gate("scrape")
-                final = client.wait(first["job_id"], timeout_s=30.0)
-                assert final["status"] == "done"
-        finally:
-            open_gate("scrape")
-            unregister_workload("t_gated")
-
-    def test_cache_hits_and_followers_bypass_admission(self):
-        register_workload("t_gated", gated_workload, replace=True)
-        try:
-            with in_process_service(
-                max_workers=2,
-                resilience=ResilienceConfig(max_depth=1),
-            ) as (service, client):
-                reset_gate("bypass")
-                job = {
-                    "kind": "sweep",
-                    "workload": "t_gated",
-                    "axes": {"x": [1], "gate": ["bypass"]},
-                }
-                primary = client.submit(job)
-                # Identical job coalesces — no admission slot needed
-                # even though the service is saturated.
-                follower = client.submit(job)
-                assert follower["coalesced_with"] == primary["job_id"]
-                open_gate("bypass")
-                client.wait(primary["job_id"], timeout_s=30.0)
-                # Warm hit while notionally saturated: also admitted.
-                warm = client.submit(job)
-                assert warm["cached"] is True
-        finally:
-            unregister_workload("t_gated")
-
-    def test_resilience_false_disables_shedding(self):
-        register_workload("t_sleepy", sleepy_workload, replace=True)
-        try:
-            with in_process_service(
-                max_workers=2, resilience=False
-            ) as (service, client):
-                assert service.admission is None
-                assert service.breakers is None
-                for index in range(8):
-                    client.submit(
+            with in_process_service(max_workers=1) as (service, client):
+                reset_gate("queue")
+                submitted = []
+                for index in range(n_jobs):
+                    status, payload = client.request(
+                        "POST",
+                        "/v1/jobs",
                         {
                             "kind": "sweep",
-                            "workload": "t_sleepy",
-                            "axes": {"x": [float(index)]},
-                        }
+                            "workload": "t_gated",
+                            "axes": {"x": [index], "gate": ["queue"]},
+                        },
                     )
-                assert service.stats["submitted"] == 8
-                status, ready = client.request("GET", "/v1/readyz")
-                assert status == 200
-                assert ready["admission"] is None
+                    assert status == 200, payload
+                    submitted.append(payload["job_id"])
+                assert service.stats["submitted"] == n_jobs
+                assert client.stats()["in_flight"] == n_jobs
+                open_gate("queue")
+                for index, job_id in enumerate(submitted):
+                    final = client.wait(job_id, timeout_s=60.0)
+                    assert final["status"] == "done"
+                    result = client.result(job_id)["result"]
+                    assert result["n_ok"] == 1
+                    assert result["points"][0]["result"] == {"x": index}
+                assert service.stats["executions"] == n_jobs
+                status, payload = client.request("GET", "/v1/readyz")
+                assert status == 404
+                assert payload["error"]["code"] == "not_found"
         finally:
-            unregister_workload("t_sleepy")
+            open_gate("queue")
+            unregister_workload("t_gated")
 
-
-class TestBreakerService:
-    def test_broken_workload_trips_and_recovers_503(self):
-        register_workload("t_failing", failing_workload, replace=True)
-        register_workload("t_sleepy", sleepy_workload, replace=True)
+    def test_identical_flood_coalesces_onto_one_execution(self):
+        # 100 copies of one cold job while it is held: every copy is
+        # accepted, one runs, the rest follow it to the same result.
+        register_workload("t_gated", gated_workload, replace=True)
+        n_jobs = 100
         try:
-            with in_process_service(
-                max_workers=2,
-                resilience=ResilienceConfig(
-                    breaker_threshold=1, breaker_cooldown_s=30.0
-                ),
-            ) as (service, client):
-                bad = client.submit(
-                    {
-                        "kind": "sweep",
-                        "workload": "t_failing",
-                        "axes": {"x": [1.0]},
-                    }
+            with in_process_service(max_workers=1) as (service, client):
+                reset_gate("flood")
+                job = _gated_job(7, "flood")
+                primary = client.submit(job)
+                followers = [client.submit(job) for _ in range(n_jobs - 1)]
+                assert all(
+                    follower["coalesced_with"] == primary["job_id"]
+                    for follower in followers
                 )
-                final = client.wait(bad["job_id"], timeout_s=30.0)
-                assert final["status"] == "failed"
-                status, payload = client.request(
-                    "POST",
-                    "/v1/jobs",
-                    {
-                        "kind": "sweep",
-                        "workload": "t_failing",
-                        "axes": {"x": [2.0]},
-                    },
-                )
-                assert status == 503
-                assert payload["error"]["code"] == "circuit_open"
-                assert payload["error"]["retry_after_s"] > 0
-                # Other workloads are unaffected (per-key breakers),
-                # and the breaker rejection released its admission
-                # slot: the healthy job occupies the only capacity it
-                # needs.
-                healthy = client.run(
-                    {
-                        "kind": "sweep",
-                        "workload": "t_sleepy",
-                        "axes": {"x": [1.0]},
-                    },
-                    timeout_s=30.0,
-                )
-                assert healthy["result"]["n_ok"] == 1
-                snapshot = service.breakers.snapshot()
-                assert snapshot["states"]["t_failing"] == "open"
-                assert snapshot["rejected"] == 1
+                assert client.stats()["in_flight"] == 1
+                open_gate("flood")
+                for submitted in [primary, *followers]:
+                    final = client.wait(submitted["job_id"], timeout_s=30.0)
+                    assert final["status"] == "done"
+                    result = client.result(submitted["job_id"])["result"]
+                    assert result["points"][0]["result"] == {"x": 7}
+                stats = client.stats()
+                assert stats["submitted"] == n_jobs
+                assert stats["executions"] == 1
+                assert stats["coalesced"] == n_jobs - 1
+                assert stats["in_flight"] == 0
+                _assert_bookkeeping(stats)
         finally:
-            unregister_workload("t_failing")
-            unregister_workload("t_sleepy")
+            open_gate("flood")
+            unregister_workload("t_gated")
+
+    def test_cache_hit_answers_while_the_pool_is_busy(self):
+        register_workload("t_gated", gated_workload, replace=True)
+        try:
+            with in_process_service(max_workers=1) as (service, client):
+                open_gate("warm")
+                warm = _gated_job(3, "warm")
+                client.run(warm, timeout_s=30.0)
+                reset_gate("busy")
+                blocker = client.submit(_gated_job(0, "busy"))
+                hit = client.submit(warm)
+                # Answered from the cache, not queued behind the
+                # blocker on the only executor thread.
+                assert hit["cached"] is True
+                assert hit["status"] == "done"
+                result = client.result(hit["job_id"])["result"]
+                assert result["points"][0]["result"] == {"x": 3}
+                assert client.status(blocker["job_id"])["status"] in (
+                    "queued",
+                    "running",
+                )
+                open_gate("busy")
+                client.wait(blocker["job_id"], timeout_s=30.0)
+                stats = client.stats()
+                assert stats["cache_hits"] == 1
+                _assert_bookkeeping(stats)
+        finally:
+            open_gate("busy")
+            unregister_workload("t_gated")
+
+    def test_in_flight_gauge_counts_queued_cold_jobs(self):
+        register_workload("t_gated", gated_workload, replace=True)
+        try:
+            with in_process_service(max_workers=1) as (service, client):
+                reset_gate("gauge")
+                ids = [
+                    client.submit(_gated_job(index, "gauge"))["job_id"]
+                    for index in range(5)
+                ]
+                parsed = parse_prometheus(client.metrics_text())
+                assert sample_value(parsed, "repro_serve_in_flight") == 5
+                open_gate("gauge")
+                for job_id in ids:
+                    client.wait(job_id, timeout_s=30.0)
+                parsed = parse_prometheus(client.metrics_text())
+                assert sample_value(parsed, "repro_serve_in_flight") == 0
+        finally:
+            open_gate("gauge")
+            unregister_workload("t_gated")
+
+    def test_http_server_queues_every_cold_job(self):
+        # The same no-refusal contract over a real socket.
+        register_workload("t_gated", gated_workload, replace=True)
+        n_jobs = 65
+        service = ExplorationService(max_workers=1)
+        try:
+            with running_server(service=service) as (_, client):
+                reset_gate("http")
+                ids = []
+                for index in range(n_jobs):
+                    status, payload = client.request(
+                        "POST", "/v1/jobs", _gated_job(index, "http")
+                    )
+                    assert status == 200, payload
+                    ids.append(payload["job_id"])
+                open_gate("http")
+                for index, job_id in enumerate(ids):
+                    final = client.wait(job_id, timeout_s=60.0)
+                    assert final["status"] == "done"
+                    result = client.result(job_id)["result"]
+                    assert result["points"][0]["result"] == {"x": index}
+                stats = client.stats()
+                assert stats["executions"] == n_jobs
+                _assert_bookkeeping(stats)
+        finally:
+            open_gate("http")
+            unregister_workload("t_gated")
 
 
 class TestCancellation:
@@ -580,6 +422,51 @@ class TestCancellation:
         finally:
             unregister_workload("t_sleepy")
 
+    def test_queued_job_cancelled_before_it_starts(self):
+        register_workload("t_gated", gated_workload, replace=True)
+        try:
+            with in_process_service(max_workers=1) as (service, client):
+                reset_gate("hold")
+                blocker = client.submit(_gated_job(0, "hold"))
+                queued = client.submit(_gated_job(1, "hold"))
+                response = client.cancel(queued["job_id"])
+                assert response["cancelled"] is True
+                open_gate("hold")
+                assert (
+                    client.wait(blocker["job_id"], timeout_s=30.0)["status"]
+                    == "done"
+                )
+                final = client.wait(queued["job_id"], timeout_s=30.0)
+                assert final["status"] == "cancelled"
+                assert "client_cancel" in final["error"]["message"]
+                assert service.cache.get(queued["fingerprint"]) is None
+                stats = client.stats()
+                assert stats["cancelled"] == 1
+                assert stats["in_flight"] == 0
+        finally:
+            open_gate("hold")
+            unregister_workload("t_gated")
+
+    def test_deadline_lapses_while_queued(self):
+        register_workload("t_gated", gated_workload, replace=True)
+        try:
+            with in_process_service(max_workers=1) as (service, client):
+                reset_gate("slow")
+                blocker = client.submit(_gated_job(0, "slow"))
+                doomed = client.submit(
+                    {**_gated_job(1, "slow"), "deadline_s": 0.05}
+                )
+                time.sleep(0.1)
+                open_gate("slow")
+                client.wait(blocker["job_id"], timeout_s=30.0)
+                final = client.wait(doomed["job_id"], timeout_s=30.0)
+                assert final["status"] == "cancelled"
+                assert "deadline" in final["error"]["message"]
+                assert client.stats()["in_flight"] == 0
+        finally:
+            open_gate("slow")
+            unregister_workload("t_gated")
+
     def test_cancel_requires_post(self):
         with in_process_service(max_workers=1) as (service, client):
             status, payload = client.request(
@@ -602,7 +489,27 @@ class _CountingClient(InProcessClient):
         return super().request(method, path, payload)
 
 
+class _RefusingClient(InProcessClient):
+    """In-process client whose submissions all come back 429."""
+
+    def __init__(self, service) -> None:
+        super().__init__(service)
+        self.requests = 0
+
+    def request(self, method, path, payload=None):
+        self.requests += 1
+        return 429, error_envelope("too_many_requests", "refused")
+
+
 class TestClientBackoff:
+    def test_run_raises_on_first_refusal_without_retrying(self):
+        with in_process_service(max_workers=1) as (service, _):
+            client = _RefusingClient(service)
+            with pytest.raises(ServeClientError) as caught:
+                client.run({"kind": "sweep"}, timeout_s=5.0)
+            assert caught.value.status == 429
+            assert client.requests == 1
+
     def test_wait_backoff_bounds_request_count(self):
         register_workload("t_sleepy", sleepy_workload, replace=True)
         try:
@@ -629,70 +536,21 @@ class TestClientBackoff:
         finally:
             unregister_workload("t_sleepy")
 
-    def test_run_retries_shed_submissions(self):
-        register_workload("t_sleepy", sleepy_workload, replace=True)
-        try:
-            with in_process_service(
-                max_workers=2,
-                resilience=ResilienceConfig(
-                    max_depth=1, shed_retry_after_s=0.05
-                ),
-            ) as (service, client):
-                blocker = client.submit(
-                    {
-                        "kind": "sweep",
-                        "workload": "t_sleepy",
-                        "axes": {
-                            "x": [float(i) for i in range(20)],
-                            "delay_s": [0.02],
-                        },
-                    }
-                )
-                # Saturated now: a direct submit is shed ...
-                with pytest.raises(ServeClientError) as excinfo:
-                    client.submit(
-                        {
-                            "kind": "sweep",
-                            "workload": "t_sleepy",
-                            "axes": {"x": [99.0]},
-                        }
-                    )
-                assert excinfo.value.status == 429
-                # ... but run() keeps retrying on the server's hint
-                # until capacity frees up.
-                result = client.run(
-                    {
-                        "kind": "sweep",
-                        "workload": "t_sleepy",
-                        "axes": {"x": [99.0]},
-                    },
-                    timeout_s=30.0,
-                )
-                assert result["result"]["n_ok"] == 1
-                client.wait(blocker["job_id"], timeout_s=30.0)
-                assert service.stats["shed"] >= 2
-        finally:
-            unregister_workload("t_sleepy")
-
 
 class TestStatsDocument:
-    def test_stats_expose_resilience_snapshots(self):
-        with in_process_service(
-            max_workers=1,
-            resilience=ResilienceConfig(max_depth=7),
-        ) as (service, client):
+    def test_stats_expose_counters_and_in_flight(self):
+        with in_process_service(max_workers=1) as (service, client):
             stats = client.stats()
-            assert stats["admission"]["max_depth"] == 7
-            assert stats["breakers"]["states"] == {}
-            assert stats["shed"] == 0
+            assert stats["in_flight"] == 0
             assert stats["cancelled"] == 0
+            assert "admission" not in stats
+            assert "breakers" not in stats
+            assert "shed" not in stats
 
-    def test_bookkeeping_invariant_with_resilience_on(self):
+    def test_bookkeeping_invariant(self):
         register_workload("t_sleepy", sleepy_workload, replace=True)
         try:
-            with in_process_service(
-                max_workers=2, resilience=ResilienceConfig(max_depth=2)
-            ) as (service, client):
+            with in_process_service(max_workers=2) as (service, client):
                 job = {
                     "kind": "sweep",
                     "workload": "t_sleepy",
@@ -709,3 +567,110 @@ class TestStatsDocument:
                 )
         finally:
             unregister_workload("t_sleepy")
+
+
+#: `repro serve` options the retired overload layer used to take.
+RETIRED_SERVE_FLAGS = (
+    ["--max-depth", "64"],
+    ["--per-workload", "16"],
+    ["--breaker-threshold", "5"],
+    ["--breaker-cooldown-s", "1.0"],
+    ["--no-resilience"],
+)
+
+#: Metric series the retired overload layer used to export.
+RETIRED_SERIES = (
+    "repro_serve_shed",
+    "repro_serve_queue_depth",
+    "repro_serve_queue_depth_limit",
+    "repro_serve_workload_depth",
+    "repro_serve_breaker_opened",
+    "repro_serve_breaker_rejected",
+    "repro_serve_breaker_state",
+)
+
+
+class TestRetiredSurface:
+    @pytest.mark.parametrize(
+        "argv", RETIRED_SERVE_FLAGS, ids=lambda argv: argv[0]
+    )
+    def test_serve_rejects_retired_flag(self, argv, capsys):
+        parser = argparse.ArgumentParser(prog="repro serve")
+        add_serve_arguments(parser)
+        parser.parse_args([])
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_client_commands_mirror_the_routes(self):
+        parser = build_client_parser()
+        commands = next(
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert sorted(commands.choices) == [
+            "cancel",
+            "events",
+            "healthz",
+            "metrics",
+            "report",
+            "result",
+            "stats",
+            "status",
+            "submit",
+        ]
+
+    @pytest.mark.parametrize("family", RETIRED_SERIES)
+    def test_metrics_omit_retired_series(self, family):
+        with contract_env(max_workers=1) as (service, client):
+            client.run(CONTRACT_JOB, timeout_s=30.0)
+            client.run(CONTRACT_JOB, timeout_s=30.0)
+            text = client.metrics_text()
+        names = {
+            line.split("{")[0].split()[0]
+            for line in text.splitlines()
+            if line and not line.startswith("#")
+        }
+        assert "repro_serve_in_flight" in names
+        assert family not in names
+        assert f"# TYPE {family} " not in text
+
+    @pytest.mark.parametrize(
+        "factory", [ExplorationService, in_process_service]
+    )
+    def test_service_factories_take_no_overload_argument(self, factory):
+        assert "resilience" not in inspect.signature(factory).parameters
+        with pytest.raises(TypeError):
+            factory(resilience=None)
+
+    def test_resilience_module_keeps_only_the_cancel_token(self):
+        defined = {
+            name
+            for name, value in vars(resilience).items()
+            if not name.startswith("_")
+            and getattr(value, "__module__", None) == resilience.__name__
+        }
+        assert defined == {"CancelToken"}
+
+    def test_error_envelope_is_code_and_message_only(self):
+        envelope = error_envelope("bad_request", "nope")
+        assert envelope["ok"] is False
+        assert envelope["error"] == {"code": "bad_request", "message": "nope"}
+        with pytest.raises(TypeError):
+            error_envelope("bad_request", "nope", hint=1.0)
+
+
+class TestChaosProfiles:
+    def test_smoke_profile_is_kill_and_deadline_cancel(self):
+        assert PROFILES["smoke"] == ("kill_worker", "deadline_cancel")
+
+    def test_full_profile_runs_every_scenario(self):
+        assert sorted(PROFILES["full"]) == scenario_names()
+        assert set(PROFILES["smoke"]) <= set(PROFILES["full"])
+        assert scenario_names() == [
+            "deadline_cancel",
+            "freeze_worker",
+            "kill_worker",
+            "torn_files",
+        ]
