@@ -439,6 +439,7 @@ def evaluate_sweep_point(width: int, page_bits: int) -> float:
 def bench_parallel_sweep(report: PerfReport) -> None:
     import warnings
 
+    from repro.core.executor import LocalPoolExecutor
     from repro.core.parallel import ParallelFallbackWarning
 
     sweep = Sweep(
@@ -452,13 +453,15 @@ def bench_parallel_sweep(report: PerfReport) -> None:
     )
     # Don't over-subscribe small CI boxes: cap the pool at 4 workers.
     workers = min(4, os.cpu_count() or 1)
-    config = ParallelConfig(workers=workers)
+    executor = LocalPoolExecutor(ParallelConfig(workers=workers))
     fallback_reason = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ParallelFallbackWarning)
         parallel_s, parallel_result = measure(
             lambda: sweep.run(
-                evaluate_sweep_point, skip_errors=True, parallel=config
+                evaluate_sweep_point,
+                skip_errors=True,
+                executor=executor,
             )
         )
         for warning in caught:

@@ -52,22 +52,16 @@ def _edram_core_power(width: int, read_fraction: float) -> tuple:
 
 
 class _MacroCache:
-    """Mutable memo store living inside the frozen :class:`Evaluator`.
+    """Mutable, unbounded memo store living inside the frozen
+    :class:`Evaluator`; each explorer builds its own evaluator, so the
+    memo lives no longer than the explorer."""
 
-    Unbounded by default; with ``maxsize`` set it behaves as an LRU —
-    dict insertion order is the recency order (hits re-insert their
-    key), and inserts beyond capacity evict the least recently used
-    entry, counted in ``evictions``.
-    """
+    __slots__ = ("entries", "hits", "misses")
 
-    __slots__ = ("entries", "hits", "misses", "evictions", "maxsize")
-
-    def __init__(self, maxsize: int | None = None) -> None:
+    def __init__(self) -> None:
         self.entries: dict = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self.maxsize = maxsize
 
 
 @dataclass(frozen=True)
@@ -88,58 +82,38 @@ class Evaluator:
             solutions.
         max_utilization: Queueing knee — utilization above this is
             treated as infeasible for latency purposes.
-        macro_cache_maxsize: Bound on the ``evaluate_macro`` memo; None
-            (the default) keeps it unbounded.  When set, the memo
-            evicts least-recently-used entries and reports the count in
-            :meth:`macro_cache_info` — for long-lived evaluators fed an
-            open-ended stream of configurations.
     """
 
     wafer: WaferSpec = WaferSpec(cost_multiplier=1.15)
     yield_model: YieldModel = field(default_factory=YieldModel)
     test_cost_per_mbit: float = 0.02
     max_utilization: float = 0.95
-    macro_cache_maxsize: int | None = None
 
     _macro_cache: _MacroCache = field(
         default_factory=_MacroCache, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if (
-            self.macro_cache_maxsize is not None
-            and self.macro_cache_maxsize < 1
-        ):
-            raise ConfigurationError(
-                "macro_cache_maxsize must be >= 1 (or None for unbounded)"
-            )
-        self._macro_cache.maxsize = self.macro_cache_maxsize
-
     def __getstate__(self) -> dict:
-        # The cache never crosses process boundaries: workers start
-        # cold and the parent primes itself from their results.
+        # The cache never crosses process boundaries: a worker process
+        # starts cold.
         state = self.__dict__.copy()
         state["_macro_cache"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         state = dict(state)
-        state["_macro_cache"] = _MacroCache(
-            maxsize=state.get("macro_cache_maxsize")
-        )
+        state["_macro_cache"] = _MacroCache()
         self.__dict__.update(state)
 
     # -- memo cache ---------------------------------------------------------
 
     def macro_cache_info(self) -> dict:
-        """Cache statistics: size, hits, misses, evictions, maxsize."""
+        """Cache statistics: size, hits, misses."""
         cache = self._macro_cache
         return {
             "size": len(cache.entries),
             "hits": cache.hits,
             "misses": cache.misses,
-            "evictions": cache.evictions,
-            "maxsize": cache.maxsize,
         }
 
     def clear_macro_cache(self) -> None:
@@ -147,27 +121,13 @@ class Evaluator:
         cache.entries.clear()
         cache.hits = 0
         cache.misses = 0
-        cache.evictions = 0
-
-    def _cache_store(self, key, metrics) -> None:
-        cache = self._macro_cache
-        entries = cache.entries
-        if key in entries:
-            if cache.maxsize is not None:
-                del entries[key]  # re-insert to refresh recency
-            entries[key] = metrics
-            return
-        if cache.maxsize is not None and len(entries) >= cache.maxsize:
-            del entries[next(iter(entries))]
-            cache.evictions += 1
-        entries[key] = metrics
 
     def prime_macro_cache(self, pairs) -> None:
         """Pre-populate the memo from ``((macro, requirements), metrics)``
-        pairs (e.g. results computed by worker processes or the batched
-        evaluator).  Respects the LRU bound when one is set."""
+        pairs (e.g. results of the batched evaluator)."""
+        entries = self._macro_cache.entries
         for key, metrics in pairs:
-            self._cache_store(tuple(key), metrics)
+            entries[tuple(key)] = metrics
 
     # -- shared analytic kernels --------------------------------------------
 
@@ -242,13 +202,10 @@ class Evaluator:
         metrics = cache.entries.get(key)
         if metrics is not None:
             cache.hits += 1
-            if cache.maxsize is not None:
-                del cache.entries[key]  # re-insert to refresh recency
-                cache.entries[key] = metrics
             return metrics
         cache.misses += 1
         metrics = self._evaluate_macro_uncached(macro, requirements)
-        self._cache_store(key, metrics)
+        cache.entries[key] = metrics
         return metrics
 
     def evaluate_macros(
@@ -260,10 +217,10 @@ class Evaluator:
 
         Served by the numpy array-lane kernel of :mod:`repro.core.batch`
         when the batch is homogeneous enough (shared timing and area
-        knobs), with the memo primed from the batched results — exactly
-        like the process-pool fan-out path.  Memoized points are served
-        from the cache (counted as hits) and only the misses are
-        batched, so a warm re-explore behaves like the scalar memo.
+        knobs), with the memo primed from the batched results.
+        Memoized points are served from the cache (counted as hits)
+        and only the misses are batched, so a warm re-explore behaves
+        like the scalar memo.
         Falls back to the scalar per-macro loop otherwise.  Both paths
         return bit-identical metrics, in input order.
         """

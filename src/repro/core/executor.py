@@ -50,9 +50,11 @@ fsync + unlink would pay on every chunk.
   their own fsync'd :class:`~repro.core.store.ResultStore` segment
   before the chunk completes; a stolen chunk consults all segments
   first, so points a dead worker already finished are served from the
-  store, never evaluated twice.  The coordinator merges segments into
-  the caller's shared store (``store=``) with ``store_merge``
-  provenance events on the run ledger.
+  segments, never evaluated twice.  The segments are a safety record
+  for the queue only: the caller's result store is
+  :meth:`Sweep.run <repro.core.sweep.Sweep.run>`'s ``store=``, which
+  serves stored points before ``map`` and stores each chunk as it
+  lands.
 
 Every executor returns one :class:`~repro.core.parallel.PointOutcome`
 per item, in input order — bit-identical to the serial reference path
@@ -104,9 +106,10 @@ class Executor:
 
     ``map`` evaluates ``fn`` over ``items`` and returns one
     :class:`PointOutcome` per item in input order.  ``keys`` is an
-    optional parallel list of content fingerprints (one per item) that
-    store-backed executors use for durable de-duplication; executors
-    without a store ignore it.  ``cancel`` is an optional cooperative
+    optional parallel list of content fingerprints (one per item); the
+    work queue ships them with each chunk so a stolen chunk skips
+    points its dead worker already finished, and the in-process
+    executors ignore them.  ``cancel`` is an optional cooperative
     cancellation token (boolean ``cancelled`` attribute) checked at
     chunk boundaries; a fired token raises
     :class:`~repro.errors.CancelledError`.  ``on_chunk(positions,
@@ -128,7 +131,7 @@ class Executor:
         return {"executor": self.name}
 
     def close(self) -> None:
-        """Release any resources (spawned workers, open stores)."""
+        """Release any resources (spawned workers)."""
 
 
 @dataclass
@@ -187,29 +190,6 @@ class LocalPoolExecutor(Executor):
             "chunk_size": self.config.chunk_size,
             "timeout_s": self.config.timeout_s,
         }
-
-
-def coerce_executor(executor, parallel=None) -> Executor | None:
-    """Normalize ``Sweep.run``'s execution arguments to one executor.
-
-    ``parallel=ParallelConfig(...)`` (the pre-PR-8 spelling) becomes a
-    :class:`LocalPoolExecutor`; passing both is rejected; None/None
-    returns None (the caller picks its serial default).
-    """
-    if executor is not None and parallel is not None:
-        raise ConfigurationError(
-            "pass either executor= or parallel=, not both"
-        )
-    if executor is not None:
-        if not callable(getattr(executor, "map", None)):
-            raise ConfigurationError(
-                f"executor must provide .map(), got "
-                f"{type(executor).__name__}"
-            )
-        return executor
-    if parallel is not None:
-        return LocalPoolExecutor(config=parallel)
-    return None
 
 
 # -- work-queue plumbing -----------------------------------------------------
@@ -566,12 +546,15 @@ class WorkQueue:
             if self.directory(RESULTS).exists()
             else []
         )
-        segment_records = sum(
-            1
-            for path in self.segment_paths()
-            for line in open(path, "r", encoding="utf-8")
-            if line.strip()
-        )
+        segment_records = 0
+        for path in self.segment_paths():
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    segment_records += sum(
+                        1 for line in handle if line.strip()
+                    )
+            except OSError:
+                continue  # removed by a concurrent reset()
         return {
             "queue": manifest.get("queue"),
             "n_chunks": manifest.get("n_chunks"),
@@ -605,12 +588,6 @@ class WorkQueueExecutor(Executor):
     --queue DIR``.  Local workers are forks, but the task function is
     loaded from ``task.pkl`` by reference, so it must be importable
     (not defined in ``__main__``) for other workers to run it.
-
-    With ``store=`` (path or open
-    :class:`~repro.core.store.ResultStore`), items whose ``keys`` are
-    already stored are served without enqueueing, and every fresh
-    worker-side evaluation is folded back in at the end — across runs
-    and nodes, no fingerprint is evaluated twice.
     """
 
     name = "work_queue"
@@ -623,7 +600,6 @@ class WorkQueueExecutor(Executor):
         lease_timeout_s: float = 10.0,
         poll_s: float = 0.05,
         timeout_s: float | None = None,
-        store=None,
         spawn_workers: bool = True,
         max_respawns: int = 2,
     ) -> None:
@@ -660,16 +636,7 @@ class WorkQueueExecutor(Executor):
                 max_respawns=max_respawns, heartbeat_timeout_s=idle_s,
                 max_idle_s=idle_s, worker_poll_s=poll_s,
             )
-        from repro.core.store import coerce_store
-
-        self.store, self._owns_store = coerce_store(store)
-        self.stats = {
-            "chunks": 0,
-            "store_hits": 0,
-            "fresh": 0,
-            "requeued": 0,
-            "merged_records": 0,
-        }
+        self.stats = {"chunks": 0, "store_hits": 0, "fresh": 0, "requeued": 0}
 
     def describe(self) -> dict:
         return {
@@ -677,14 +644,11 @@ class WorkQueueExecutor(Executor):
             "queue": str(self.queue.root),
             "workers": self.workers,
             "lease_timeout_s": self.lease_timeout_s,
-            "store": self.store is not None,
         }
 
     def close(self) -> None:
         if self.fleet is not None:
             self.fleet.drain(CLOSE_GRACE_S)
-        if self._owns_store and self.store is not None:
-            self.store.close()
 
     # -- the map -------------------------------------------------------------
 
@@ -700,33 +664,6 @@ class WorkQueueExecutor(Executor):
             )
         if not items:
             return []
-        outcomes: dict = {}
-        remaining = list(range(len(items)))
-        # Store pre-filter: fingerprints already evaluated (this run,
-        # a previous run, or another node) never reach the queue.
-        if self.store is not None and keys is not None:
-            still = []
-            for index in remaining:
-                text = self.store.get(keys[index])
-                outcome = decode_outcome(text) if text is not None else None
-                if outcome is not None:
-                    outcomes[index] = outcome
-                    self.stats["store_hits"] += 1
-                else:
-                    still.append(index)
-            remaining = still
-            if on_chunk is not None and outcomes:
-                # The store-served items, reported as one chunk.
-                on_chunk(list(outcomes), list(outcomes.values()))
-            if progress is not None and outcomes:
-                failed = sum(
-                    1 for o in outcomes.values() if not o.ok
-                )
-                progress.prefill(
-                    done=len(outcomes) - failed, failed=failed
-                )
-        if not remaining:
-            return [outcomes[index] for index in range(len(items))]
         # With a trace context bound on the ledger, the whole queue
         # round runs under a "queue map" span and every chunk gets its
         # own child context shipped inside its chunk file — the worker
@@ -738,21 +675,21 @@ class WorkQueueExecutor(Executor):
             ledger is not None
             and getattr(ledger, "trace_context", None) is not None
         ):
-            map_span = ledger.span("queue map", n_items=len(remaining))
+            map_span = ledger.span("queue map", n_items=len(items))
             map_span.__enter__()
             map_trace = ledger.trace_context
         try:
             return self._run_queue(
-                fn, items, catch, keys, remaining, outcomes,
-                ledger, progress, cancel, map_trace, on_chunk,
+                fn, items, catch, keys, ledger, progress, cancel,
+                map_trace, on_chunk,
             )
         finally:
             if map_span is not None:
                 map_span.__exit__(None, None, None)
 
     def _run_queue(
-        self, fn, items, catch, keys, remaining, outcomes,
-        ledger, progress, cancel, map_trace, on_chunk,
+        self, fn, items, catch, keys, ledger, progress, cancel,
+        map_trace, on_chunk,
     ) -> list:
         queue_id = uuid.uuid4().hex[:12]
         chunk_size = self.chunk_size
@@ -760,10 +697,10 @@ class WorkQueueExecutor(Executor):
             from repro.units import ceil_div
 
             fanout = max(self.workers, 1)
-            chunk_size = max(1, ceil_div(len(remaining), fanout * 4))
+            chunk_size = max(1, ceil_div(len(items), fanout * 4))
         chunks = [
-            remaining[start : start + chunk_size]
-            for start in range(0, len(remaining), chunk_size)
+            list(range(start, min(start + chunk_size, len(items))))
+            for start in range(0, len(items), chunk_size)
         ]
         if self.fleet is not None:
             # The previous map's workers leave on its done sentinel; one
@@ -790,7 +727,7 @@ class WorkQueueExecutor(Executor):
             {
                 "queue": queue_id,
                 "n_chunks": len(chunks),
-                "n_items": len(remaining),
+                "n_items": len(items),
                 "chunk_size": chunk_size,
                 "lease_timeout_s": self.lease_timeout_s,
                 "created_t": round(time.time(), 3),
@@ -801,12 +738,12 @@ class WorkQueueExecutor(Executor):
                 "queue_start",
                 queue=queue_id,
                 n_chunks=len(chunks),
-                n_items=len(remaining),
+                n_items=len(items),
                 workers=self.workers,
-                store_hits=self.stats["store_hits"],
             )
         if self.fleet is not None:
             self.fleet.start()
+        outcomes: dict = {}
         try:
             self._collect(
                 chunks, outcomes, ledger, progress, cancel, on_chunk
@@ -821,7 +758,6 @@ class WorkQueueExecutor(Executor):
             self.queue.mark_done(queue_id)
             if self.fleet is not None:
                 self.fleet.release()
-        self._merge_segments(ledger)
         if ledger is not None:
             ledger.event(
                 "queue_end",
@@ -936,11 +872,3 @@ class WorkQueueExecutor(Executor):
             )
         if progress is not None:
             progress.update(done=len(indices) - failed, failed=failed)
-
-    def _merge_segments(self, ledger) -> None:
-        if self.store is None:
-            return
-        for path in self.queue.segment_paths():
-            self.stats["merged_records"] += self.store.merge_file(
-                path, ledger=ledger
-            )

@@ -18,7 +18,6 @@ from repro.errors import ConfigurationError, InfeasibleError
 from repro.units import MBIT, ceil_div
 from repro.core.evaluator import Evaluator
 from repro.core.metrics import SolutionMetrics
-from repro.core.parallel import ParallelConfig
 from repro.core.pareto import pareto_frontier
 from repro.core.requirements import ApplicationRequirements
 from repro.dram.catalog import COMMODITY_PARTS, smallest_system
@@ -176,21 +175,9 @@ class DesignSpaceExplorer:
     def explore(
         self,
         requirements: ApplicationRequirements,
-        parallel: ParallelConfig | None = None,
         ledger=None,
-        executor=None,
     ) -> ExplorationResult:
         """Run the full sweep for one application.
-
-        With ``parallel``, macro evaluations are fanned out across a
-        process pool (deterministically chunked, merged back in
-        enumeration order) and the results prime this explorer's
-        evaluator memo, so later serial queries hit the cache.
-        ``executor`` generalizes this to any
-        :class:`~repro.core.executor.Executor` — including the
-        work-queue executor that distributes macro evaluations across
-        worker processes on multiple machines; the two arguments are
-        mutually exclusive.
 
         With ``ledger`` (path or open
         :class:`~repro.obs.ledger.RunLedger`), the exploration streams
@@ -198,20 +185,16 @@ class DesignSpaceExplorer:
         evaluate and frontier each get a timed span, so ``repro
         report`` can show where an exploration spends its time.
         """
-        from repro.core.executor import coerce_executor
         from repro.obs.ledger import coerce_ledger
 
-        run_executor = coerce_executor(executor, parallel)
         run_ledger, owns_ledger = coerce_ledger(ledger)
         try:
-            return self._explore(requirements, run_executor, run_ledger)
+            return self._explore(requirements, run_ledger)
         finally:
             if owns_ledger and run_ledger is not None:
                 run_ledger.close()
 
-    def _explore(
-        self, requirements, executor, ledger
-    ) -> ExplorationResult:
+    def _explore(self, requirements, ledger) -> ExplorationResult:
         import time
 
         started = time.perf_counter()
@@ -224,24 +207,11 @@ class DesignSpaceExplorer:
                 bandwidth_bits_per_s=(
                     requirements.sustained_bandwidth_bits_per_s
                 ),
-                executor=(
-                    None if executor is None else executor.describe()
-                ),
             )
         with _maybe_span(ledger, "enumerate"):
             macros = self.enumerate(requirements)
         with _maybe_span(ledger, "evaluate", n_macros=len(macros)):
-            if executor is not None and len(macros) > 1:
-                task = _EvaluateMacroTask(
-                    evaluator=self.evaluator, requirements=requirements
-                )
-                outcomes = executor.map(task, macros, ledger=ledger)
-                evaluated = [outcome.value for outcome in outcomes]
-                self.evaluator.prime_macro_cache(
-                    ((macro, requirements), metrics)
-                    for macro, metrics in zip(macros, evaluated)
-                )
-            elif self.batch:
+            if self.batch:
                 evaluated = self.evaluator.evaluate_macros(
                     macros, requirements
                 )
@@ -312,14 +282,3 @@ def _maybe_span(ledger, name: str, **fields):
     if ledger is None:
         return nullcontext()
     return ledger.span(name, **fields)
-
-
-@dataclass(frozen=True)
-class _EvaluateMacroTask:
-    """Picklable single-macro evaluation, for process-pool fan-out."""
-
-    evaluator: Evaluator
-    requirements: ApplicationRequirements
-
-    def __call__(self, macro: EDRAMMacro) -> SolutionMetrics:
-        return self.evaluator.evaluate_macro(macro, self.requirements)

@@ -27,13 +27,8 @@ Durability discipline
   or the new file, never a hybrid.  Compaction drops dead records:
   superseded duplicates and (for LRU-bounded stores) evicted entries,
   fixing the unbounded-growth / eviction-resurrection bug the bounded
-  service cache used to have.
-* **Cross-node merge** — :meth:`merge_file` folds another store's (or a
-  worker segment's) records in, first-write-wins (records are pure:
-  two writers with the same fingerprint computed the same bytes), and
-  returns how many were new, so a
-  :class:`~repro.obs.ledger.RunLedger` ``store_merge`` event can carry
-  the provenance.
+  service cache used to have.  It runs on its own once the spill holds
+  more than :data:`SPILL_RATIO` times the live entries.
 
 With ``maxsize=None`` (the default) the store is unbounded and nothing
 is ever evicted; with a bound it behaves as an LRU whose spill is kept
@@ -50,6 +45,10 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro.errors import ConfigurationError
+
+#: Auto-compaction trigger: spill records per live entry (with a floor
+#: of 8 records, so tiny stores do not churn).
+SPILL_RATIO = 2.0
 
 
 def canonical_text(document) -> str:
@@ -131,20 +130,15 @@ class ResultStore:
         path=None,
         maxsize: int | None = None,
         fsync: bool = False,
-        compact_ratio: float = 2.0,
     ) -> None:
         if maxsize is not None and maxsize < 1:
             raise ConfigurationError("store maxsize must be >= 1")
-        if compact_ratio < 1.0:
-            raise ConfigurationError("compact_ratio must be >= 1.0")
         self.path = Path(path) if path is not None else None
         self.maxsize = maxsize
         self.fsync = fsync
-        self.compact_ratio = compact_ratio
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.merged = 0
         self._lock = threading.RLock()
         self._entries: OrderedDict = OrderedDict()
         self._handle = None
@@ -198,13 +192,12 @@ class ResultStore:
         """Compact when dead records dominate the spill.
 
         Dead = superseded duplicates + evicted entries.  The threshold
-        is ``compact_ratio`` times the live set (with a small floor so
-        tiny stores don't churn).
+        is :data:`SPILL_RATIO` times the live set.
         """
         if self.path is None:
             return
         live = len(self._entries)
-        if self._spill_records <= max(8, int(live * self.compact_ratio)):
+        if self._spill_records <= max(8, int(live * SPILL_RATIO)):
             return
         self._compact_locked()
 
@@ -279,57 +272,6 @@ class ResultStore:
         with self._lock:
             return list(self._entries)
 
-    # -- cross-node merge ----------------------------------------------------
-
-    def merge_file(self, path, ledger=None) -> int:
-        """Fold another store file's records in; returns the new count.
-
-        First-write-wins: a fingerprint this store already holds keeps
-        its existing text (entries are pure — any writer computed the
-        same bytes).  With ``ledger``, emits one ``store_merge`` event
-        carrying the source path and counts, so cross-node merges are
-        on the provenance record.
-        """
-        path = Path(path)
-        folded = 0
-        seen = 0
-        if path.exists():
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn tail
-                    fingerprint = record.get("fingerprint")
-                    result = record.get("result")
-                    if not (
-                        isinstance(fingerprint, str)
-                        and isinstance(result, str)
-                    ):
-                        continue
-                    seen += 1
-                    with self._lock:
-                        if fingerprint in self._entries:
-                            continue
-                        self._insert(fingerprint, result)
-                        if self.path is not None:
-                            self._append_record(fingerprint, result)
-                        folded += 1
-        with self._lock:
-            self.merged += folded
-            self._maybe_compact()
-        if ledger is not None:
-            ledger.event(
-                "store_merge",
-                source=str(path),
-                records=seen,
-                folded=folded,
-                entries=len(self),
-            )
-        return folded
-
     # -- lifecycle -----------------------------------------------------------
 
     def flush(self) -> None:
@@ -359,7 +301,6 @@ class ResultStore:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "merged": self.merged,
                 "spill_records": self._spill_records,
                 "persistent": self.path is not None,
             }

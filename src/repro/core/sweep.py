@@ -9,9 +9,12 @@ queries and direct rendering through
 :class:`~repro.reporting.tables.Table`.
 
 Every point is evaluated through one
-:class:`~repro.core.executor.Executor` — serial by default, a process
-pool for ``parallel=``, or whatever ``executor=`` names — which hands
-each finished chunk back to the sweep to record.
+:class:`~repro.core.executor.Executor` — serial by default, or
+whatever ``executor=`` names (a local process pool, a work queue) —
+which hands each finished chunk back to the sweep to record.  With
+``store=``, stored points are served before the executor runs and
+every landed chunk is stored, so the sweep's store is the one durable
+result store whichever executor runs the points.
 
 Resilience (see docs/RESILIENCE.md):
 
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import CancelledError, ConfigurationError
-from repro.core.parallel import ParallelConfig, PointOutcome, check_cancelled
+from repro.core.parallel import PointOutcome, check_cancelled
 from repro.obs.ledger import coerce_ledger
 from repro.obs.progress import ProgressReporter
 
@@ -250,7 +253,6 @@ class Sweep:
         self,
         evaluate,
         skip_errors: bool = False,
-        parallel: ParallelConfig | None = None,
         journal: str | Path | None = None,
         ledger=None,
         progress=None,
@@ -268,13 +270,6 @@ class Sweep:
                 raises :class:`~repro.errors.ReproError` as
                 :class:`FailedPoint` entries (useful when parts of the
                 grid are unconstructible) instead of aborting.
-            parallel: Fan the points out over a process pool.  Points
-                are chunked deterministically and merged back in
-                product order, so the result is identical to a serial
-                run (``evaluate`` must be picklable and side-effect
-                free; otherwise the serial path is used).  With
-                ``parallel.timeout_s`` set, hung points are quarantined
-                as failures rather than hanging the sweep.
             journal: Checkpoint-journal path.  Completed points are
                 appended as they finish; a rerun with the same path
                 resumes from the journal, evaluating only the missing
@@ -289,18 +284,24 @@ class Sweep:
             progress: ``True`` for a live stderr rate/ETA line
                 (auto-disabled off-TTY), or a pre-built
                 :class:`~repro.obs.progress.ProgressReporter`.
-            executor: A :class:`~repro.core.executor.Executor`
-                (:class:`~repro.core.executor.LocalPoolExecutor`,
-                :class:`~repro.core.executor.WorkQueueExecutor`, ...)
-                to evaluate the points through (default: a
-                :class:`~repro.core.executor.SerialExecutor`).  Mutually
-                exclusive with ``parallel`` (which is shorthand for a
-                :class:`~repro.core.executor.LocalPoolExecutor`).
+            executor: The :class:`~repro.core.executor.Executor` to
+                evaluate the points through (default: a
+                :class:`~repro.core.executor.SerialExecutor`).  A
+                :class:`~repro.core.executor.LocalPoolExecutor` fans
+                them over a process pool, chunked deterministically and
+                merged back in product order, so the result is identical
+                to a serial run (``evaluate`` must be picklable and
+                side-effect free; otherwise the serial path is used);
+                with its ``timeout_s`` set, hung points are quarantined
+                as failures rather than hanging the sweep.  A
+                :class:`~repro.core.executor.WorkQueueExecutor` spreads
+                them over worker processes, on this or other machines.
             store: Durable content-addressed result store — a path or
                 open :class:`~repro.core.store.ResultStore`.  Points
                 whose :meth:`point_key` is already stored are served
                 without evaluation (across runs and across nodes);
-                fresh evaluations are stored as they complete.
+                fresh evaluations are stored chunk by chunk as they
+                land, whichever executor runs them.
             store_context: Extra JSON-able context folded into each
                 point's :meth:`point_key` (workload name, backend,
                 flags) so stores shared across workloads never collide.
@@ -314,12 +315,12 @@ class Sweep:
                 the prefix.  The run-ledger's ``run_end`` records
                 ``status="cancelled"``.
         """
-        from repro.core.executor import SerialExecutor, coerce_executor
+        from repro.core.executor import SerialExecutor
         from repro.core.store import coerce_store
 
         combos = self.combinations()
         signature = self.signature()
-        run_executor = coerce_executor(executor, parallel) or SerialExecutor()
+        run_executor = SerialExecutor() if executor is None else executor
         run_store, owns_store = coerce_store(store)
         if store_context and run_store is None:
             raise ConfigurationError(
@@ -348,18 +349,7 @@ class Sweep:
                         for name, values in self.axes.items()
                     },
                     skip_errors=skip_errors,
-                    parallel=(
-                        None
-                        if parallel is None
-                        else {
-                            "workers": parallel.workers,
-                            "chunk_size": parallel.chunk_size,
-                            "timeout_s": parallel.timeout_s,
-                        }
-                    ),
-                    executor=(
-                        None if executor is None else executor.describe()
-                    ),
+                    executor=run_executor.describe(),
                     store=run_store is not None,
                     journal=None if journal is None else str(journal),
                     journaled_points=len(completed),

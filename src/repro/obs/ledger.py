@@ -40,6 +40,7 @@ import sys
 import time
 import uuid
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 
 from repro.errors import ConfigurationError
@@ -78,8 +79,17 @@ def environment_fingerprint() -> dict:
 
 
 def git_provenance(cwd: str | Path | None = None) -> dict:
-    """Best-effort git commit/dirty state (empty outside a checkout)."""
+    """Best-effort git commit/dirty state (empty outside a checkout).
+
+    Computed once per process and directory: it costs two ``git``
+    subprocesses, and every fresh ledger records it.
+    """
     base = str(cwd) if cwd is not None else os.getcwd()
+    return dict(_git_provenance(base))
+
+
+@lru_cache(maxsize=None)
+def _git_provenance(base: str) -> dict:
     try:
         commit = subprocess.run(
             ["git", "rev-parse", "HEAD"],

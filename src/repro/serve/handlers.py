@@ -403,7 +403,7 @@ class ExplorationService:
 
         sweep = Sweep(axes=dict(spec.axes))
         workers = getattr(spec, "workers", 0)
-        parallel = None
+        executor = None
         if workers >= 2:
             # The `workers:` execution hint fans the sweep across a
             # local process pool.  The raw workload function goes to
@@ -414,9 +414,10 @@ class ExplorationService:
             # run instead of per call.  `workers` is excluded from the
             # job fingerprint: the result document is byte-identical
             # to the serial run's, so both share one cache entry.
+            from repro.core.executor import LocalPoolExecutor
             from repro.core.parallel import ParallelConfig
 
-            parallel = ParallelConfig(workers=workers)
+            executor = LocalPoolExecutor(ParallelConfig(workers=workers))
             evaluate = get_workload(spec.workload)
         else:
             evaluate = _CountingEvaluate(
@@ -437,7 +438,7 @@ class ExplorationService:
             skip_errors=spec.skip_errors,
             ledger=tap,
             progress=reporter,
-            parallel=parallel,
+            executor=executor,
             journal=journal,
             cancel=job.cancel_token,
         )
@@ -447,7 +448,7 @@ class ExplorationService:
                 journal.unlink()
             except OSError:
                 pass
-        if parallel is not None:
+        if executor is not None:
             self._count_evaluations(sweep.n_points)
         points = [
             {"parameters": point.parameters, "result": point.result}

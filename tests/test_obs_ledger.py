@@ -11,9 +11,11 @@ Pins the three telemetry contracts of docs/OBSERVABILITY.md:
 
 import io
 import json
+import subprocess
 
 import pytest
 
+from repro.core.executor import LocalPoolExecutor
 from repro.core.parallel import ParallelConfig
 from repro.core.sweep import Sweep
 from repro.errors import ConfigurationError
@@ -46,6 +48,27 @@ class TestRunLedger:
         assert "python" in events[0]["environment"]
         assert [e["id"] for e in events] == list(range(len(events)))
         assert len({e["run"] for e in events}) == 1
+
+    def test_git_provenance_computed_once_per_process(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        real_run = subprocess.run
+
+        def fake_run(argv, **kwargs):
+            if argv[0] != "git":
+                return real_run(argv, **kwargs)
+            calls.append(argv)
+            return subprocess.CompletedProcess(argv, 0, stdout="abc\n")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        # A directory no earlier ledger in this process opened from.
+        monkeypatch.chdir(tmp_path)
+        for name in ("one.jsonl", "two.jsonl"):
+            RunLedger(tmp_path / name).close()
+        assert len(calls) == 2
+        events = read_events(tmp_path / "two.jsonl")
+        assert events[0]["git"] == {"commit": "abc", "dirty": True}
 
     def test_span_records_duration_and_link(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -313,7 +336,9 @@ class TestSweepLedger:
         path = tmp_path / "sweep.jsonl"
         Sweep(axes={"x": list(range(4))}).run(
             _sleep_10ms,
-            parallel=ParallelConfig(workers=2, chunk_size=2),
+            executor=LocalPoolExecutor(
+                ParallelConfig(workers=2, chunk_size=2)
+            ),
             ledger=path,
         )
         events = read_events(path)

@@ -33,6 +33,7 @@ from repro.core.executor import (
     atomic_write_json,
 )
 from repro.core.store import ResultStore
+from repro.core.sweep import Sweep
 from repro.core.worker import worker_loop
 from repro.obs.ledger import RunLedger
 
@@ -81,21 +82,23 @@ def test_unflushed_ledger_and_store_get_no_worker_records(tmp_path, forks):
     ledger_path = tmp_path / "run.ledger.jsonl"
     store_path = tmp_path / "store.jsonl"
     items = list(range(6))
-    keys = [f"fp-{x}" for x in items]
+    sweep = Sweep(axes={"x": items})
     ledger = RunLedger(ledger_path)
     # Not a flushing kind: it sits in the handle's buffer at fork time,
     # beside the executor's own queue_start event.
     ledger.event("note", stage="before map")
     store = ResultStore(path=store_path)
-    executor = _executor(tmp_path / "q", store=store)
+    executor = _executor(tmp_path / "q")
     try:
-        outcomes = executor.map(_square, items, keys=keys, ledger=ledger)
+        result = sweep.run(
+            _square, executor=executor, store=store, ledger=ledger
+        )
     finally:
         executor.close()
     ledger.event("note", stage="after map")
     ledger.close()
     store.close()
-    assert [o.value for o in outcomes] == [x * x for x in items]
+    assert [p.result for p in result.points] == [x * x for x in items]
     assert len(forks) == 2
     _assert_reaped(forks)
 
@@ -113,7 +116,9 @@ def test_unflushed_ledger_and_store_get_no_worker_records(tmp_path, forks):
         fingerprints = [
             json.loads(line)["fingerprint"] for line in handle if line.strip()
         ]
-    assert sorted(fingerprints) == sorted(keys)
+    assert sorted(fingerprints) == sorted(
+        sweep.point_key(parameters) for parameters in sweep.combinations()
+    )
 
 
 def test_failing_child_exits_nonzero_and_never_resumes_the_caller(

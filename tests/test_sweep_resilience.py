@@ -95,7 +95,9 @@ class TestFailureQuarantine:
         result = sweep.run(
             _eval,
             skip_errors=True,
-            parallel=ParallelConfig(workers=2, chunk_size=1),
+            executor=LocalPoolExecutor(
+                ParallelConfig(workers=2, chunk_size=1)
+            ),
         )
         assert [p.result for p in result.points] == [1, 3, 4]
         assert len(result.failures) == 1
@@ -105,8 +107,8 @@ class TestFailureQuarantine:
         sweep = Sweep(axes={"x": [1, 2, 3, 4]})
         result = sweep.run(
             _sleepy,
-            parallel=ParallelConfig(
-                workers=2, chunk_size=1, timeout_s=0.4
+            executor=LocalPoolExecutor(
+                ParallelConfig(workers=2, chunk_size=1, timeout_s=0.4)
             ),
         )
         succeeded = {p.parameters["x"] for p in result.points}
@@ -220,7 +222,9 @@ class TestJournal:
         serial = sweep.run(_eval)
         parallel = sweep.run(
             _eval,
-            parallel=ParallelConfig(workers=2, chunk_size=1),
+            executor=LocalPoolExecutor(
+                ParallelConfig(workers=2, chunk_size=1)
+            ),
             journal=tmp_path / "par.jsonl",
         )
         assert [p.result for p in parallel.points] == [
@@ -228,7 +232,9 @@ class TestJournal:
         ]
         resumed = sweep.run(
             _eval,
-            parallel=ParallelConfig(workers=2, chunk_size=1),
+            executor=LocalPoolExecutor(
+                ParallelConfig(workers=2, chunk_size=1)
+            ),
             journal=tmp_path / "par.jsonl",
         )
         assert [p.result for p in resumed.points] == [
