@@ -90,7 +90,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.evaluator import Evaluator
 from repro.core.explorer import DesignSpaceExplorer
-from repro.core.parallel import ParallelConfig
 from repro.core.sweep import Sweep
 from repro.controller.controller import ControllerConfig, MemoryController
 from repro.dft.flow import TestFlow
@@ -453,7 +452,7 @@ def bench_parallel_sweep(report: PerfReport) -> None:
     )
     # Don't over-subscribe small CI boxes: cap the pool at 4 workers.
     workers = min(4, os.cpu_count() or 1)
-    executor = LocalPoolExecutor(ParallelConfig(workers=workers))
+    executor = LocalPoolExecutor(workers=workers)
     fallback_reason = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ParallelFallbackWarning)

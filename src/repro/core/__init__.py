@@ -46,9 +46,7 @@ _EXPORTS = {
     "Partitioner": "partition",
     "PartitionPlan": "partition",
     "TechProfile": "partition",
-    "ParallelConfig": "parallel",
     "PointOutcome": "parallel",
-    "parallel_map": "parallel",
     "Sweep": "sweep",
     "SweepPoint": "sweep",
     "SweepResult": "sweep",

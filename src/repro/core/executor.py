@@ -1,16 +1,13 @@
-"""Sweep executors: one interface, local pool to multi-node work queue.
+"""Sweep executors: one interface, in-process loop to multi-node queue.
 
-ROADMAP item 3: ``core/parallel.py`` stops at one machine's process
-pool.  This module generalizes sweep execution behind a single
-interface so :meth:`Sweep.run <repro.core.sweep.Sweep.run>` and
-:meth:`DesignSpaceExplorer.explore
-<repro.core.explorer.DesignSpaceExplorer.explore>` do not care where
-points evaluate:
+:meth:`Sweep.run <repro.core.sweep.Sweep.run>` evaluates every point
+through one :class:`Executor` and does not care where the points run:
 
-* :class:`SerialExecutor` — the in-process reference path;
-* :class:`LocalPoolExecutor` — the existing
-  :func:`~repro.core.parallel.parallel_map` process pool behind the
-  interface (deterministic chunking, ordered merge, retries, timeouts);
+* :class:`SerialExecutor` — the in-process reference path, one point
+  per chunk;
+* :class:`LocalPoolExecutor` — one machine's process pool
+  (deterministic contiguous chunks, ordered merge, and a loud serial
+  fallback for the chunks a failed pool had not merged);
 * :class:`WorkQueueExecutor` — multiple worker *processes* (forked
   locally, or started on other machines) coordinated through a shared
   work-queue directory.  See docs/DISTRIBUTED.md for the protocol
@@ -70,15 +67,15 @@ import pickle
 import select
 import time
 import uuid
-from dataclasses import dataclass, field as dataclass_field
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.core.parallel import (
-    ParallelConfig,
-    _NeverRaised,
+    ParallelFallbackWarning,
+    PointOutcome,
     check_cancelled,
-    parallel_map,
 )
 from repro.core.store import decode_outcome, encode_outcome
 
@@ -96,6 +93,11 @@ MANIFEST, TASK_FILE, DONE_FILE = "manifest.json", "task.pkl", "done.json"
 #: it SIGKILLs (and reaps) it.
 CLOSE_GRACE_S = 5.0
 
+#: ``concurrent.futures.ProcessPoolExecutor``, imported by the first
+#: pool map: it loads ``multiprocessing``, which serial sweeps and
+#: work-queue workers never use.
+ProcessPoolExecutor = None
+
 
 class ExecutorError(SimulationError):
     """Distributed execution failed (lost workers, deadline, bad queue)."""
@@ -105,7 +107,9 @@ class Executor:
     """Interface every sweep executor implements.
 
     ``map`` evaluates ``fn`` over ``items`` and returns one
-    :class:`PointOutcome` per item in input order.  ``keys`` is an
+    :class:`PointOutcome` per item in input order.  ``catch`` is a
+    tuple of exception types captured per point as failed outcomes;
+    anything else propagates.  ``keys`` is an
     optional parallel list of content fingerprints (one per item); the
     work queue ships them with each chunk so a stolen chunk skips
     points its dead worker already finished, and the in-process
@@ -115,7 +119,10 @@ class Executor:
     :class:`~repro.errors.CancelledError`.  ``on_chunk(positions,
     outcomes)``, when given, is called once per merged chunk with the
     chunk's input positions and outcomes, so a caller can persist
-    results as they land rather than when ``map`` returns.
+    results as they land rather than when ``map`` returns; an error it
+    raises propagates unchanged.  ``ledger`` receives one ``chunk``
+    event per merged chunk (``index``, ``size``, the worker's wall
+    ``s``, ``failed``) and ``progress`` one update.
     """
 
     name = "executor"
@@ -134,9 +141,121 @@ class Executor:
         """Release any resources (spawned workers)."""
 
 
+def _run_chunk(fn, chunk, catch):
+    """Evaluate one contiguous chunk of items.
+
+    Top-level so the process pool can pickle it.  Returns ``(elapsed,
+    outcomes)``: the chunk's wall time in the process that evaluated
+    it, which is what its ``chunk`` ledger event reports.
+    """
+    start = time.perf_counter()
+    outcomes = []
+    for item in chunk:
+        try:
+            outcomes.append(PointOutcome(ok=True, value=fn(item)))
+        except catch as error:
+            outcomes.append(PointOutcome(ok=False, error=repr(error)))
+    return time.perf_counter() - start, outcomes
+
+
+def _merge_chunk(
+    index, outcomes, elapsed, merged, ledger, progress, on_chunk
+) -> None:
+    """Append chunk ``index``'s outcomes to ``merged`` and report it.
+
+    Chunks merge in input order and each exactly once, so the chunk's
+    input positions start at ``len(merged)``.
+    """
+    start = len(merged)
+    merged.extend(outcomes)
+    if on_chunk is not None:
+        on_chunk(list(range(start, len(merged))), outcomes)
+    if ledger is None and progress is None:
+        return
+    failed = sum(1 for outcome in outcomes if not outcome.ok)
+    if ledger is not None:
+        ledger.event(
+            "chunk",
+            index=index,
+            size=len(outcomes),
+            s=round(elapsed, 6),
+            failed=failed,
+        )
+    if progress is not None:
+        progress.update(done=len(outcomes) - failed, failed=failed)
+
+
+def _map_serially(
+    fn, chunks, first, merged, catch, ledger, progress, cancel, on_chunk
+) -> list:
+    """Evaluate ``chunks[first:]`` in this process into ``merged``."""
+    for index in range(first, len(chunks)):
+        check_cancelled(cancel)
+        elapsed, outcomes = _run_chunk(fn, chunks[index], catch)
+        _merge_chunk(
+            index, outcomes, elapsed, merged, ledger, progress, on_chunk
+        )
+    return merged
+
+
+def _map_on_pool(
+    fn, chunks, workers, merged, catch, ledger, progress, cancel, on_chunk
+) -> tuple:
+    """Merge the chunks a process pool evaluates, in input order.
+
+    Returns ``(first, error)``: the index of the first chunk not merged
+    and the pool failure that stopped the merge there, or
+    ``(len(chunks), None)``.  Cancellation and ``on_chunk`` errors
+    raise instead: they are the caller's, not the pool's.
+    """
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    pool = None
+    cancelled = False
+    try:
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            futures = [
+                pool.submit(_run_chunk, fn, chunk, catch) for chunk in chunks
+            ]
+        except Exception as error:
+            return 0, error
+        for index, future in enumerate(futures):
+            if cancel is not None and cancel.cancelled:
+                cancelled = True
+                check_cancelled(cancel)
+            try:
+                elapsed, outcomes = future.result()
+            except Exception as error:
+                return index, error
+            _merge_chunk(
+                index, outcomes, elapsed, merged, ledger, progress, on_chunk
+            )
+        return len(chunks), None
+    finally:
+        if pool is not None:
+            # Unmerged chunks are never waited for; a cancelled map
+            # does not wait for the running ones either.
+            pool.shutdown(wait=not cancelled, cancel_futures=True)
+
+
+def _picklable(*objects) -> bool:
+    try:
+        for obj in objects:
+            pickle.dumps(obj)
+    except Exception:
+        return False
+    return True
+
+
 @dataclass
 class SerialExecutor(Executor):
-    """The in-process reference path behind the executor interface."""
+    """The in-process reference path behind the executor interface.
+
+    One-point chunks report (and check cancellation) per point, so a
+    crash or cancel mid-map loses nothing already evaluated.
+    """
 
     name = "serial"
 
@@ -144,51 +263,105 @@ class SerialExecutor(Executor):
         self, fn, items, *, catch=(), keys=None, ledger=None,
         progress=None, cancel=None, on_chunk=None,
     ) -> list:
-        # workers=0 selects parallel_map's serial path, which reports
-        # chunks to the ledger and progress like the pool paths.
-        # One-item chunks report (and check cancellation) per point, so
-        # a crash or cancel mid-map loses nothing already evaluated.
-        return parallel_map(
-            fn,
-            items,
-            config=ParallelConfig(workers=0, chunk_size=1),
-            catch=catch,
-            ledger=ledger,
-            progress=progress,
-            cancel=cancel,
-            on_chunk=on_chunk,
+        return _map_serially(
+            fn, [[item] for item in items], 0, [], tuple(catch), ledger,
+            progress, cancel, on_chunk,
         )
 
 
 @dataclass
 class LocalPoolExecutor(Executor):
-    """One machine's process pool (:func:`parallel_map`) as an executor."""
+    """One machine's process pool behind the executor interface.
 
-    config: ParallelConfig = dataclass_field(default_factory=ParallelConfig)
+    Items are split into contiguous chunks of ``chunk_size`` (None =
+    one chunk per worker), evaluated on ``workers`` processes (None =
+    ``os.cpu_count()``) and merged back in input order, so the result
+    is identical to a serial run.  A map that cannot use a pool — one
+    worker, or an ``fn`` or item that does not pickle — runs the same
+    chunks in-process and, unless ``workers`` asked for 0 or 1, says
+    why in one ``serial`` ledger event.
+
+    A pool that fails after starting (broken pool, spawn failure, a
+    worker exception outside ``catch``) falls back loudly: a
+    :class:`~repro.core.parallel.ParallelFallbackWarning` and a
+    ``fallback`` ledger event carry the root cause, and the chunks the
+    pool had not merged run in-process, so a workload exception
+    re-raises there with a clean traceback and every chunk is reported
+    once.  Cancellation and ``on_chunk`` errors propagate unchanged.
+    """
+
+    workers: int | None = None
+    chunk_size: int | None = None
 
     name = "local_pool"
+
+    def __post_init__(self) -> None:
+        if self.workers is not None and self.workers < 0:
+            raise ConfigurationError("workers must be >= 0")
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ConfigurationError("chunk_size must be >= 1")
 
     def map(
         self, fn, items, *, catch=(), keys=None, ledger=None,
         progress=None, cancel=None, on_chunk=None,
     ) -> list:
-        return parallel_map(
-            fn,
-            items,
-            config=self.config,
-            catch=catch,
-            ledger=ledger,
-            progress=progress,
-            cancel=cancel,
-            on_chunk=on_chunk,
+        items = list(items)
+        if not items:
+            return []
+        catch = tuple(catch)
+        workers = self.workers
+        if workers is None:
+            workers = os.cpu_count() or 1
+        workers = max(1, min(workers, len(items)))
+        chunk_size = self.chunk_size
+        if chunk_size is None:
+            from repro.units import ceil_div
+
+            chunk_size = ceil_div(len(items), workers)
+        chunks = [
+            items[start : start + chunk_size]
+            for start in range(0, len(items), chunk_size)
+        ]
+        merged: list = []
+        serial_reason = None
+        if workers == 1:
+            serial_reason = "single_worker"
+        elif not _picklable(fn, items[0]):
+            serial_reason = "non_picklable"
+        if serial_reason is not None:
+            # workers 0 or 1 asked for no pool: nothing degraded.
+            if ledger is not None and self.workers not in (0, 1):
+                ledger.event("serial", reason=serial_reason, items=len(items))
+            return _map_serially(
+                fn, chunks, 0, merged, catch, ledger, progress, cancel,
+                on_chunk,
+            )
+        first, error = _map_on_pool(
+            fn, chunks, workers, merged, catch, ledger, progress, cancel,
+            on_chunk,
         )
+        if error is not None:
+            rerun = len(items) - len(merged)
+            if ledger is not None:
+                ledger.event("fallback", error=repr(error), items=rerun)
+            warnings.warn(
+                f"process pool failed ({error!r}); re-running {rerun} "
+                "unmerged item(s) serially — side-effectful functions "
+                "may execute twice",
+                ParallelFallbackWarning,
+                stacklevel=2,
+            )
+            _map_serially(
+                fn, chunks, first, merged, catch, ledger, progress, cancel,
+                on_chunk,
+            )
+        return merged
 
     def describe(self) -> dict:
         return {
             "executor": self.name,
-            "workers": self.config.workers,
-            "chunk_size": self.config.chunk_size,
-            "timeout_s": self.config.timeout_s,
+            "workers": self.workers,
+            "chunk_size": self.chunk_size,
         }
 
 
@@ -588,6 +761,10 @@ class WorkQueueExecutor(Executor):
     --queue DIR``.  Local workers are forks, but the task function is
     loaded from ``task.pkl`` by reference, so it must be importable
     (not defined in ``__main__``) for other workers to run it.
+
+    :attr:`stats` counts the last map's merged ``chunks``, points
+    served from worker segments (``store_hits``) or evaluated
+    (``fresh``), and ``requeued`` leases; each map starts it at zero.
     """
 
     name = "work_queue"
@@ -656,8 +833,9 @@ class WorkQueueExecutor(Executor):
         self, fn, items, *, catch=(), keys=None, ledger=None,
         progress=None, cancel=None, on_chunk=None,
     ) -> list:
+        self.stats.update(dict.fromkeys(self.stats, 0))
         items = list(items)
-        catch = tuple(catch) or (_NeverRaised,)
+        catch = tuple(catch)
         if keys is not None and len(keys) != len(items):
             raise ConfigurationError(
                 "keys must match items one-to-one when provided"

@@ -18,10 +18,9 @@ result store whichever executor runs the points.
 
 Resilience (see docs/RESILIENCE.md):
 
-* failing points are quarantined as :class:`FailedPoint` entries on
-  ``SweepResult.failures`` instead of silently vanishing (with
-  ``skip_errors``) or aborting the sweep (per-chunk timeouts in the
-  process pool);
+* with ``skip_errors``, failing points are quarantined as
+  :class:`FailedPoint` entries on ``SweepResult.failures`` instead of
+  aborting the sweep, on every executor alike;
 * ``Sweep.run(..., journal=path)`` appends every evaluated point to a
   JSONL checkpoint journal as its chunk lands; re-running with the
   same journal skips the already-evaluated points and merges old and
@@ -96,8 +95,7 @@ class FailedPoint:
 
     Attributes:
         parameters: Axis name -> value for this point.
-        error: ``repr`` of the captured exception, or the timeout
-            message for points whose chunk missed its deadline.
+        error: ``repr`` of the captured exception.
     """
 
     parameters: dict
@@ -109,9 +107,9 @@ class SweepResult:
     """All evaluated points of one sweep.
 
     ``points`` holds the successful evaluations in product order;
-    ``failures`` the quarantined ones (skipped errors, timed-out
-    chunks), also in product order.  ``len()`` and iteration cover the
-    successes only, matching the pre-resilience contract.
+    ``failures`` the quarantined ones (skipped errors), also in
+    product order.  ``len()`` and iteration cover the successes only,
+    matching the pre-resilience contract.
     """
 
     points: list = field(default_factory=list)
@@ -291,9 +289,7 @@ class Sweep:
                 them over a process pool, chunked deterministically and
                 merged back in product order, so the result is identical
                 to a serial run (``evaluate`` must be picklable and
-                side-effect free; otherwise the serial path is used);
-                with its ``timeout_s`` set, hung points are quarantined
-                as failures rather than hanging the sweep.  A
+                side-effect free; otherwise the serial path is used).  A
                 :class:`~repro.core.executor.WorkQueueExecutor` spreads
                 them over worker processes, on this or other machines.
             store: Durable content-addressed result store — a path or

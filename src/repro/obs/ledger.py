@@ -11,9 +11,9 @@ injection campaign gets a run id and streams append-only JSONL events:
 * ``run_start`` / ``run_end`` — one pair per instrumented invocation;
 * ``span_start`` / ``span_end`` — named phases (enumerate, evaluate,
   frontier, map N) with wall durations;
-* ``chunk`` — per-chunk worker timings from ``parallel_map``;
-* ``retry`` / ``timeout`` / ``fallback`` / ``quarantine`` — the
-  resilience machinery's decisions, now on the record;
+* ``chunk`` — per-chunk worker timings from every executor;
+* ``serial`` / ``fallback`` / ``quarantine`` — the resilience
+  machinery's decisions, now on the record;
 * ``checkpoint`` / ``resume`` — journal interactions, so an
   interrupted-and-resumed sweep reads as one continuous story.
 

@@ -45,8 +45,6 @@ INSTANT_KINDS = frozenset(
         "queue_end",
         "checkpoint",
         "quarantine",
-        "retry",
-        "timeout",
         "fallback",
         "lease_expired",
         "store_hits",

@@ -4,7 +4,7 @@ Turns a :class:`~repro.obs.ledger.RunLedger` JSONL file into a
 self-contained human-readable summary — Markdown or single-file HTML —
 answering the questions a sweep operator actually asks: what ran, where
 the time went (phase waterfall), which chunks were slowest, what the
-resilience machinery did (retries, timeouts, fallbacks, quarantines)
+resilience machinery did (pool fallbacks, quarantines)
 and how many events of each kind the run wrote.
 
 The same module owns the perf-history side of the story:
@@ -31,7 +31,7 @@ from pathlib import Path
 from repro.errors import ConfigurationError
 
 #: Event kinds counted as resilience decisions in the summary.
-RESILIENCE_KINDS = ("retry", "timeout", "fallback", "quarantine")
+RESILIENCE_KINDS = ("fallback", "quarantine")
 
 #: Default regression threshold: fail beyond +30% over the baseline.
 DEFAULT_THRESHOLD = 0.30

@@ -37,9 +37,12 @@ emits.  The result document is serialized once, canonically; the cache
 stores that text and the result endpoint returns it verbatim — warm
 responses are byte-identical to cold ones by construction.
 
-The evaluation-count probe: ``stats["evaluations"]`` counts actual
-workload-function calls (via :class:`_CountingEvaluate`) and explored
-points; tests assert a warm hit leaves it untouched.
+The evaluation-count probe: ``stats["evaluations"]`` counts the points
+a cold run actually evaluated — for a sweep, the summed ``size`` of the
+``chunk`` events on its job ledger, the same on the serial and pool
+paths and for cancelled runs, so journal-resumed points are never
+credited — plus explored points; tests assert a warm hit leaves it
+untouched.
 """
 
 from __future__ import annotations
@@ -81,23 +84,6 @@ def _metrics_document(metrics) -> dict:
     return dataclasses.asdict(metrics)
 
 
-class _CountingEvaluate:
-    """Wraps a workload so every evaluation increments a shared count.
-
-    The probe behind the cache-correctness acceptance criterion: a
-    warm-cache response must leave the count unchanged, proving no
-    point was re-evaluated.
-    """
-
-    def __init__(self, fn, counter) -> None:
-        self._fn = fn
-        self._counter = counter
-
-    def __call__(self, **params):
-        self._counter()
-        return self._fn(**params)
-
-
 @dataclass
 class JobRecord:
     """One submitted job's full lifecycle state."""
@@ -131,8 +117,8 @@ class ExplorationService:
         coalescer: In-flight de-duplicator.
         stats: Counters — ``submitted``, ``executions`` (cold runs
             actually performed), ``cache_hits``, ``evaluations``
-            (workload calls + explored points), ``cancelled`` (jobs
-            reaching the cancelled terminal state), plus
+            (evaluated sweep points + explored points), ``cancelled``
+            (jobs reaching the cancelled terminal state), plus
             ``serve.coalesced`` via the coalescer.
         journal_dir: Directory for per-job sweep journals.  When set,
             cold sweep jobs checkpoint per-point results there; a
@@ -402,27 +388,15 @@ class ExplorationService:
             )
 
         sweep = Sweep(axes=dict(spec.axes))
-        workers = getattr(spec, "workers", 0)
         executor = None
-        if workers >= 2:
+        if spec.workers >= 2:
             # The `workers:` execution hint fans the sweep across a
-            # local process pool.  The raw workload function goes to
-            # the pool (it is module-level, hence picklable; the
-            # counting wrapper holds service state and is not — it
-            # would silently force the serial path), so the
-            # evaluation-count probe is credited wholesale after the
-            # run instead of per call.  `workers` is excluded from the
-            # job fingerprint: the result document is byte-identical
-            # to the serial run's, so both share one cache entry.
+            # local process pool.  `workers` is excluded from the job
+            # fingerprint: the result document is byte-identical to
+            # the serial run's, so both share one cache entry.
             from repro.core.executor import LocalPoolExecutor
-            from repro.core.parallel import ParallelConfig
 
-            executor = LocalPoolExecutor(ParallelConfig(workers=workers))
-            evaluate = get_workload(spec.workload)
-        else:
-            evaluate = _CountingEvaluate(
-                get_workload(spec.workload), self._count_evaluations
-            )
+            executor = LocalPoolExecutor(workers=spec.workers)
         reporter = ProgressReporter(
             total=sweep.n_points, enabled=False, callback=on_progress
         )
@@ -433,23 +407,30 @@ class ExplorationService:
             # resumes from it instead of re-evaluating.
             self.journal_dir.mkdir(parents=True, exist_ok=True)
             journal = self.journal_dir / f"{job.fingerprint}.jsonl"
-        outcome = sweep.run(
-            evaluate,
-            skip_errors=spec.skip_errors,
-            ledger=tap,
-            progress=reporter,
-            executor=executor,
-            journal=journal,
-            cancel=job.cancel_token,
-        )
+        try:
+            outcome = sweep.run(
+                get_workload(spec.workload),
+                skip_errors=spec.skip_errors,
+                ledger=tap,
+                progress=reporter,
+                executor=executor,
+                journal=journal,
+                cancel=job.cancel_token,
+            )
+        finally:
+            self._count_evaluations(
+                sum(
+                    event["size"]
+                    for event in tap.events
+                    if event["kind"] == "chunk"
+                )
+            )
         if journal is not None:
             # Complete: the cache owns the canonical result from here.
             try:
                 journal.unlink()
             except OSError:
                 pass
-        if executor is not None:
-            self._count_evaluations(sweep.n_points)
         points = [
             {"parameters": point.parameters, "result": point.result}
             for point in outcome.points

@@ -2,10 +2,10 @@
 
 :class:`CancelToken` is a cancellation flag with an optional monotonic
 deadline.  The service hands one to every cold execution;
-``Sweep.run``/``parallel_map``/``WorkQueueExecutor`` check it at chunk
-boundaries and the simulator watchdog checks it at its 512-cycle
-cadence, so an abandoned or expired job frees its executor thread
-instead of running to completion.
+``Sweep.run`` and every executor check it at chunk boundaries and
+the simulator watchdog checks it at its 512-cycle cadence, so an
+abandoned or expired job frees its executor thread instead of running
+to completion.
 """
 
 from __future__ import annotations

@@ -249,16 +249,13 @@ def diff_serial_vs_parallel(
     fn, items, workers: int = 2, chunk_size: int | None = None
 ) -> DifferentialReport:
     """Compare a process-pool map against the serial reference."""
-    from repro.core.parallel import ParallelConfig, parallel_map
+    from repro.core.executor import LocalPoolExecutor, SerialExecutor
     from repro.errors import ReproError
 
     items = list(items)
-    serial = parallel_map(fn, items, config=None, catch=(ReproError,))
-    parallel = parallel_map(
-        fn,
-        items,
-        config=ParallelConfig(workers=workers, chunk_size=chunk_size),
-        catch=(ReproError,),
+    serial = SerialExecutor().map(fn, items, catch=(ReproError,))
+    parallel = LocalPoolExecutor(workers=workers, chunk_size=chunk_size).map(
+        fn, items, catch=(ReproError,)
     )
     diffs = diff_values(serial, parallel, "outcomes")
     return DifferentialReport(

@@ -24,7 +24,7 @@ from repro.core.executor import (
     WorkQueueExecutor,
     chunk_file_name,
 )
-from repro.core.parallel import ParallelConfig, PointOutcome
+from repro.core.parallel import PointOutcome
 from repro.core.store import ResultStore, decode_outcome, encode_outcome
 from repro.core.sweep import Sweep
 from repro.core.worker import worker_loop
@@ -75,9 +75,7 @@ class TestExecutorParity:
     def test_serial_and_local_pool_agree(self):
         items = list(range(8))
         serial = SerialExecutor().map(_square, items)
-        pool = LocalPoolExecutor(
-            config=ParallelConfig(workers=2, chunk_size=2)
-        ).map(_square, items)
+        pool = LocalPoolExecutor(workers=2, chunk_size=2).map(_square, items)
         assert [o.value for o in serial] == [o.value for o in pool]
         assert all(o.ok for o in serial)
 
@@ -91,7 +89,7 @@ class TestExecutorParity:
         sweep = Sweep(axes={"x": [1, 2, 3, 4]})
         pool = sweep.run(
             _square,
-            executor=LocalPoolExecutor(ParallelConfig(workers=2)),
+            executor=LocalPoolExecutor(workers=2),
         )
         serial = sweep.run(_kwarg_square, executor=SerialExecutor())
         assert [p.result for p in serial.points] == [
@@ -104,7 +102,7 @@ class TestExecutorParity:
         with pytest.raises(TypeError, match="parallel"):
             Sweep(axes={"x": [1]}).run(
                 _square,
-                parallel=ParallelConfig(workers=2),
+                parallel=LocalPoolExecutor(workers=2),
                 executor=SerialExecutor(),
             )
 
@@ -220,7 +218,9 @@ class TestWorkQueuePrimitives:
 class TestRetiredNames:
     """Entry points retired in favour of one spelling per decision:
     ``executor=`` picks where points run, the sweep's ``store=`` is the
-    only result store, and the explorer always evaluates in-process."""
+    only result store, the explorer always evaluates in-process, and
+    the in-process fan-out is the serial and pool executors alone, with
+    no retry, backoff or per-chunk timeout layer."""
 
     @pytest.mark.parametrize(
         "module, owner, name",
@@ -228,8 +228,16 @@ class TestRetiredNames:
             ("repro.core.executor", None, "coerce_executor"),
             ("repro.core.explorer", None, "_EvaluateMacroTask"),
             ("repro.core.store", "ResultStore", "merge_file"),
+            ("repro.core.parallel", None, "parallel_map"),
+            ("repro.core.parallel", None, "ParallelConfig"),
+            ("repro.core.parallel", None, "TRANSIENT_POOL_ERRORS"),
+            ("repro.serve.handlers", None, "_CountingEvaluate"),
         ],
-        ids=["coerce_executor", "evaluate_macro_task", "merge_file"],
+        ids=[
+            "coerce_executor", "evaluate_macro_task", "merge_file",
+            "parallel_map", "parallel_config", "transient_pool_errors",
+            "counting_evaluate",
+        ],
     )
     def test_name_is_gone(self, module, owner, name):
         import importlib
@@ -238,6 +246,14 @@ class TestRetiredNames:
         if owner is not None:
             scope = getattr(scope, owner)
         assert not hasattr(scope, name)
+
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [("timeout_s", 60.0), ("max_retries", 2), ("backoff_s", 0.05)],
+    )
+    def test_local_pool_takes_no_retry_or_timeout_knob(self, keyword, value):
+        with pytest.raises(TypeError, match=keyword):
+            LocalPoolExecutor(workers=2, **{keyword: value})
 
 
 class TestLeaseClockSkew:
@@ -371,6 +387,23 @@ class TestWorkQueueExecutor:
         assert set(executor.stats) == {
             "chunks", "store_hits", "fresh", "requeued",
         }
+
+    def test_stats_cover_one_map(self, tmp_path):
+        # A reused executor reports each map's own counts, not
+        # lifetime totals, in its stats and its queue_end event.
+        ledger = MemoryLedger(run_id="reused")
+        executor = WorkQueueExecutor(tmp_path / "q", workers=2)
+        try:
+            for _ in range(2):
+                outcomes = executor.map(_square, range(4), ledger=ledger)
+                assert [o.value for o in outcomes] == [0, 1, 4, 9]
+                assert executor.stats == {
+                    "chunks": 4, "store_hits": 0, "fresh": 4, "requeued": 0,
+                }
+        finally:
+            executor.close()
+        ends = [e for e in ledger.events if e["kind"] == "queue_end"]
+        assert [(e["chunks"], e["fresh"]) for e in ends] == [(4, 4), (4, 4)]
 
     def test_external_worker_drives_queue(self, tmp_path, monkeypatch):
         log = tmp_path / "evals.log"

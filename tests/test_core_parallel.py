@@ -1,25 +1,21 @@
-"""Tests for parallel sweeps, the evaluator memo and pareto engines."""
+"""Tests for the in-process executors, the evaluator memo and pareto
+engines."""
 
 import pickle
 import warnings
 
 import pytest
 
-from repro.core import parallel as parallel_module
+from repro.core import executor as executor_module
 from repro.core.evaluator import Evaluator
-from repro.core.executor import LocalPoolExecutor
+from repro.core.executor import LocalPoolExecutor, SerialExecutor
 from repro.core.explorer import DesignSpaceExplorer
-from repro.core.parallel import (
-    ParallelConfig,
-    ParallelFallbackWarning,
-    PointOutcome,
-    parallel_map,
-)
+from repro.core.parallel import ParallelFallbackWarning
 from repro.core.pareto import pareto_frontier
 from repro.core.requirements import ApplicationRequirements
 from repro.core.sweep import Sweep
 from repro.dram.edram import EDRAMMacro
-from repro.errors import ConfigurationError, InfeasibleError
+from repro.errors import CancelledError, ConfigurationError, InfeasibleError
 from repro.obs.ledger import MemoryLedger
 from repro.units import MBIT
 
@@ -44,19 +40,20 @@ def _fail_on_three(x):
     return x
 
 
-def _slow_square(x):
-    import time
-
-    if x == 2:
-        time.sleep(1.5)
-    return x * x
-
-
 def _sleep_20ms(x):
     import time
 
     time.sleep(0.02)
     return x
+
+
+#: Items ``_recorded_square`` evaluated in this process, in order.
+RECORDED: list = []
+
+
+def _recorded_square(x):
+    RECORDED.append(x)
+    return x * x
 
 
 def _sweep_eval(width, banks):
@@ -68,15 +65,16 @@ def _sweep_eval(width, banks):
 
 class TestParallelMap:
     def test_serial_path_preserves_order(self):
-        outcomes = parallel_map(_square, range(10))
+        outcomes = SerialExecutor().map(_square, range(10))
         assert [o.value for o in outcomes] == [x * x for x in range(10)]
         assert all(o.ok for o in outcomes)
 
     def test_empty_items(self):
-        assert parallel_map(_square, []) == []
+        assert SerialExecutor().map(_square, []) == []
+        assert LocalPoolExecutor(workers=2).map(_square, []) == []
 
     def test_caught_errors_become_outcomes(self):
-        outcomes = parallel_map(
+        outcomes = SerialExecutor().map(
             _fail_on_three, [1, 2, 3, 4], catch=(InfeasibleError,)
         )
         assert [o.ok for o in outcomes] == [True, True, False, True]
@@ -85,44 +83,71 @@ class TestParallelMap:
 
     def test_uncaught_errors_raise(self):
         with pytest.raises(InfeasibleError):
-            parallel_map(_fail_on_three, [3])
+            SerialExecutor().map(_fail_on_three, [3])
 
     def test_process_pool_matches_serial(self):
-        config = ParallelConfig(workers=2, chunk_size=3)
-        outcomes = parallel_map(_square, range(20), config=config)
+        executor = LocalPoolExecutor(workers=2, chunk_size=3)
+        outcomes = executor.map(_square, range(20))
         assert [o.value for o in outcomes] == [x * x for x in range(20)]
 
     def test_non_picklable_falls_back_to_serial(self):
         fn = lambda x: x + 1  # noqa: E731 - deliberately unpicklable
-        config = ParallelConfig(workers=4)
-        outcomes = parallel_map(fn, [1, 2, 3], config=config)
+        outcomes = LocalPoolExecutor(workers=4).map(fn, [1, 2, 3])
         assert [o.value for o in outcomes] == [2, 3, 4]
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            ParallelConfig(workers=-1)
+            LocalPoolExecutor(workers=-1)
         with pytest.raises(ConfigurationError):
-            ParallelConfig(chunk_size=0)
+            LocalPoolExecutor(chunk_size=0)
 
     def test_resolved_workers_caps_at_items(self):
-        assert ParallelConfig(workers=16).resolved_workers(3) == 3
-        assert ParallelConfig(workers=0).resolved_workers(3) == 1
+        # More workers than items: one one-item chunk per item.  Zero
+        # workers: one in-process chunk.
+        sizes = {}
+        for workers in (16, 0):
+            ledger = MemoryLedger(run_id=f"workers-{workers}")
+            LocalPoolExecutor(workers=workers).map(
+                _square, range(3), ledger=ledger
+            )
+            sizes[workers] = [e["size"] for e in _events(ledger, "chunk")]
+        assert sizes == {16: [1, 1, 1], 0: [3]}
 
 
 class _ExplodingPool:
-    """Stand-in executor whose submissions all fail at result time."""
+    """Stand-in executor whose submissions all fail."""
 
     def __init__(self, max_workers=None):
         pass
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
     def submit(self, fn, *args):
         raise OSError("spawn blocked by sandbox")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _FirstChunkThenFailPool:
+    """Inline pool: the first submitted chunk resolves, the rest fail
+    at result time — deterministically models a pool that merged chunk
+    0 before dying."""
+
+    def __init__(self, max_workers=None):
+        self._submissions = 0
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        future = Future()
+        if self._submissions == 0:
+            future.set_result(fn(*args))
+        else:
+            future.set_exception(OSError("pool failure"))
+        self._submissions += 1
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 def _events(ledger, kind):
@@ -139,23 +164,22 @@ class TestParallelFallback:
 
     def test_fallback_warns_with_root_cause(self, monkeypatch):
         monkeypatch.setattr(
-            parallel_module, "ProcessPoolExecutor", _ExplodingPool
+            executor_module, "ProcessPoolExecutor", _ExplodingPool
         )
-        config = ParallelConfig(workers=2, chunk_size=2)
+        executor = LocalPoolExecutor(workers=2, chunk_size=2)
         with pytest.warns(ParallelFallbackWarning, match="sandbox"):
-            outcomes = parallel_map(_square, range(6), config=config)
+            outcomes = executor.map(_square, range(6))
         # The serial re-run still produces complete, ordered results.
         assert [o.value for o in outcomes] == [x * x for x in range(6)]
 
     def test_fallback_recorded_on_ledger(self, monkeypatch):
         monkeypatch.setattr(
-            parallel_module, "ProcessPoolExecutor", _ExplodingPool
+            executor_module, "ProcessPoolExecutor", _ExplodingPool
         )
         ledger = MemoryLedger(run_id="fallback")
         with pytest.warns(ParallelFallbackWarning):
-            parallel_map(
-                _square, range(4), config=ParallelConfig(workers=2),
-                ledger=ledger,
+            LocalPoolExecutor(workers=2).map(
+                _square, range(4), ledger=ledger
             )
         fallbacks = _events(ledger, "fallback")
         assert len(fallbacks) == 1
@@ -167,16 +191,12 @@ class TestParallelFallback:
         # re-run raises it deterministically — after the warning.
         with pytest.warns(ParallelFallbackWarning, match="InfeasibleError"):
             with pytest.raises(InfeasibleError):
-                parallel_map(
-                    _fail_on_three,
-                    [1, 2, 3, 4],
-                    config=ParallelConfig(workers=2, chunk_size=1),
+                LocalPoolExecutor(workers=2, chunk_size=1).map(
+                    _fail_on_three, [1, 2, 3, 4]
                 )
 
     def test_healthy_pool_does_not_warn(self, recwarn):
-        outcomes = parallel_map(
-            _square, range(8), config=ParallelConfig(workers=2)
-        )
+        outcomes = LocalPoolExecutor(workers=2).map(_square, range(8))
         assert [o.value for o in outcomes] == [x * x for x in range(8)]
         assert not [
             w for w in recwarn.list
@@ -185,11 +205,8 @@ class TestParallelFallback:
 
     def test_pool_chunks_recorded_on_ledger(self):
         ledger = MemoryLedger(run_id="pool")
-        parallel_map(
-            _square,
-            range(10),
-            config=ParallelConfig(workers=2, chunk_size=5),
-            ledger=ledger,
+        LocalPoolExecutor(workers=2, chunk_size=5).map(
+            _square, range(10), ledger=ledger
         )
         chunks = _events(ledger, "chunk")
         assert [(c["index"], c["size"]) for c in chunks] == [(0, 5), (1, 5)]
@@ -197,14 +214,11 @@ class TestParallelFallback:
 
     def test_serial_reasons_recorded_on_ledger(self):
         single = MemoryLedger(run_id="single")
-        parallel_map(
-            _square, [1], config=ParallelConfig(workers=2), ledger=single
-        )
+        LocalPoolExecutor(workers=2).map(_square, [1], ledger=single)
         unpicklable = MemoryLedger(run_id="unpicklable")
-        parallel_map(
+        LocalPoolExecutor(workers=2).map(
             lambda x: x,  # noqa: E731 - deliberately unpicklable
             [1, 2],
-            config=ParallelConfig(workers=2),
             ledger=unpicklable,
         )
         assert [
@@ -219,67 +233,17 @@ class TestParallelFallback:
         # workers 0 or 1 asked for no pool: nothing degraded.
         for workers in (0, 1):
             ledger = MemoryLedger(run_id=f"serial-{workers}")
-            parallel_map(
-                _square,
-                range(4),
-                config=ParallelConfig(workers=workers),
-                ledger=ledger,
+            LocalPoolExecutor(workers=workers).map(
+                _square, range(4), ledger=ledger
             )
             assert _events(ledger, "serial") == []
             assert len(_events(ledger, "chunk")) == 1
 
-
-class TestRetryAndTimeout:
-    """Bounded retry for transient pool failures; per-chunk timeouts."""
-
-    def test_transient_failure_retried_then_fallback(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_module, "ProcessPoolExecutor", _ExplodingPool
-        )
-        ledger = MemoryLedger(run_id="retry")
-        config = ParallelConfig(workers=2, max_retries=2, backoff_s=0.0)
-        with pytest.warns(ParallelFallbackWarning, match="sandbox"):
-            outcomes = parallel_map(
-                _square, range(4), config=config, ledger=ledger
-            )
-        assert [o.value for o in outcomes] == [0, 1, 4, 9]
-        assert [e["attempt"] for e in _events(ledger, "retry")] == [1, 2]
-        assert len(_events(ledger, "fallback")) == 1
-
-    def test_zero_retries_fall_back_immediately(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_module, "ProcessPoolExecutor", _ExplodingPool
-        )
-        ledger = MemoryLedger(run_id="no-retry")
-        config = ParallelConfig(workers=2, max_retries=0)
-        with pytest.warns(ParallelFallbackWarning):
-            parallel_map(_square, range(4), config=config, ledger=ledger)
-        assert _events(ledger, "retry") == []
-        assert len(_events(ledger, "fallback")) == 1
-
-    def test_workload_exception_not_retried(self):
-        # Deterministic worker crashes must go straight to the serial
-        # re-run: retrying would just pay pool spawns to re-raise.
-        ledger = MemoryLedger(run_id="workload-error")
-        with pytest.warns(ParallelFallbackWarning):
-            with pytest.raises(InfeasibleError):
-                parallel_map(
-                    _fail_on_three,
-                    [1, 2, 3, 4],
-                    config=ParallelConfig(
-                        workers=2, chunk_size=1, max_retries=3
-                    ),
-                    ledger=ledger,
-                )
-        assert _events(ledger, "retry") == []
-        assert len(_events(ledger, "fallback")) == 1
-
     def test_on_chunk_reports_each_chunk_in_order(self):
         reported: list = []
-        outcomes = parallel_map(
+        outcomes = LocalPoolExecutor(workers=2, chunk_size=1).map(
             _square,
             range(4),
-            config=ParallelConfig(workers=2, chunk_size=1),
             on_chunk=lambda positions, chunk: reported.append(
                 (positions, [o.value for o in chunk])
             ),
@@ -290,7 +254,7 @@ class TestRetryAndTimeout:
     def test_on_chunk_failure_not_retried(self):
         # The caller's bookkeeping failed, not the pool: an OSError
         # from on_chunk (a journal flush) must surface unchanged, not
-        # be retried as a transient pool error or degrade to serial.
+        # degrade to the serial fallback.
         def record(positions, chunk):
             if positions == [1]:
                 raise OSError("journal disk full")
@@ -299,71 +263,47 @@ class TestRetryAndTimeout:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ParallelFallbackWarning)
             with pytest.raises(OSError, match="journal disk full"):
-                parallel_map(
-                    _square,
-                    range(4),
-                    config=ParallelConfig(
-                        workers=2, chunk_size=1, max_retries=2,
-                        backoff_s=0.0,
-                    ),
-                    ledger=ledger,
-                    on_chunk=record,
+                LocalPoolExecutor(workers=2, chunk_size=1).map(
+                    _square, range(4), ledger=ledger, on_chunk=record
                 )
-        assert _events(ledger, "retry") == []
         assert _events(ledger, "fallback") == []
 
-    def test_timed_out_chunk_quarantined(self):
-        ledger = MemoryLedger(run_id="timeout")
-        config = ParallelConfig(workers=2, chunk_size=1, timeout_s=0.4)
-        outcomes = parallel_map(
-            _slow_square, [1, 2, 3], config=config, ledger=ledger
+    def test_failure_after_chunk_zero_reruns_only_unmerged_chunks(
+        self, monkeypatch
+    ):
+        # The pool merged chunk 0 and then failed: the fallback
+        # evaluates chunks 1 and 2 only, and every chunk is reported
+        # exactly once.
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor", _FirstChunkThenFailPool
         )
-        assert len(outcomes) == 3
-        assert outcomes[0].ok and outcomes[0].value == 1
-        assert not outcomes[1].ok
-        assert "TimeoutError" in outcomes[1].error
-        assert [e["index"] for e in _events(ledger, "timeout")] == [1]
-
-    def test_timed_out_chunk_emits_timeout_span(self):
-        # Regression: the quarantined chunk used to leave only a bare
-        # `timeout` event, so the run report's span waterfall silently
-        # dropped the chunk that cost the most wall time.
-        from repro.reporting.runreport import summarize_ledger
-
-        ledger = MemoryLedger(run_id="timeout-span")
-        config = ParallelConfig(workers=2, chunk_size=1, timeout_s=0.4)
-        outcomes = parallel_map(
-            _slow_square, [1, 2, 3], config=config, ledger=ledger
-        )
-        assert any(not outcome.ok for outcome in outcomes)
-        timeouts = [
-            event for event in ledger.events if event["kind"] == "timeout"
-        ]
-        span_ends = [
-            event
-            for event in ledger.events
-            if event["kind"] == "span_end"
-            and event.get("status") == "timeout"
-        ]
-        assert len(span_ends) == len(timeouts) >= 1
-        for timeout_event, span_end in zip(timeouts, span_ends):
-            assert span_end["name"] == (
-                f"chunk {timeout_event['index']} (timeout)"
+        RECORDED.clear()
+        ledger = MemoryLedger(run_id="rerun-unmerged")
+        with pytest.warns(
+            ParallelFallbackWarning, match="re-running 4 unmerged"
+        ):
+            outcomes = LocalPoolExecutor(workers=2, chunk_size=2).map(
+                _recorded_square, range(6), ledger=ledger
             )
-            assert span_end["s"] == pytest.approx(config.timeout_s)
-        # ...and the report pipeline now shows the lost chunk.
-        summary = summarize_ledger(ledger.events)
-        assert any(
-            "(timeout)" in span["name"] for span in summary["spans"]
-        )
+        assert [o.value for o in outcomes] == [x * x for x in range(6)]
+        assert RECORDED == [0, 1, 2, 3, 4, 5]
+        assert [e["index"] for e in _events(ledger, "chunk")] == [0, 1, 2]
+        assert [e["items"] for e in _events(ledger, "fallback")] == [4]
 
-    def test_watchdog_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(timeout_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(backoff_s=-0.1)
+    def test_cancelled_pool_map_raises_without_fallback(self):
+        class Fired:
+            cancelled = True
+            reason = "test"
+
+        ledger = MemoryLedger(run_id="cancelled-pool")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ParallelFallbackWarning)
+            with pytest.raises(CancelledError, match="test"):
+                LocalPoolExecutor(workers=2, chunk_size=1).map(
+                    _square, range(4), ledger=ledger, cancel=Fired()
+                )
+        assert _events(ledger, "chunk") == []
+        assert _events(ledger, "fallback") == []
 
 
 class TestChunkTimings:
@@ -371,11 +311,8 @@ class TestChunkTimings:
         from repro.reporting.runreport import render_markdown, summarize_ledger
 
         ledger = MemoryLedger(run_id="chunk-times")
-        outcomes = parallel_map(
-            _sleep_20ms,
-            range(4),
-            config=ParallelConfig(workers=2, chunk_size=1),
-            ledger=ledger,
+        outcomes = LocalPoolExecutor(workers=2, chunk_size=1).map(
+            _sleep_20ms, range(4), ledger=ledger
         )
         assert [o.value for o in outcomes] == [0, 1, 2, 3]
         assert _events(ledger, "serial") == []
@@ -390,14 +327,10 @@ class TestChunkTimings:
         for chunk in chunks:
             assert f"| {chunk['index']} | 1 | {chunk['s']:.4f} | 0 |" in report
 
-
     def test_serial_chunk_events_carry_wall_time(self):
         ledger = MemoryLedger(run_id="serial-chunk-times")
-        parallel_map(
-            _sleep_20ms,
-            range(4),
-            config=ParallelConfig(workers=1, chunk_size=2),
-            ledger=ledger,
+        LocalPoolExecutor(workers=1, chunk_size=2).map(
+            _sleep_20ms, range(4), ledger=ledger
         )
         chunks = _events(ledger, "chunk")
         assert [(c["index"], c["size"]) for c in chunks] == [(0, 2), (1, 2)]
@@ -407,53 +340,22 @@ class TestChunkTimings:
         # The loud fallback is its own event; `serial` is only for maps
         # that never started a pool.
         monkeypatch.setattr(
-            parallel_module, "ProcessPoolExecutor", _ExplodingPool
+            executor_module, "ProcessPoolExecutor", _ExplodingPool
         )
         ledger = MemoryLedger(run_id="fallback-no-serial")
         with pytest.warns(ParallelFallbackWarning):
-            parallel_map(
-                _square, range(4), config=ParallelConfig(workers=2),
-                ledger=ledger,
+            LocalPoolExecutor(workers=2).map(
+                _square, range(4), ledger=ledger
             )
         assert len(_events(ledger, "fallback")) == 1
         assert _events(ledger, "serial") == []
 
 
-class _FirstChunkThenFailPool:
-    """Inline pool: the first submitted chunk resolves, the rest fail
-    transiently at result time — deterministically models a pool
-    attempt that already reported chunk 0 before dying."""
-
-    def __init__(self, max_workers=None):
-        self._submissions = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-
-        future = Future()
-        if self._submissions == 0:
-            future.set_result(fn(*args))
-        else:
-            future.set_exception(OSError("transient pool failure"))
-        self._submissions += 1
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
 class TestChunkAccountingParity:
-    """Regression: retries and the serial fallback used to re-report
-    chunks the failed pool attempt had already counted, so the ledger
-    showed more chunks than existed and progress (and its ETA) ran
-    past 100%.  All accounting now funnels through ``_note_chunk``
-    with a per-map dedup set."""
+    """Regression: the serial fallback used to re-report chunks the
+    failed pool had already counted, so the ledger showed more chunks
+    than existed and progress (and its ETA) ran past 100%.  The
+    fallback now runs only the chunks the pool had not merged."""
 
     def _progress(self, total):
         from repro.obs.progress import ProgressReporter
@@ -466,28 +368,20 @@ class TestChunkAccountingParity:
         self, monkeypatch
     ):
         monkeypatch.setattr(
-            parallel_module,
+            executor_module,
             "ProcessPoolExecutor",
             _FirstChunkThenFailPool,
         )
         ledger = MemoryLedger(run_id="parity")
         progress = self._progress(total=6)
-        config = ParallelConfig(
-            workers=2, chunk_size=2, max_retries=1, backoff_s=0.0
-        )
         with pytest.warns(ParallelFallbackWarning):
-            outcomes = parallel_map(
-                _square,
-                range(6),
-                config=config,
-                ledger=ledger,
-                progress=progress,
+            outcomes = LocalPoolExecutor(workers=2, chunk_size=2).map(
+                _square, range(6), ledger=ledger, progress=progress
             )
         # The results themselves were always correct...
         assert [o.value for o in outcomes] == [x * x for x in range(6)]
-        # ...but chunk 0 was reported by the pool attempt *and* again
-        # by each retry and the serial fallback.  Exactly one report
-        # per chunk now:
+        # ...and chunk 0, merged by the pool, is not reported again by
+        # the serial fallback.  Exactly one report per chunk:
         chunk_events = [
             event for event in ledger.events if event["kind"] == "chunk"
         ]
@@ -496,41 +390,20 @@ class TestChunkAccountingParity:
         assert progress.done + progress.failed == 6
         assert progress.failed == 0
 
-    def test_timeout_accounting_counts_each_chunk_once(self):
-        ledger = MemoryLedger(run_id="timeout-parity")
-        progress = self._progress(total=3)
-        config = ParallelConfig(workers=2, chunk_size=1, timeout_s=0.4)
-        outcomes = parallel_map(
-            _slow_square,
-            [1, 2, 3],
-            config=config,
-            ledger=ledger,
-            progress=progress,
-        )
-        # Counter parity: quarantined + completed covers every point
-        # exactly once, and every chunk index is reported exactly once
-        # across the ok/timeout event kinds.
-        assert progress.done + progress.failed == 3
-        assert progress.failed == sum(1 for o in outcomes if not o.ok)
-        reported = [
-            event["index"]
-            for event in ledger.events
-            if event["kind"] in ("chunk", "timeout")
-        ]
-        assert sorted(reported) == [0, 1, 2]
-        assert len(_events(ledger, "timeout")) == 1
-
     def test_default_config_reports_to_ledger_and_progress(self):
-        # config=None is the serial path; it keeps the ledger and the
-        # progress line like every other path.
+        # The serial executor, every sweep's default, keeps the ledger
+        # and the progress line like every other path: one chunk per
+        # point.
         ledger = MemoryLedger(run_id="no-config")
         progress = self._progress(total=3)
-        outcomes = parallel_map(
+        outcomes = SerialExecutor().map(
             _square, [1, 2, 3], ledger=ledger, progress=progress
         )
         assert [o.value for o in outcomes] == [1, 4, 9]
         chunks = _events(ledger, "chunk")
-        assert [(c["index"], c["size"]) for c in chunks] == [(0, 3)]
+        assert [(c["index"], c["size"]) for c in chunks] == [
+            (0, 1), (1, 1), (2, 1),
+        ]
         assert progress.done == 3
         assert progress.failed == 0
 
@@ -623,7 +496,7 @@ class TestSweepParallel:
         parallel = sweep.run(
             _sweep_eval,
             skip_errors=True,
-            executor=LocalPoolExecutor(ParallelConfig(workers=2)),
+            executor=LocalPoolExecutor(workers=2),
         )
         assert [(p.parameters, p.result) for p in serial.points] == [
             (p.parameters, p.result) for p in parallel.points
@@ -634,7 +507,7 @@ class TestSweepParallel:
         result = sweep.run(
             _sweep_eval_strict,
             skip_errors=True,
-            executor=LocalPoolExecutor(ParallelConfig(workers=2)),
+            executor=LocalPoolExecutor(workers=2),
         )
         assert [p["width"] for p in result.points] == [64]
 
@@ -643,7 +516,7 @@ class TestSweepParallel:
         with pytest.raises(ConfigurationError):
             sweep.run(
                 _sweep_eval_strict,
-                executor=LocalPoolExecutor(ParallelConfig(workers=2)),
+                executor=LocalPoolExecutor(workers=2),
             )
 
 
@@ -670,8 +543,8 @@ class TestExplorerEnumerate:
     @pytest.mark.parametrize(
         "keyword, value",
         [
-            ("parallel", ParallelConfig(workers=2)),
-            ("executor", LocalPoolExecutor(ParallelConfig(workers=2))),
+            ("parallel", {"workers": 2}),
+            ("executor", LocalPoolExecutor(workers=2)),
         ],
         ids=["parallel", "executor"],
     )

@@ -16,7 +16,6 @@ import subprocess
 import pytest
 
 from repro.core.executor import LocalPoolExecutor
-from repro.core.parallel import ParallelConfig
 from repro.core.sweep import Sweep
 from repro.errors import ConfigurationError
 from repro.obs.ledger import RunLedger, coerce_ledger
@@ -336,9 +335,7 @@ class TestSweepLedger:
         path = tmp_path / "sweep.jsonl"
         Sweep(axes={"x": list(range(4))}).run(
             _sleep_10ms,
-            executor=LocalPoolExecutor(
-                ParallelConfig(workers=2, chunk_size=2)
-            ),
+            executor=LocalPoolExecutor(workers=2, chunk_size=2),
             ledger=path,
         )
         events = read_events(path)

@@ -10,8 +10,7 @@ Pins the observability PR's contracts end to end:
   into one Chrome trace with zero orphan parents;
 * :mod:`~repro.obs.expo` render/parse round trips, strictness, and the
   work-queue sample mapping;
-* metrics-layer regressions (non-finite histogram input, retry
-  double-fold in ``parallel_map``);
+* metrics-layer regressions (non-finite histogram input);
 * :func:`~repro.obs.top.render_dashboard` / ``top_loop`` behaviour;
 * the service's ``/v1/metrics`` endpoint over real HTTP.
 """
@@ -423,41 +422,6 @@ class TestMetricsRegressions:
         assert hist.percentile(0) == 7.0
         assert hist.percentile(50) == 7.0
         assert hist.percentile(100) == 7.0
-
-    def test_retry_does_not_double_fold_chunks(self, monkeypatch):
-        # A transient pool failure retries the whole map; chunks the
-        # failed attempt already reported must not be double-counted
-        # in the ledger or the progress accounting.
-        from repro.core import parallel
-        from repro.core.parallel import ParallelConfig, parallel_map
-
-        calls = {"n": 0}
-        real_pool_map = parallel._pool_map
-
-        def flaky_pool_map(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise OSError("transient: simulated fork storm")
-            return real_pool_map(*args, **kwargs)
-
-        monkeypatch.setattr(parallel, "_pool_map", flaky_pool_map)
-        ledger = MemoryLedger(run_id="retry")
-        outcomes = parallel_map(
-            _trace_square,
-            [1, 2, 3, 4],
-            config=ParallelConfig(
-                workers=2, chunk_size=2, max_retries=2, backoff_s=0.0
-            ),
-            ledger=ledger,
-        )
-        assert [o.value for o in outcomes] == [1, 4, 9, 16]
-        chunk_events = [
-            e for e in ledger.events if e["kind"] == "chunk"
-        ]
-        indices = [e["index"] for e in chunk_events]
-        assert sorted(indices) == sorted(set(indices)), (
-            "retried attempt double-reported chunks"
-        )
 
 
 class TestTopDashboard:

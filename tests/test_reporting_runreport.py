@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.executor import LocalPoolExecutor
-from repro.core.parallel import ParallelConfig
 from repro.core.sweep import Sweep
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.reporting.runreport import (
@@ -35,7 +34,7 @@ def sweep_ledger(tmp_path):
         _failing_eval,
         skip_errors=True,
         ledger=path,
-        executor=LocalPoolExecutor(ParallelConfig(workers=2, chunk_size=2)),
+        executor=LocalPoolExecutor(workers=2, chunk_size=2),
     )
     return path
 

@@ -355,6 +355,74 @@ class TestCancellation:
         finally:
             unregister_workload("t_sleepy")
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_resumed_job_credits_only_unjournaled_points(
+        self, tmp_path, workers
+    ):
+        # Three of four points are already journaled: the serial and
+        # the pool path alike evaluate, and credit, only the fourth.
+        from repro.core.parallel import PointOutcome
+        from repro.core.sweep import Sweep, SweepJournal
+        from repro.serve.protocol import parse_job
+        from repro.serve.workloads import edram_tradeoff
+
+        job = {
+            "kind": "sweep",
+            "workload": "edram_tradeoff",
+            "axes": {"width": [32, 64, 128, 256]},
+            "workers": workers,
+        }
+        spec = parse_job(job)
+        sweep = Sweep(axes=dict(spec.axes))
+        journal_dir = tmp_path / "journals"
+        journal_dir.mkdir()
+        journal = SweepJournal(
+            journal_dir / f"{spec.fingerprint()}.jsonl", sweep.signature()
+        )
+        for index, parameters in enumerate(sweep.combinations()[:3]):
+            value = edram_tradeoff(**parameters)
+            journal.append(index, PointOutcome(ok=True, value=value))
+        journal.close()
+        with in_process_service(
+            max_workers=1, journal_dir=journal_dir
+        ) as (service, client):
+            result = client.run(job, timeout_s=60.0)
+            assert result["result"]["n_ok"] == 4
+            assert service.stats["evaluations"] == 1
+
+    def test_cancelled_job_credits_its_evaluated_points(self, tmp_path):
+        # A cancelled job is credited the points it evaluated before
+        # the cancel: exactly the ones its journal kept.
+        from repro.core.sweep import Sweep, SweepJournal
+        from repro.serve.protocol import parse_job
+
+        register_workload("t_sleepy", sleepy_workload, replace=True)
+        job = {
+            "kind": "sweep",
+            "workload": "t_sleepy",
+            "axes": {
+                "x": [float(i) for i in range(300)],
+                "delay_s": [0.01],
+            },
+            "deadline_s": 0.15,
+        }
+        try:
+            with in_process_service(
+                max_workers=1, journal_dir=tmp_path / "journals"
+            ) as (service, client):
+                submitted = client.submit(job)
+                final = client.wait(submitted["job_id"], timeout_s=30.0)
+                assert final["status"] == "cancelled"
+                evaluations = service.stats["evaluations"]
+            spec = parse_job(job)
+        finally:
+            unregister_workload("t_sleepy")
+        journaled = SweepJournal(
+            tmp_path / "journals" / f"{spec.fingerprint()}.jsonl",
+            Sweep(axes=dict(spec.axes)).signature(),
+        ).load()
+        assert 0 < evaluations == len(journaled) < 300
+
     def test_completed_job_journal_is_removed(self, tmp_path):
         register_workload("t_sleepy", sleepy_workload, replace=True)
         try:

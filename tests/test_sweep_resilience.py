@@ -1,4 +1,4 @@
-"""Tests for resilient sweeps: failure quarantine, journal, timeouts.
+"""Tests for resilient sweeps: failure quarantine, journal, cancellation.
 
 The quarantine, resume and cancel tests run on every executor kind
 ``Sweep.run`` can be handed: evaluation goes through one path, so each
@@ -17,7 +17,7 @@ from repro.core.executor import (
     SerialExecutor,
     WorkQueueExecutor,
 )
-from repro.core.parallel import ParallelConfig, ParallelFallbackWarning
+from repro.core.parallel import ParallelFallbackWarning
 from repro.core.sweep import FailedPoint, Sweep, SweepJournal
 from repro.errors import CancelledError, ConfigurationError, InfeasibleError
 from repro.obs.progress import ProgressReporter
@@ -31,12 +31,6 @@ def _eval(x, y=1):
 
 def _never(**parameters):
     raise AssertionError(f"re-evaluated {parameters}")
-
-
-def _sleepy(x):
-    if x == 3:
-        time.sleep(1.5)
-    return x * 10
 
 
 def _slow_square(x):
@@ -54,9 +48,7 @@ def make_executor(request, tmp_path):
         if request.param == "serial":
             executor = SerialExecutor()
         elif request.param == "pool":
-            executor = LocalPoolExecutor(
-                ParallelConfig(workers=2, chunk_size=1)
-            )
+            executor = LocalPoolExecutor(workers=2, chunk_size=1)
         else:
             executor = WorkQueueExecutor(
                 tmp_path / f"queue-{len(made)}", workers=2
@@ -95,26 +87,11 @@ class TestFailureQuarantine:
         result = sweep.run(
             _eval,
             skip_errors=True,
-            executor=LocalPoolExecutor(
-                ParallelConfig(workers=2, chunk_size=1)
-            ),
+            executor=LocalPoolExecutor(workers=2, chunk_size=1),
         )
         assert [p.result for p in result.points] == [1, 3, 4]
         assert len(result.failures) == 1
         assert result.failures[0].parameters == {"x": "bad"}
-
-    def test_timeout_quarantines_hung_point(self):
-        sweep = Sweep(axes={"x": [1, 2, 3, 4]})
-        result = sweep.run(
-            _sleepy,
-            executor=LocalPoolExecutor(
-                ParallelConfig(workers=2, chunk_size=1, timeout_s=0.4)
-            ),
-        )
-        succeeded = {p.parameters["x"] for p in result.points}
-        assert 3 not in succeeded
-        hung = [f for f in result.failures if f.parameters == {"x": 3}]
-        assert hung and "TimeoutError" in hung[0].error
 
 
 class TestJournal:
@@ -222,9 +199,7 @@ class TestJournal:
         serial = sweep.run(_eval)
         parallel = sweep.run(
             _eval,
-            executor=LocalPoolExecutor(
-                ParallelConfig(workers=2, chunk_size=1)
-            ),
+            executor=LocalPoolExecutor(workers=2, chunk_size=1),
             journal=tmp_path / "par.jsonl",
         )
         assert [p.result for p in parallel.points] == [
@@ -232,9 +207,7 @@ class TestJournal:
         ]
         resumed = sweep.run(
             _eval,
-            executor=LocalPoolExecutor(
-                ParallelConfig(workers=2, chunk_size=1)
-            ),
+            executor=LocalPoolExecutor(workers=2, chunk_size=1),
             journal=tmp_path / "par.jsonl",
         )
         assert [p.result for p in resumed.points] == [
