@@ -1003,6 +1003,8 @@ def bench_serve(report: PerfReport) -> None:
     documented target is a >= 10x warm-over-cold speedup (the warm path
     is a dict lookup plus JSON decode, so in practice it is orders of
     magnitude beyond that).
+
+    Then the same warm hit over a real socket (:func:`bench_serve_socket`).
     """
     from repro.serve.client import InProcessClient
     from repro.serve.handlers import ExplorationService
@@ -1047,6 +1049,60 @@ def bench_serve(report: PerfReport) -> None:
         )
     finally:
         service.close()
+    bench_serve_socket(report, job)
+
+
+#: Warm jobs per timed batch of the ``serve_socket`` section.
+SOCKET_WARM_JOBS = 50
+
+
+def bench_serve_socket(report: PerfReport, job: dict) -> None:
+    """A warm job (submit, long-poll, result) over HTTP to a live
+    server in this process: per job on one ``ServeClient``, whose
+    connection stays open, and with a fresh client, so a new TCP
+    connection, per job.  Sub-millisecond, so recorded without a smoke
+    bound; the keys avoid ``*_seconds`` so the regression gate skips
+    them."""
+    from repro.serve.client import ServeClient
+    from repro.serve.testing import running_server
+
+    def warm_job(client) -> bytes:
+        job_id = client.submit(job)["job_id"]
+        client.wait(job_id, timeout_s=30.0)
+        return client.result_bytes(job_id)
+
+    with running_server() as (server, client):
+        url = f"http://{client.host}:{client.port}"
+        client.run(job, timeout_s=300.0)
+
+        def reused() -> list:
+            return [warm_job(client) for _ in range(SOCKET_WARM_JOBS)]
+
+        def fresh() -> list:
+            bodies = []
+            for _ in range(SOCKET_WARM_JOBS):
+                with ServeClient(url) as each:
+                    bodies.append(warm_job(each))
+            return bodies
+
+        fresh_s, fresh_bodies, reused_s, reused_bodies = measure_alternating(
+            fresh, reused
+        )
+        executions = server.service.stats["executions"]
+    identical = len(set(fresh_bodies + reused_bodies)) == 1
+    if not identical or executions != 1:
+        raise AssertionError(
+            f"warm socket jobs diverged or re-executed ({executions} "
+            "executions)"
+        )
+    report.add(
+        "serve_socket",
+        jobs=SOCKET_WARM_JOBS,
+        warm_job_s=reused_s / SOCKET_WARM_JOBS,
+        warm_job_fresh_client_s=fresh_s / SOCKET_WARM_JOBS,
+        reuse_speedup=fresh_s / reused_s,
+        identical=identical,
+    )
 
 
 #: The queue worker's cold path: ``sweep_store``'s set-up probe (one

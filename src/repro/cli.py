@@ -740,15 +740,15 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.obs.top import top_loop
     from repro.serve.client import ServeClient
 
-    client = ServeClient(args.url)
     iterations = 1 if args.once else args.iterations
-    top_loop(
-        client.metrics_text,
-        sys.stdout,
-        interval_s=args.interval_s,
-        iterations=iterations,
-        title=f"repro top — {args.url}",
-    )
+    with ServeClient(args.url) as client:
+        top_loop(
+            client.metrics_text,
+            sys.stdout,
+            interval_s=args.interval_s,
+            iterations=iterations,
+            title=f"repro top — {args.url}",
+        )
     return 0
 
 

@@ -65,6 +65,7 @@ import json
 import os
 import pickle
 import select
+import sys
 import time
 import uuid
 import warnings
@@ -349,7 +350,7 @@ class LocalPoolExecutor(Executor):
                 "unmerged item(s) serially — side-effectful functions "
                 "may execute twice",
                 ParallelFallbackWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
             _map_serially(
                 fn, chunks, first, merged, catch, ledger, progress, cancel,
@@ -363,6 +364,20 @@ class LocalPoolExecutor(Executor):
             "workers": self.workers,
             "chunk_size": self.chunk_size,
         }
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` that makes a warning raised by this helper's
+    caller name the first frame outside ``repro.core`` (the caller's
+    own code, so a ``warnings`` filter on its module matches)."""
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and (
+        frame.f_globals.get("__name__", "") + "."
+    ).startswith("repro.core."):
+        frame = frame.f_back
+        level += 1
+    return level
 
 
 # -- work-queue plumbing -----------------------------------------------------

@@ -179,6 +179,8 @@ def client_main(argv=None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    finally:
+        client.close()
     return 0
 
 

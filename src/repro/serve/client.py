@@ -11,15 +11,29 @@ Both expose the raw ``request`` primitive — returning ``(status,
 payload)`` without raising on 4xx/5xx, which contract tests need — and
 convenience wrappers (``submit``/``wait``/``result``/…) that raise
 :class:`ServeClientError` on any non-2xx, which scripts want.
+
+:class:`ServeClient` keeps one persistent (HTTP/1.1 keep-alive)
+connection per thread and per process: ``request``, ``result_bytes``
+and ``metrics_text`` all reuse it, so a submit-wait-result job costs
+one TCP connect, not three.  Another thread, or a forked child, opens
+its own; no two ever share a socket.  When a *reused* connection fails
+before any response arrives (the server closed it while idle), the
+request is retried exactly once on a fresh connection; any other
+failure raises.  ``close()`` (or leaving a ``with`` block) closes every
+connection the client opened.  ``events`` streams SSE on a connection
+of its own, which the server closes when the stream ends.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import os
 import random
+import threading
 import time
 import urllib.parse
+import weakref
 
 from repro.errors import ReproError
 from repro.serve.handlers import route
@@ -151,6 +165,16 @@ class InProcessClient(_ClientCore):
         return self.service.metrics_text()
 
 
+class _Connection(http.client.HTTPConnection):
+    """One thread's persistent connection.  It closes itself when its
+    thread's local storage drops it: the thread ended, or a forked
+    child replaced it (the child's close leaves the parent's socket
+    open)."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
 class ServeClient(_ClientCore):
     """HTTP client for a live ``repro serve`` instance."""
 
@@ -169,62 +193,84 @@ class ServeClient(_ClientCore):
         self.host = parsed.hostname or "127.0.0.1"
         self.port = parsed.port or 8765
         self.timeout_s = timeout_s
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        #: Every live connection this client opened, for ``close()``.
+        self._connections: weakref.WeakSet = weakref.WeakSet()
+
+    def close(self) -> None:
+        """Close every connection this client opened; a later call
+        opens a new one."""
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _connection(self) -> _Connection:
+        """This thread's connection, made anew in a forked child."""
+        local = self._local
+        pid = os.getpid()
+        if getattr(local, "pid", None) != pid:
+            local.connection = _Connection(
+                self.host, self.port, timeout=self.timeout_s
+            )
+            local.pid = pid
+            with self._lock:
+                self._connections.add(local.connection)
+        return local.connection
+
+    def _exchange(self, method: str, path: str, body=None) -> tuple:
+        """One request on this thread's connection: ``(status, raw body)``."""
+        connection = self._connection()
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        try:
+            reused = connection.sock is not None
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # Nothing of a response arrived: the server closed the
+                # idle connection.  Once more on a fresh socket.
+                connection.close()
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            connection.close()
+            raise
 
     def request(self, method: str, path: str, payload=None) -> tuple:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        status, raw = self._exchange(method, path, body)
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-            try:
-                decoded = json.loads(raw) if raw else None
-            except json.JSONDecodeError:
-                decoded = {"raw": raw.decode("utf-8", "replace")}
-            return response.status, decoded
-        finally:
-            connection.close()
+            decoded = json.loads(raw) if raw else None
+        except json.JSONDecodeError:
+            decoded = {"raw": raw.decode("utf-8", "replace")}
+        return status, decoded
+
+    def _body(self, path: str) -> bytes:
+        """A GET's raw response body; raises on any non-200."""
+        status, raw = self._exchange("GET", path)
+        if status != 200:
+            raise ServeClientError(status, json.loads(raw or b"{}"))
+        return raw
 
     def metrics_text(self) -> str:
         """Raw body of ``GET /v1/metrics`` (Prometheus text format)."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
-        try:
-            connection.request("GET", "/v1/metrics")
-            response = connection.getresponse()
-            raw = response.read()
-            if response.status != 200:
-                raise ServeClientError(
-                    response.status, json.loads(raw or b"{}")
-                )
-            return raw.decode("utf-8")
-        finally:
-            connection.close()
+        return self._body("/v1/metrics").decode("utf-8")
 
     def result_bytes(self, job_id: str) -> bytes:
         """The result endpoint's exact response body (byte-identity
         checks compare these across cold and warm requests)."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
-        try:
-            connection.request("GET", f"/v1/jobs/{job_id}/result")
-            response = connection.getresponse()
-            raw = response.read()
-            if response.status != 200:
-                raise ServeClientError(
-                    response.status, json.loads(raw or b"{}")
-                )
-            return raw
-        finally:
-            connection.close()
+        return self._body(f"/v1/jobs/{job_id}/result")
 
     def events(self, job_id: str, timeout_s: float = 60.0):
         """Yield decoded SSE events until the server's ``end`` frame."""

@@ -33,9 +33,12 @@ A cold run wires a :class:`~repro.obs.ledger.MemoryLedger` and a
 callback-only :class:`~repro.obs.progress.ProgressReporter` into the
 existing ``Sweep.run`` / ``DesignSpaceExplorer.explore`` machinery, so
 the job's event stream *is* the ledger the batch tooling already
-emits.  The result document is serialized once, canonically; the cache
-stores that text and the result endpoint returns it verbatim — warm
-responses are byte-identical to cold ones by construction.
+emits.  The result document is serialized once, canonically, and the
+cache stores that text.  The result endpoint decodes the stored text and
+the transport re-encodes the envelope, so the served bytes are not the
+stored ones; a cold, warm or coalesced request for one job still gets
+identical bytes, because each decodes equal text and takes the same
+encode.
 
 The evaluation-count probe: ``stats["evaluations"]`` counts the points
 a cold run actually evaluated — for a sweep, the summed ``size`` of the
@@ -100,6 +103,7 @@ class JobRecord:
     events: list = field(default_factory=list)
     followers: list = field(default_factory=list)
     done_event: threading.Event = field(default_factory=threading.Event)
+    done_callbacks: list = field(default_factory=list)
     cancel_token: CancelToken | None = None
     trace: TraceContext | None = None
 
@@ -150,6 +154,9 @@ class ExplorationService:
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
         self._lock = threading.Lock()
+        # Guards every job's done_callbacks; apart from _lock, which
+        # is held where some jobs finish.
+        self._callbacks_lock = threading.Lock()
         self._jobs: dict = {}
         self._ids = itertools.count(1)
         self.stats = {
@@ -193,7 +200,7 @@ class ExplorationService:
                 job.events.append(
                     {"kind": "cache_hit", "fingerprint": fingerprint}
                 )
-                job.done_event.set()
+                self._mark_done(job)
             else:
                 primary = self.coalescer.admit(fingerprint, job)
                 if primary is not None:
@@ -258,7 +265,7 @@ class ExplorationService:
                     "code": "cancelled",
                     "message": f"job cancelled ({reason})",
                 }
-                job.done_event.set()
+                self._mark_done(job)
                 self.stats["cancelled"] += 1
                 return ok_envelope(
                     job_id=job.job_id, status="cancelled", cancelled=True
@@ -361,7 +368,7 @@ class ExplorationService:
             record.result_text = text
             record.error = error
             record.status = status
-            record.done_event.set()
+            self._mark_done(record)
 
     def _run_spec(self, job: JobRecord, tap: MemoryLedger) -> dict:
         spec = job.spec
@@ -518,6 +525,32 @@ class ExplorationService:
     def wait(self, job_id: str, timeout_s: float | None = None) -> bool:
         """Block until the job finishes (True) or the timeout lapses."""
         return self._job(job_id).done_event.wait(timeout_s)
+
+    def add_done_callback(self, job_id: str, callback) -> None:
+        """Call ``callback()`` once the job finishes, on the thread that
+        finishes it, or here and now if it already has."""
+        job = self._job(job_id)
+        with self._callbacks_lock:
+            if not job.done_event.is_set():
+                job.done_callbacks.append(callback)
+                return
+        callback()
+
+    def remove_done_callback(self, job_id: str, callback) -> None:
+        """Forget a callback that has not run yet (no-op if it has)."""
+        job = self._job(job_id)
+        with self._callbacks_lock:
+            if callback in job.done_callbacks:
+                job.done_callbacks.remove(callback)
+
+    def _mark_done(self, job: JobRecord) -> None:
+        """Set the job's ``done_event`` and run each waiting callback
+        once."""
+        job.done_event.set()
+        with self._callbacks_lock:
+            callbacks, job.done_callbacks = job.done_callbacks, []
+        for callback in callbacks:
+            callback()
 
     def status(self, job_id: str) -> dict:
         job = self._job(job_id)
@@ -705,20 +738,55 @@ def parse_wait_s(query: str) -> float | None:
     return None
 
 
-def route(service: ExplorationService, method: str, path: str, body=None):
+def long_poll(service: ExplorationService, method: str, path: str):
+    """``(job_id, wait_s)`` when the request is a status long-poll on an
+    unfinished job, else None.
+
+    The socket server awaits such a job on its event loop and then
+    routes with ``wait=False``.  A bad ``wait_s`` or an unknown job is
+    None here and answered by :func:`route` as usual.
+    """
+    if method != "GET":
+        return None
+    path, _, query = path.partition("?")
+    match = _JOB_PATH.match(path)
+    if match is None or match.group("leaf") is not None:
+        return None
+    try:
+        wait_s = parse_wait_s(query)
+        job = service._job(match.group("job_id"))
+    except RequestError:
+        return None
+    if not wait_s or job.done_event.is_set():
+        return None
+    return job.job_id, wait_s
+
+
+def route(
+    service: ExplorationService,
+    method: str,
+    path: str,
+    body=None,
+    *,
+    wait: bool = True,
+):
     """Dispatch one request; returns ``(http_status, payload dict)``.
 
     The single entry point shared by the socket server and the
     in-process test client.  ``body`` is the decoded JSON payload (or
-    None); JSON decoding errors belong to the transport layer.
+    None); JSON decoding errors belong to the transport layer.  A
+    status request's ``wait_s`` blocks the calling thread until the job
+    finishes; ``wait=False`` answers at once (the socket server, which
+    must not block its event loop, has awaited :func:`long_poll`'s job
+    itself).
     """
     try:
-        return _route(service, method, path, body)
+        return _route(service, method, path, body, wait)
     except RequestError as error:
         return error.http_status, error_envelope(error.code, str(error))
 
 
-def _route(service, method, path, body):
+def _route(service, method, path, body, wait):
     path, _, query = path.partition("?")
     if path == "/v1/jobs":
         if method != "POST":
@@ -736,7 +804,7 @@ def _route(service, method, path, body):
             raise _method_not_allowed(method, path)
         if leaf is None:
             wait_s = parse_wait_s(query)
-            if wait_s is not None:
+            if wait_s is not None and wait:
                 service.wait(job_id, wait_s)
             return 200, service.status(job_id)
         if leaf == "result":

@@ -1,19 +1,26 @@
 """Asyncio HTTP front end for the exploration service.
 
 Stdlib only: ``asyncio.start_server`` plus a minimal HTTP/1.1
-request parser.  Every connection serves exactly one request
-(``Connection: close``) — the service is a batch API, not a byte-
-shaving RPC plane, and one-shot connections keep the parser honest and
-the failure modes boring.
+request parser.  Connections are persistent (HTTP/1.1 keep-alive): one
+connection serves request after request until the peer closes it, a
+request says ``Connection: close`` or speaks HTTP/1.0, a request is
+malformed (the 400/413 path), or the request opens an SSE stream.  Only
+the response after which the server closes carries ``Connection:
+close``.  A connection whose next request has not arrived within
+:data:`KEEPALIVE_IDLE_S` is closed, and :meth:`ReproServer.aclose`
+closes such idle connections at once, so shutdown never waits on a
+client.
 
 All JSON endpoints delegate to :func:`repro.serve.handlers.route`; the
-only transport-level specialization is ``GET /v1/jobs/{id}/events``
-with ``Accept: text/event-stream``-style semantics: the handler polls
-the job's append-only event list and writes each record as one SSE
-``event:``/``data:`` frame, closing with an ``end`` frame once the job
-finishes.  Job execution happens on the service's worker threads, so
-the event loop only ever formats bytes — a slow sweep never blocks
-health checks or other submissions.
+transport-level specializations are three.  ``GET /v1/metrics`` is
+Prometheus text, not a JSON envelope.  ``GET /v1/jobs/{id}/events``
+streams the job's append-only event list as SSE ``event:``/``data:``
+frames, closing with an ``end`` frame once the job finishes.  A status
+long-poll (``GET /v1/jobs/{id}?wait_s=N``) awaits the job's completion
+callback on the event loop instead of blocking it, then routes the
+status without waiting.  Job execution happens on the service's worker
+threads, so the event loop only ever formats bytes — a slow sweep or a
+parked long-poll never blocks health checks or other submissions.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import asyncio
 import json
 
 from repro.errors import ConfigurationError
-from repro.serve.handlers import ExplorationService, route
+from repro.serve.handlers import ExplorationService, long_poll, route
 from repro.serve.protocol import error_envelope
 
 #: Largest accepted request body; a sweep spec is small by nature.
@@ -30,6 +37,10 @@ MAX_BODY_BYTES = 1_000_000
 
 #: Seconds between event-list polls while streaming SSE.
 SSE_POLL_S = 0.02
+
+#: Seconds a connection may take to deliver its next whole request
+#: (idle time between requests included) before the server closes it.
+KEEPALIVE_IDLE_S = 5.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -44,16 +55,23 @@ _STATUS_TEXT = {
 }
 
 
-def _http_payload(status: int, body: bytes, content_type: str) -> bytes:
+def _http_payload(
+    status: int, body: bytes, content_type: str, keep_alive: bool
+) -> bytes:
     reason = _STATUS_TEXT.get(status, "Unknown")
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: {content_type}\r\n"
         f"Content-Length: {len(body)}\r\n"
-        "Connection: close\r\n"
-        "\r\n"
     )
-    return head.encode("ascii") + body
+    if not keep_alive:
+        head += "Connection: close\r\n"
+    return (head + "\r\n").encode("ascii") + body
+
+
+def _resolve(future) -> None:
+    if not future.done():
+        future.set_result(None)
 
 
 class ReproServer:
@@ -81,6 +99,12 @@ class ReproServer:
         #: Live SSE streams right now — observable from tests so a
         #: client disconnect can be shown to reap its server-side loop.
         self.sse_streams = 0
+        self._closing = False
+        #: Writers of connections between responses: waiting for, or
+        #: reading, their next request.
+        self._idle: set = set()
+        #: Futures of status long-polls waiting for their job.
+        self._polls: set = set()
 
     @property
     def address(self) -> tuple:
@@ -95,61 +119,150 @@ class ReproServer:
         )
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled, then leave closing to :meth:`aclose`.
+
+        Not ``Server.serve_forever()``: on cancellation it waits in
+        ``wait_closed()`` for every connection, idle keep-alive ones
+        included, before :meth:`aclose` could close them.
+        """
         if self._server is None:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def aclose(self) -> None:
         if self._server is not None:
+            self._closing = True
             self._server.close()
+            # Server.wait_closed() waits for every open connection (on
+            # Python 3.12+): close the idle ones, and answer parked
+            # long-polls now — each such response closes its connection.
+            for writer in list(self._idle):
+                writer.close()
+            for future in list(self._polls):
+                _resolve(future)
             await self._server.wait_closed()
             self._server = None
-        self.service.close()
+        # Draining in-flight jobs off the loop lets it finish writing
+        # the responses that are still in flight meanwhile.
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.service.close
+        )
 
     # -- request handling ----------------------------------------------------
 
     async def _handle(self, reader, writer) -> None:
         try:
-            method, path, body = await self._read_request(reader)
-        except _BadRequest as error:
-            await self._write_json(
-                writer, error.status, error_envelope("bad_json", str(error))
-            )
-            return
+            while not self._closing:
+                try:
+                    request = await self._read_request(reader, writer)
+                except _BadRequest as error:
+                    await self._write_json(
+                        writer,
+                        error.status,
+                        error_envelope("bad_json", str(error)),
+                        keep_alive=False,
+                    )
+                    return
+                if request is None:
+                    return
+                if not await self._respond(writer, *request):
+                    return
         except (ConnectionError, asyncio.IncompleteReadError):
-            writer.close()
-            return
-        try:
-            if method == "GET" and path.split("?")[0].endswith("/events"):
-                await self._stream_events(writer, path)
-            elif path.split("?")[0] == "/v1/metrics":
-                # Raw Prometheus text, not a JSON envelope — rendered
-                # here at the transport layer, like SSE.
-                await self._write_metrics(writer, method)
-            else:
-                status, payload = route(self.service, method, path, body)
-                await self._write_json(writer, status, payload)
-        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        finally:
             writer.close()
 
-    async def _read_request(self, reader) -> tuple:
+    async def _respond(
+        self, writer, method: str, path: str, body, keep_alive: bool
+    ) -> bool:
+        """Answer one request; returns whether the connection stays open."""
+        bare = path.split("?")[0]
+        if method == "GET" and bare.endswith("/events"):
+            await self._stream_events(writer, path)
+            return False
+        if bare == "/v1/metrics":
+            # Raw Prometheus text, not a JSON envelope — rendered
+            # here at the transport layer, like SSE.
+            keep_alive = keep_alive and not self._closing
+            await self._write_metrics(writer, method, keep_alive)
+            return keep_alive
+        poll = long_poll(self.service, method, path)
+        if poll is not None:
+            await self._await_job(*poll)
+        status, payload = route(self.service, method, path, body, wait=False)
+        keep_alive = keep_alive and not self._closing
+        await self._write_json(writer, status, payload, keep_alive)
+        return keep_alive
+
+    async def _await_job(self, job_id: str, wait_s: float) -> None:
+        """Until the job finishes, ``wait_s`` lapses or the server closes.
+
+        The job's completion callback runs on whichever thread finishes
+        it and wakes this loop through ``call_soon_threadsafe``: no
+        thread is parked per waiter.
+        """
+        loop = asyncio.get_running_loop()
+        done = loop.create_future()
+
+        def wake() -> None:
+            try:
+                loop.call_soon_threadsafe(_resolve, done)
+            except RuntimeError:  # the loop closed: nobody waits now
+                pass
+
+        timer = loop.call_later(wait_s, _resolve, done)
+        self._polls.add(done)
+        self.service.add_done_callback(job_id, wake)
+        try:
+            await done
+        finally:
+            timer.cancel()
+            self._polls.discard(done)
+            self.service.remove_done_callback(job_id, wake)
+
+    async def _read_request(self, reader, writer) -> tuple | None:
+        """The next request, or None once the connection has ended.
+
+        The connection is closed if no whole request arrives within
+        :data:`KEEPALIVE_IDLE_S`, or at once by :meth:`aclose`.
+        """
+        self._idle.add(writer)
+        reaper = asyncio.get_running_loop().call_later(
+            KEEPALIVE_IDLE_S, writer.close
+        )
+        try:
+            return await self._parse_request(reader)
+        finally:
+            reaper.cancel()
+            self._idle.discard(writer)
+
+    async def _parse_request(self, reader) -> tuple | None:
         request_line = await reader.readline()
+        if not request_line:
+            return None
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
             raise _BadRequest("malformed request line")
-        method, target, _version = parts
+        method, target, version = parts
+        keep_alive = version == "HTTP/1.1"
         content_length = 0
         while True:
             line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
+            if not line:
+                raise asyncio.IncompleteReadError(b"", None)
+            if line in (b"\r\n", b"\n"):
                 break
             name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
+            name = name.strip().lower()
+            if name == "content-length":
                 try:
                     content_length = int(value.strip())
                 except ValueError:
                     raise _BadRequest("bad Content-Length") from None
+            elif name == "connection":
+                tokens = {token.strip().lower() for token in value.split(",")}
+                if "close" in tokens:
+                    keep_alive = False
         if content_length > MAX_BODY_BYTES:
             raise _BadRequest(
                 f"body over {MAX_BODY_BYTES} bytes", status=413
@@ -161,9 +274,11 @@ class ReproServer:
                 body = json.loads(raw)
             except json.JSONDecodeError as error:
                 raise _BadRequest(f"body is not JSON: {error}") from None
-        return method, target, body
+        return method, target, body, keep_alive
 
-    async def _write_metrics(self, writer, method: str) -> None:
+    async def _write_metrics(
+        self, writer, method: str, keep_alive: bool
+    ) -> None:
         from repro.obs.expo import CONTENT_TYPE
 
         if method != "GET":
@@ -174,18 +289,21 @@ class ReproServer:
                     "method_not_allowed",
                     f"method {method} not allowed on /v1/metrics",
                 ),
+                keep_alive,
             )
             return
         body = self.service.metrics_text().encode("utf-8")
-        writer.write(_http_payload(200, body, CONTENT_TYPE))
+        writer.write(_http_payload(200, body, CONTENT_TYPE, keep_alive))
         await writer.drain()
-        writer.close()
 
-    async def _write_json(self, writer, status: int, payload: dict) -> None:
+    async def _write_json(
+        self, writer, status: int, payload: dict, keep_alive: bool
+    ) -> None:
         body = json.dumps(payload).encode("utf-8")
-        writer.write(_http_payload(status, body, "application/json"))
+        writer.write(
+            _http_payload(status, body, "application/json", keep_alive)
+        )
         await writer.drain()
-        writer.close()
 
     async def _stream_events(self, writer, path: str) -> None:
         job_id = path.split("?")[0].split("/")[-2]
@@ -193,7 +311,7 @@ class ReproServer:
             self.service.events_since(job_id, 0)
         except Exception:
             status, payload = route(self.service, "GET", path)
-            await self._write_json(writer, status, payload)
+            await self._write_json(writer, status, payload, keep_alive=False)
             return
         head = (
             "HTTP/1.1 200 OK\r\n"
@@ -229,7 +347,6 @@ class ReproServer:
                 await asyncio.sleep(SSE_POLL_S)
         finally:
             self.sse_streams -= 1
-            writer.close()
 
 
 class _BadRequest(Exception):

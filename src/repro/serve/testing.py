@@ -58,9 +58,11 @@ def running_server(
 ):
     """Boots a real server on port 0; yields ``(server, ServeClient)``.
 
-    The event loop runs in a daemon thread; teardown stops the loop and
-    joins the thread, closing the service (and its worker pool) with
-    it.
+    The event loop runs in a daemon thread.  Teardown closes the
+    client's connections and cancels the serving task, whose
+    :meth:`~repro.serve.server.ReproServer.aclose` closes the idle
+    connections and the service (and its worker pool); then it joins
+    the thread.
     """
     server = ReproServer(service=service, host="127.0.0.1", port=0)
     started = threading.Event()
@@ -69,7 +71,9 @@ def running_server(
 
     async def main() -> None:
         await server.start()
-        loop_holder.append(asyncio.get_running_loop())
+        loop_holder.append(
+            (asyncio.get_running_loop(), asyncio.current_task())
+        )
         started.set()
         try:
             await server.serve_forever()
@@ -94,11 +98,11 @@ def running_server(
     if failure:
         raise failure[0]
     host, port = server.address
+    client = ServeClient(f"http://{host}:{port}")
     try:
-        yield server, ServeClient(f"http://{host}:{port}")
+        yield server, client
     finally:
-        loop = loop_holder[0]
-        loop.call_soon_threadsafe(
-            lambda: [task.cancel() for task in asyncio.all_tasks(loop)]
-        )
+        client.close()
+        loop, task = loop_holder[0]
+        loop.call_soon_threadsafe(task.cancel)
         thread.join(timeout=10.0)

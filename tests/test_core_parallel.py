@@ -172,6 +172,19 @@ class TestParallelFallback:
         # The serial re-run still produces complete, ordered results.
         assert [o.value for o in outcomes] == [x * x for x in range(6)]
 
+    def test_fallback_warning_names_the_callers_file(self, monkeypatch):
+        # Attributed to the first frame outside repro.core, whether the
+        # map is called directly or through Sweep.run.
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor", _ExplodingPool
+        )
+        with pytest.warns(ParallelFallbackWarning) as caught:
+            Sweep(axes={"x": [1, 2, 3]}).run(
+                _square, executor=LocalPoolExecutor(workers=2)
+            )
+            LocalPoolExecutor(workers=2).map(_square, range(4))
+        assert [warning.filename for warning in caught] == [__file__] * 2
+
     def test_fallback_recorded_on_ledger(self, monkeypatch):
         monkeypatch.setattr(
             executor_module, "ProcessPoolExecutor", _ExplodingPool
