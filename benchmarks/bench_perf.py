@@ -29,11 +29,6 @@ implementations and writes ``BENCH_perf.json``:
   off, metrics-only and metrics+tracing.  Results must be bit-identical
   across all three; the section reports the overhead ratios (the
   documented budget is < 2x with full tracing on).
-* **injection** — the canonical injected workload on the plain
-  controller, on the resilient controller with a disabled injector
-  (must be bit-identical to the plain run) and with injection enabled.
-  The section reports the overhead ratios (documented budget: the
-  disabled injector stays under 2x; see docs/RESILIENCE.md).
 * **sweep_telemetry** — the macro-evaluation sweep with the run
   ledger + progress reporter on vs fully off.  The point results must
   be identical; the section reports the telemetry overhead ratio (the
@@ -933,66 +928,6 @@ def bench_observability(
     )
 
 
-def bench_injection(report: PerfReport, cycles: int, warmup: int) -> None:
-    """Canonical injected workload: plain, disabled and enabled injector.
-
-    The resilient controller always runs on the naive loop (the event
-    engine declines controller subclasses), so the overhead ratios
-    compare it with the plain controller on that same loop;
-    ``plain_event_seconds`` is the plain controller on the default event
-    engine.
-    """
-    from repro.inject import InjectionConfig
-    from repro.inject.runtime import build_injected_simulator
-
-    def run_injected(injection, backend="cycle"):
-        simulator = build_injected_simulator(
-            injection, cycles=cycles, warmup_cycles=warmup
-        )
-        simulator.config = dataclasses.replace(
-            simulator.config, backend=backend
-        )
-        return simulator.run()
-
-    plain_s, plain_result = measure(lambda: run_injected(None))
-    plain_event_s, plain_event_result = measure(
-        lambda: run_injected(None, "event")
-    )
-    disabled_s, disabled_result = measure(
-        lambda: run_injected(
-            InjectionConfig(enabled=False, n_cell_faults=200)
-        )
-    )
-    enabled_s, enabled_result = measure(
-        lambda: run_injected(
-            InjectionConfig(
-                n_cell_faults=200,
-                refresh_drop_rate=0.05,
-                fifo_stall_rate=0.02,
-            )
-        )
-    )
-    plain = result_fingerprint(plain_result)
-    if plain != result_fingerprint(
-        disabled_result
-    ) or plain != result_fingerprint(plain_event_result):
-        raise AssertionError(
-            "disabled injection diverged from the plain controller"
-        )
-    report.add(
-        "injection",
-        cycles=cycles + warmup,
-        plain_seconds=plain_s,
-        plain_event_seconds=plain_event_s,
-        disabled_seconds=disabled_s,
-        enabled_seconds=enabled_s,
-        disabled_overhead_ratio=disabled_s / plain_s,
-        enabled_overhead_ratio=enabled_s / plain_s,
-        requests_completed=enabled_result.requests_completed,
-        bit_identical=True,
-    )
-
-
 def bench_serve(report: PerfReport) -> None:
     """Exploration service: cold execute vs warm content-addressed hit.
 
@@ -1204,7 +1139,6 @@ def run(
         bench_observability(
             report, cycles=4_000, warmup=500, trace_out=trace_out
         )
-        bench_injection(report, cycles=2_000, warmup=200)
     else:
         bench_event_engine(
             report, low=(20_000, 1_000), high=(16_000, 1_000), seed=seed
@@ -1212,7 +1146,6 @@ def run(
         bench_observability(
             report, cycles=16_000, warmup=1_000, trace_out=trace_out
         )
-        bench_injection(report, cycles=8_000, warmup=500)
     bench_dft_flow(report, smoke=smoke)
     bench_design_space(report)
     bench_batched_design_space(report)
@@ -1250,11 +1183,6 @@ def test_perf_smoke() -> None:
     assert obs["bit_identical"]
     # The documented observability budget: full tracing stays under 2x.
     assert obs["trace_overhead_ratio"] < 2.0, obs
-    inject = report.sections["injection"]
-    assert inject["bit_identical"]
-    # The documented injection budget: a disabled injector stays under
-    # 2x of the plain controller.
-    assert inject["disabled_overhead_ratio"] < 2.0, inject
     telemetry = report.sections["sweep_telemetry"]
     assert telemetry["identical"]
     assert telemetry["ledger_events"] > 0

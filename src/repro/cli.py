@@ -553,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     inject = sub.add_parser(
         "inject",
-        help="fault-injection campaigns and injected simulations; "
-        "forwards to `python -m repro.inject`",
+        help="fault-injection campaigns; forwards to "
+        "`python -m repro.inject`",
     )
     inject.add_argument("inject_args", nargs=argparse.REMAINDER)
     inject.set_defaults(func=_cmd_inject)

@@ -229,12 +229,8 @@ class MemoryController:
         request = fifo.pop()
         request.state = RequestState.ACCEPTED
         request.accepted_cycle = cycle
-        request.decoded = self._decode(request)
+        request.decoded = self.mapping.decode(request.address)
         self.window.append(request)
-
-    def _decode(self, request: Request):
-        """Address-translation hook (overridable for runtime remap)."""
-        return self.mapping.decode(request.address)
 
     # -- refresh ------------------------------------------------------------
 

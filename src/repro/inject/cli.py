@@ -1,4 +1,4 @@
-"""Command-line interface for fault injection.
+"""Command-line interface for fault-injection campaigns.
 
 Usage::
 
@@ -6,19 +6,10 @@ Usage::
         [--cols N] [--cell-faults N] [--line-faults N] [--no-retention]
         [--pause-s S] [--spare-rows N] [--spare-cols N]
         [--json] [--out FILE]
-    python -m repro.inject sim [--seed N] [--cycles N] [--warmup N]
-        [--cell-faults N] [--line-faults N] [--refresh-drop-rate P]
-        [--refresh-delay-rate P] [--refresh-delay-cycles N]
-        [--stuck-bank B] [--fifo-stall-rate P] [--retention-s S]
-        [--disabled] [--check-identity] [--json] [--out FILE]
 
 ``campaign`` runs march tests over seeded fault maps and exits nonzero
 when measured detection diverges from the analytical prediction or the
-repair verdicts disagree.  ``sim`` runs the canonical injected workload
-through the resilient controller and prints the injection report;
-``--check-identity`` additionally asserts the bit-identity contract
-(injection-disabled run == plain controller run) and fails loudly when
-it does not hold.  Also reachable as ``repro inject ...``.
+repair verdicts disagree.  Also reachable as ``repro inject ...``.
 """
 
 from __future__ import annotations
@@ -28,8 +19,6 @@ import json
 import sys
 
 from repro.inject.campaign import CampaignConfig, run_campaign
-from repro.inject.plan import InjectionConfig
-from repro.inject.runtime import build_injected_simulator
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -63,75 +52,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sim(args: argparse.Namespace) -> int:
-    injection = InjectionConfig(
-        enabled=not args.disabled,
-        seed=args.seed,
-        n_cell_faults=args.cell_faults,
-        n_line_faults=args.line_faults,
-        refresh_drop_rate=args.refresh_drop_rate,
-        refresh_delay_rate=args.refresh_delay_rate,
-        refresh_delay_cycles=args.refresh_delay_cycles,
-        stuck_bank=args.stuck_bank,
-        fifo_stall_rate=args.fifo_stall_rate,
-    )
-    simulator = build_injected_simulator(
-        injection,
-        cycles=args.cycles,
-        warmup_cycles=args.warmup,
-        refresh_retention_s=args.retention_s,
-    )
-    result = simulator.run()
-    report = simulator.controller.injector.report()
-    print(result.summary())
-    print(report.summary())
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"wrote injection report to {args.out}")
-    if args.check_identity:
-        return _check_identity(args)
-    return 0
-
-
-def _check_identity(args: argparse.Namespace) -> int:
-    """Assert the bit-identity contract of disabled injection."""
-    from repro.verify.differential import result_fingerprint
-
-    plain = build_injected_simulator(
-        None,
-        cycles=args.cycles,
-        warmup_cycles=args.warmup,
-        refresh_retention_s=args.retention_s,
-    ).run()
-    disabled = build_injected_simulator(
-        InjectionConfig(
-            enabled=False,
-            seed=args.seed,
-            n_cell_faults=args.cell_faults,
-            n_line_faults=args.line_faults,
-        ),
-        cycles=args.cycles,
-        warmup_cycles=args.warmup,
-        refresh_retention_s=args.retention_s,
-    ).run()
-    if result_fingerprint(plain) != result_fingerprint(disabled):
-        print(
-            "check-identity: injection-disabled run diverged from the "
-            "plain controller",
-            file=sys.stderr,
-        )
-        return 1
-    print("check-identity: injection disabled is bit-identical")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro inject",
-        description="fault-injection campaigns and injected simulations",
+        description="fault-injection campaigns",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -158,44 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument("--out", help="write the report JSON here")
     campaign.set_defaults(func=_cmd_campaign)
-
-    sim = sub.add_parser(
-        "sim",
-        help="run the canonical injected workload through the "
-        "resilient controller",
-    )
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--cycles", type=int, default=8_000)
-    sim.add_argument("--warmup", type=int, default=500)
-    sim.add_argument("--cell-faults", type=int, default=200)
-    sim.add_argument("--line-faults", type=int, default=2)
-    sim.add_argument("--refresh-drop-rate", type=float, default=0.0)
-    sim.add_argument("--refresh-delay-rate", type=float, default=0.0)
-    sim.add_argument("--refresh-delay-cycles", type=int, default=64)
-    sim.add_argument("--stuck-bank", type=int, default=None)
-    sim.add_argument("--fifo-stall-rate", type=float, default=0.0)
-    sim.add_argument(
-        "--retention-s",
-        type=float,
-        default=64e-3,
-        help="controller refresh retention period",
-    )
-    sim.add_argument(
-        "--disabled",
-        action="store_true",
-        help="attach the injector but disable every effect",
-    )
-    sim.add_argument(
-        "--check-identity",
-        action="store_true",
-        help="also assert injection-off bit-identity vs the plain "
-        "controller",
-    )
-    sim.add_argument(
-        "--json", action="store_true", help="print the report as JSON"
-    )
-    sim.add_argument("--out", help="write the injection report here")
-    sim.set_defaults(func=_cmd_sim)
     return parser
 
 

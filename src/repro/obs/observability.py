@@ -134,25 +134,21 @@ class Observability:
         if self.trace is not None:
             self.trace.instant(f"client {client}", "stall", cycle)
 
-    # -- fault injection / degradation events --------------------------------
-
-    def on_fault_event(self, event: str, cycle: int, **details) -> None:
-        """One injected fault or degradation response from
-        :mod:`repro.inject`: ECC outcomes (``ecc_corrected`` /
-        ``ecc_uncorrectable``), scrub retries, refresh drops/delays,
-        row remaps, bank quarantines and injected FIFO stalls all land
-        here as ``inject.<event>`` counters plus trace instants on the
-        ``inject`` track."""
-        self.metrics.counter(f"inject.{event}").inc()
-        if self.trace is not None:
-            self.trace.instant("inject", event, cycle, **details)
-
     # -- simulator events ----------------------------------------------------
 
     def on_measurement_reset(self, cycle: int) -> None:
         self.metrics.counter("sim.measurement_resets").inc()
         if self.trace is not None:
             self.trace.instant("simulator", "measurement-reset", cycle)
+
+    def on_run_truncated(self, cycle: int, reason: str) -> None:
+        """The watchdog stopped the run at ``cycle`` (``reason`` is the
+        result's ``truncation_reason``)."""
+        self.metrics.counter("sim.run_truncated").inc()
+        if self.trace is not None:
+            self.trace.instant(
+                "simulator", "run-truncated", cycle, reason=reason
+            )
 
     def on_run_end(self, total_cycles: int) -> None:
         self.metrics.gauge("sim.total_cycles").set(total_cycles)

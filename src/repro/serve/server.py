@@ -49,9 +49,7 @@ _STATUS_TEXT = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
-    429: "Too Many Requests",
     500: "Internal Server Error",
-    503: "Service Unavailable",
 }
 
 

@@ -128,44 +128,65 @@ def edram_tradeoff(
     }
 
 
-def injected_sim(
-    cycles: int = 2_000,
-    warmup_cycles: int = 200,
-    seed: int = 0,
-    cell_faults: int = 0,
-    refresh_drop_rate: float = 0.0,
-    fifo_stall_rate: float = 0.0,
-) -> dict:
-    """Seeded fault-injected simulation (PR 4's injector as a service
-    workload) — the chaos-test surface: faults on the axes, bit-exact
-    per seed.
-    """
-    from repro.inject import InjectionConfig
-    from repro.inject.runtime import build_injected_simulator
+#: Moderate per-client rate of the baseline simulation: enough traffic
+#: to exercise every bank, low enough that the system stays stable.
+BASELINE_CLIENT_RATE = 0.05
 
-    injection = None
-    if cell_faults or refresh_drop_rate or fifo_stall_rate:
-        injection = InjectionConfig(
-            seed=seed,
-            n_cell_faults=cell_faults,
-            refresh_drop_rate=refresh_drop_rate,
-            fifo_stall_rate=fifo_stall_rate,
-        )
-    simulator = build_injected_simulator(
-        injection,
-        cycles=cycles,
-        warmup_cycles=warmup_cycles,
-        seed=seed,
+
+def build_baseline_simulator(cycles: int, warmup_cycles: int, seed: int):
+    """The baseline simulated system: 3 clients on a 4-bank device.
+
+    A display stream, a video block client and a CPU random client
+    share a PC100 device behind the stock controller.  Everything is
+    pinned by ``(cycles, warmup_cycles, seed)``: re-runs are
+    bit-identical.  Imports stay local: loading this module (the
+    service does) must not load the simulator.
+    """
+    from repro.controller.controller import MemoryController
+    from repro.dram.device import DRAMDevice
+    from repro.dram.organizations import AddressMapping, Organization
+    from repro.dram.timing import PC100_TIMING
+    from repro.sim.simulator import MemorySystemSimulator, SimulationConfig
+    from repro.traffic.client import ClientKind, MemoryClient
+    from repro.traffic.patterns import RandomPattern, SequentialPattern
+
+    org = Organization(n_banks=4, n_rows=2048, page_bits=4096, word_bits=16)
+    controller = MemoryController(
+        device=DRAMDevice(organization=org, timing=PC100_TIMING),
+        mapping=AddressMapping(organization=org),
     )
-    result = simulator.run()
-    return {
-        "requests_completed": result.requests_completed,
-        "data_bits_transferred": result.data_bits_transferred,
-        "row_hit_rate": result.row_hit_rate,
-        "refreshes": result.refreshes,
-        "mean_latency_cycles": result.latency.mean,
-        "injected": injection is not None,
-    }
+    quarter = org.total_words // 4
+    clients = [
+        MemoryClient(
+            name="display",
+            pattern=SequentialPattern(base=0, length=quarter),
+            rate=BASELINE_CLIENT_RATE,
+            kind=ClientKind.STREAM,
+        ),
+        MemoryClient(
+            name="video",
+            pattern=SequentialPattern(base=quarter, length=quarter),
+            rate=BASELINE_CLIENT_RATE,
+            read_fraction=0.7,
+            kind=ClientKind.BLOCK,
+            seed=seed + 7,
+        ),
+        MemoryClient(
+            name="cpu",
+            pattern=RandomPattern(
+                base=0, length=org.total_words, seed=seed + 3
+            ),
+            rate=BASELINE_CLIENT_RATE,
+            read_fraction=0.6,
+            kind=ClientKind.RANDOM,
+            seed=seed + 11,
+        ),
+    ]
+    return MemorySystemSimulator(
+        controller=controller,
+        clients=clients,
+        config=SimulationConfig(cycles=cycles, warmup_cycles=warmup_cycles),
+    )
 
 
 def sim_fingerprint(seed: int = 0, cycles: int = 1_000) -> tuple:
@@ -178,18 +199,13 @@ def sim_fingerprint(seed: int = 0, cycles: int = 1_000) -> tuple:
     is that workload: the distributed bench and the CI smoke sweep it
     and compare fingerprints bit-for-bit against a serial run.
     """
-    from repro.inject.runtime import build_injected_simulator
     from repro.verify.differential import result_fingerprint
 
-    simulator = build_injected_simulator(
-        None,
-        cycles=cycles,
-        warmup_cycles=max(1, cycles // 8),
-        seed=seed,
+    simulator = build_baseline_simulator(
+        cycles=cycles, warmup_cycles=max(1, cycles // 8), seed=seed
     )
     return result_fingerprint(simulator.run())
 
 
 register_workload("edram_tradeoff", edram_tradeoff)
-register_workload("injected_sim", injected_sim)
 register_workload("sim_fingerprint", sim_fingerprint)

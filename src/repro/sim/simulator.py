@@ -323,10 +323,6 @@ class MemorySystemSimulator:
     def _collect(
         self, total_cycles: int, truncation: tuple | None = None
     ) -> SimulationResult:
-        if self.obs is not None:
-            self.obs.on_run_end(total_cycles)
-        if self.invariant_checker is not None:
-            self.invariant_report = self.invariant_checker.report()
         measured = self.config.cycles
         truncation_reason = truncated_at = None
         if truncation is not None:
@@ -340,11 +336,11 @@ class MemorySystemSimulator:
                 else truncated_at
             )
             if self.obs is not None:
-                self.obs.on_fault_event(
-                    "run_truncated",
-                    truncated_at,
-                    reason=truncation_reason,
-                )
+                self.obs.on_run_truncated(truncated_at, truncation_reason)
+        if self.obs is not None:
+            self.obs.on_run_end(total_cycles)
+        if self.invariant_checker is not None:
+            self.invariant_report = self.invariant_checker.report()
         latency = LatencyStats()
         by_client: dict = {
             client.name: LatencyStats() for client in self.clients

@@ -263,39 +263,6 @@ def diff_serial_vs_parallel(
     )
 
 
-def diff_injection_off(
-    cycles: int = 4_000,
-    warmup_cycles: int = 300,
-    seed: int = 0,
-    n_cell_faults: int = 100,
-) -> DifferentialReport:
-    """Pin the fault-injection bit-identity contract.
-
-    Runs the canonical injected workload twice — once on the plain
-    controller, once on the resilient controller with a *disabled*
-    injector (fault map still built) — and diffs the fingerprints.
-    A disabled injector must cost nothing observable; any drift here
-    means the degradation machinery leaked into the baseline path.
-    """
-    from repro.inject import InjectionConfig, build_injected_simulator
-
-    plain = build_injected_simulator(
-        None, cycles=cycles, warmup_cycles=warmup_cycles, seed=seed
-    ).run()
-    disabled = build_injected_simulator(
-        InjectionConfig(enabled=False, seed=seed, n_cell_faults=n_cell_faults),
-        cycles=cycles,
-        warmup_cycles=warmup_cycles,
-        seed=seed,
-    ).run()
-    diffs = diff_values(
-        result_fingerprint(plain), result_fingerprint(disabled), "fingerprint"
-    )
-    return DifferentialReport(
-        label="plain vs injection-disabled", diffs=diffs
-    )
-
-
 def diff_memoized_vs_cold(macro, requirements) -> DifferentialReport:
     """Compare a memo-served evaluation against a cold evaluator."""
     from repro.core.evaluator import Evaluator

@@ -28,7 +28,7 @@ WORKER_COLD_PATH = (
 )
 
 #: Modules the worker cold path must not load: the explorer stack, the
-#: service, the DFT/fuzz/campaign code and the process pool.
+#: service, the DFT/fuzz/fault-injection code and the process pool.
 NOT_ON_WORKER_PATH = (
     "repro.core.explorer",
     "repro.core.evaluator",
@@ -40,7 +40,8 @@ NOT_ON_WORKER_PATH = (
     "repro.dft.march",
     "repro.dft.flow",
     "repro.verify.fuzz",
-    "repro.inject.campaign",
+    "repro.inject",
+    "repro.dft.faults",
     "http.server",
     "multiprocessing",
 )

@@ -244,6 +244,75 @@ class TestFaultModelRegressions:
             inject_random_faults(4, 4, n_cell_faults=0, n_line_faults=9)
 
 
+
+class TestRandomFaultMap:
+    """Properties of :func:`inject_random_faults`, the campaign's map
+    generator."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cell_sites_distinct(self, seed):
+        array = inject_random_faults(8, 8, n_cell_faults=40, seed=seed)
+        sites = [(f.row, f.col) for f in array.faults]
+        assert len(sites) == len(set(sites)) == 40
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_retention_excluded_when_asked(self, seed):
+        array = inject_random_faults(
+            16, 16, n_cell_faults=60, seed=seed, include_retention=False
+        )
+        kinds = {f.kind for f in array.faults}
+        assert FaultKind.RETENTION not in kinds
+        assert kinds <= {
+            FaultKind.STUCK_AT_0,
+            FaultKind.STUCK_AT_1,
+            FaultKind.TRANSITION,
+        }
+
+    def test_retention_drawn_by_default(self):
+        array = inject_random_faults(16, 16, n_cell_faults=60, seed=0)
+        assert FaultKind.RETENTION in {f.kind for f in array.faults}
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_cell_faults": -1}, {"n_cell_faults": 0, "n_line_faults": -1}],
+        ids=["negative-cell", "negative-line"],
+    )
+    def test_negative_counts_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            inject_random_faults(4, 4, **kwargs)
+
+    @pytest.mark.parametrize("n_line_faults", [1, 2, 5])
+    def test_line_faults_alternate_word_and_bit_lines(self, n_line_faults):
+        array = inject_random_faults(
+            8, 8, n_cell_faults=0, n_line_faults=n_line_faults, seed=0
+        )
+        kinds = [f.kind for f in array.faults]
+        assert kinds == [
+            FaultKind.WORD_LINE if i % 2 == 0 else FaultKind.BIT_LINE
+            for i in range(n_line_faults)
+        ]
+
+    def test_ground_truth_covers_whole_lines(self):
+        array = inject_random_faults(
+            8, 8, n_cell_faults=0, n_line_faults=2, seed=0
+        )
+        (wl,) = [f for f in array.faults if f.kind is FaultKind.WORD_LINE]
+        (bl,) = [f for f in array.faults if f.kind is FaultKind.BIT_LINE]
+        # One dead row plus one dead column share exactly one cell.
+        assert len(array.faulty_cells()) == 8 + 8 - 1
+        assert all((wl.row, c) in array.faulty_cells() for c in range(8))
+        assert all((r, bl.col) in array.faulty_cells() for r in range(8))
+
+    def test_footprint_matches_ground_truth_without_coupling(self):
+        array = inject_random_faults(
+            8, 8, n_cell_faults=10, n_line_faults=2, seed=4
+        )
+        footprint = {
+            (int(r), int(c)) for r, c in zip(*array.footprint().nonzero())
+        }
+        assert footprint == array.faulty_cells()
+
+
 class TestRetentionTime:
     def test_waiting_time(self):
         assert retention_test_time_s(2, 0.2) == pytest.approx(0.4)

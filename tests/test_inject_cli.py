@@ -7,6 +7,7 @@ import pytest
 from repro import cli as repro_cli
 from repro.errors import ConfigurationError
 from repro.inject import cli as inject_cli
+from repro.inject.campaign import run_campaign
 
 
 class TestInjectCli:
@@ -25,21 +26,40 @@ class TestInjectCli:
         assert payload["ok"] is True
         assert '"ok": true' in capsys.readouterr().out
 
-    def test_sim_runs_and_reports(self, capsys):
-        code = inject_cli.main(
-            ["sim", "--cycles", "2000", "--warmup", "200",
-             "--cell-faults", "50"]
-        )
-        assert code == 0
-        assert "fault sites" in capsys.readouterr().out
 
-    def test_sim_check_identity(self, capsys):
+    def test_flags_reach_the_config(self, capsys):
         code = inject_cli.main(
-            ["sim", "--cycles", "2000", "--warmup", "200",
-             "--cell-faults", "20", "--disabled", "--check-identity"]
+            [
+                "campaign", "--seed", "3", "--maps", "1", "--rows", "8",
+                "--cols", "8", "--cell-faults", "4", "--line-faults", "0",
+                "--no-retention", "--pause-s", "0.5", "--spare-rows", "1",
+                "--spare-cols", "3", "--json",
+            ]
         )
         assert code == 0
-        assert "bit-identical" in capsys.readouterr().out
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {
+            "seed": 3, "n_maps": 1, "rows": 8, "cols": 8,
+            "n_cell_faults": 4, "n_line_faults": 0,
+            "include_retention": False, "pause_s": 0.5,
+            "spare_rows": 1, "spare_cols": 3,
+        }
+
+    def test_mismatch_exits_nonzero(self, monkeypatch, capsys):
+        def diverging(config):
+            report = run_campaign(config)
+            report.maps[0]["repair"]["verdict_match"] = False
+            return report
+
+        monkeypatch.setattr(inject_cli, "run_campaign", diverging)
+        assert inject_cli.main(["campaign", "--maps", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "MISMATCH" in captured.out
+        assert "diverged" in captured.err
+
+    def test_command_required(self):
+        with pytest.raises(SystemExit):
+            inject_cli.main([])
 
 
 class TestTopLevelErrorHandling:

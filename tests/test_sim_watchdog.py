@@ -5,14 +5,15 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.inject.runtime import build_injected_simulator
+from repro.obs import Observability
+from repro.serve.workloads import build_baseline_simulator
 from repro.sim.simulator import SimulationConfig
 from repro.verify.differential import result_fingerprint
 
 
 def _build(backend, cycles=4_000, warmup_cycles=300, **overrides):
-    simulator = build_injected_simulator(
-        None, cycles=cycles, warmup_cycles=warmup_cycles, seed=0
+    simulator = build_baseline_simulator(
+        cycles=cycles, warmup_cycles=warmup_cycles, seed=0
     )
     simulator.config = dataclasses.replace(
         simulator.config, backend=backend, **overrides
@@ -68,6 +69,25 @@ class TestMaxCycles:
         result = _build("cycle", max_cycles=1_500).run()
         assert "requests over" in result.summary()
         assert result.sustained_bandwidth_bits_per_s >= 0.0
+
+    def test_observer_counts_one_truncation(self):
+        simulator = _build("cycle", max_cycles=2_000)
+        obs = Observability.create(trace=True).attach(simulator)
+        simulator.run()
+        assert obs.metrics.snapshot()["counters"]["sim.run_truncated"] == 1
+        instants = [
+            event
+            for event in obs.trace.events
+            if event["name"] == "run-truncated"
+        ]
+        assert len(instants) == 1
+        assert instants[0]["args"] == {"reason": "max_cycles", "cycle": 2_000}
+
+    def test_untruncated_run_counts_none(self):
+        simulator = _build("event")
+        obs = Observability.create().attach(simulator)
+        simulator.run()
+        assert "sim.run_truncated" not in obs.metrics.snapshot()["counters"]
 
 
 class TestMaxWall:
