@@ -222,24 +222,40 @@ class BatchEvaluation:
             )
         )
 
-    def metrics(self, index: int) -> SolutionMetrics:
-        """Materialize one row as a :class:`SolutionMetrics`."""
-        return SolutionMetrics(
-            label=self.label_of(index),
-            capacity_bits=int(self.capacity_bits[index]),
-            peak_bandwidth_bits_per_s=float(self.peak[index]),
-            sustained_bandwidth_bits_per_s=float(self.sustained[index]),
-            mean_latency_ns=float(self.latency_ns[index]),
-            power_w=float(self.power_w[index]),
-            area_mm2=float(self.area_mm2[index]),
-            n_chips=1,
-            unit_cost=float(self.unit_cost[index]),
-            embedded=True,
-        )
-
     def metrics_list(self) -> list:
-        """Materialize every row, in input order."""
-        return [self.metrics(index) for index in range(len(self))]
+        """Materialize every row as a :class:`SolutionMetrics`, in input
+        order.
+
+        Reads each column once with ``.tolist()``, which yields plain
+        Python ints and floats.
+        """
+        n = len(self)
+        columns = zip(
+            map(self.label_of, range(n)),
+            self.capacity_bits.tolist(),
+            self.peak.tolist(),
+            self.sustained.tolist(),
+            self.latency_ns.tolist(),
+            self.power_w.tolist(),
+            self.area_mm2.tolist(),
+            self.unit_cost.tolist(),
+        )
+        return [
+            SolutionMetrics(
+                label=label,
+                capacity_bits=capacity,
+                peak_bandwidth_bits_per_s=peak,
+                sustained_bandwidth_bits_per_s=sustained,
+                mean_latency_ns=latency,
+                power_w=power,
+                area_mm2=area,
+                n_chips=1,
+                unit_cost=cost,
+                embedded=True,
+            )
+            for label, capacity, peak, sustained, latency, power, area, cost
+            in columns
+        ]
 
 
 # -- embedded ----------------------------------------------------------------
@@ -357,10 +373,18 @@ def evaluate_macro_grid(
         size_i / MBIT
     )
 
+    @lru_cache(maxsize=1)
+    def int_lanes() -> tuple:
+        # The parameter lanes as Python ints, read once on first use.
+        return tuple(
+            lane.tolist() for lane in (size_i, width_i, banks_i, page_i)
+        )
+
     def label_of(index: int) -> str:
+        sizes, widths, bank_counts, pages = int_lanes()
         return (
-            f"eDRAM {size_i[index] / MBIT:.2f} Mbit x{width_i[index]} "
-            f"{banks_i[index]}b/p{page_i[index]}"
+            f"eDRAM {sizes[index] / MBIT:.2f} Mbit x{widths[index]} "
+            f"{bank_counts[index]}b/p{pages[index]}"
         )
 
     return BatchEvaluation(

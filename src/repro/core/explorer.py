@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.units import MBIT, ceil_div
@@ -103,12 +104,6 @@ class DesignSpaceExplorer:
     pareto_engine: str = "auto"
     batch: bool = True
 
-    #: (size, width, banks, page) combinations that raised
-    #: ConfigurationError once — never re-attempted by ``enumerate``.
-    _invalid_combos: set = field(
-        default_factory=set, init=False, repr=False
-    )
-
     def candidate_widths(self) -> list:
         if self.widths is not None:
             return list(self.widths)
@@ -143,33 +138,18 @@ class DesignSpaceExplorer:
     def enumerate(self, requirements: ApplicationRequirements) -> list:
         """All constructible macros covering the capacity requirement.
 
-        Combinations that cannot construct are pre-checked against the
-        cheap concept rules (width vs page, bank/page divisibility) and
-        remembered across calls, so repeated enumerations never pay for
-        re-raising the same :class:`ConfigurationError`.
+        Each candidate size's macros come from a process-wide memo
+        (:func:`_constructible_macros`), so explorers built afresh for
+        every job never re-validate, or re-raise the same
+        :class:`ConfigurationError` for, a size already enumerated.
         """
+        widths = tuple(self.candidate_widths())
+        bank_options = tuple(self.bank_options)
         macros = []
-        invalid = self._invalid_combos
         for size in self.candidate_sizes(requirements.capacity_bits):
-            for width in self.candidate_widths():
-                for banks in self.bank_options:
-                    for page in self.rules.allowed_page_bits:
-                        if width > page or size % (banks * page):
-                            continue
-                        combo = (size, width, banks, page)
-                        if combo in invalid:
-                            continue
-                        try:
-                            macro = EDRAMMacro(
-                                size_bits=size,
-                                width=width,
-                                banks=banks,
-                                page_bits=page,
-                            )
-                        except ConfigurationError:
-                            invalid.add(combo)
-                            continue
-                        macros.append(macro)
+            macros.extend(
+                _constructible_macros(self.rules, size, widths, bank_options)
+            )
         return macros
 
     def explore(
@@ -275,6 +255,35 @@ class DesignSpaceExplorer:
         while rounded < width:
             rounded *= 2
         return rounded
+
+
+@lru_cache(maxsize=256)
+def _constructible_macros(
+    rules: SiemensConceptRules, size: int, widths: tuple, bank_options: tuple
+) -> tuple:
+    """Every constructible macro of one size, in enumeration order.
+
+    Combinations are pre-checked against the cheap concept rules (width
+    vs page, bank/page divisibility) before a macro is built; the
+    macros are frozen, so every explorer shares the memoized tuple.
+    """
+    macros = []
+    for width in widths:
+        for banks in bank_options:
+            for page in rules.allowed_page_bits:
+                if width > page or size % (banks * page):
+                    continue
+                try:
+                    macro = EDRAMMacro(
+                        size_bits=size,
+                        width=width,
+                        banks=banks,
+                        page_bits=page,
+                    )
+                except ConfigurationError:
+                    continue
+                macros.append(macro)
+    return tuple(macros)
 
 
 def _maybe_span(ledger, name: str, **fields):

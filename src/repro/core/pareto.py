@@ -6,9 +6,10 @@ negation (as :meth:`SolutionMetrics.objective_tuple` does for bandwidth).
 Two interchangeable engines compute the frontier:
 
 * ``"python"`` — the reference O(n^2) pairwise loop;
-* ``"numpy"`` — the same pairwise dominance test as one vectorized
-  broadcast (still O(n^2) comparisons, but in C; this is the hot path
-  of a design-space exploration, where n runs into the hundreds).
+* ``"numpy"`` — the same pairwise dominance test in C, accumulated one
+  objective column at a time over ``(block, n)`` boolean planes (still
+  O(n^2) comparisons; this is the hot path of a design-space
+  exploration, where n runs into the hundreds).
 
 ``"auto"`` (the default) picks numpy whenever the objective vectors are
 numeric.  Both engines return identical frontiers — order, ties and
@@ -18,9 +19,10 @@ pins and ``tests/test_verify_pareto_property.py`` fuzzes.
 Tie and NaN semantics (identical across engines by construction):
 equal vectors never dominate each other, so duplicates all survive the
 dominance test and the shared seen-set then keeps only the first
-occurrence; every comparison against NaN is false in both engines, so a
-vector containing NaN neither dominates nor is dominated — it always
-lands on the frontier (first occurrence of its exact bit pattern).
+occurrence, comparing vectors by value (so ``-0.0`` duplicates ``0.0``).
+Every comparison against NaN is false in both engines, so a vector
+containing NaN neither dominates nor is dominated, and equals no other
+vector: every one of them lands on the frontier.
 """
 
 from __future__ import annotations
@@ -58,12 +60,21 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return no_worse and strictly_better
 
 
+def _is_repeat(vector: tuple, seen: set) -> bool:
+    """Whether ``vector`` equals, by value, a vector already kept.
+
+    Tuple equality short-cuts on identity, so a reused NaN object would
+    match itself; the NaN check keeps NaN unequal to everything.
+    """
+    return vector in seen and all(x == x for x in vector)
+
+
 def _frontier_python(items: Sequence[T], vectors: list) -> list[T]:
     frontier: list[T] = []
     seen: set = set()
     for i, item in enumerate(items):
         vi = vectors[i]
-        if vi in seen:
+        if _is_repeat(vi, seen):
             continue
         dominated = False
         for j, vj in enumerate(vectors):
@@ -79,19 +90,26 @@ def _frontier_python(items: Sequence[T], vectors: list) -> list[T]:
 def _dominated_mask(array: np.ndarray) -> np.ndarray:
     """Boolean mask: row i is dominated by some other row."""
     n = len(array)
+    columns = np.ascontiguousarray(array.T)
     dominated = np.zeros(n, dtype=bool)
     for start in range(0, n, _BLOCK_ROWS):
-        block = array[start : start + _BLOCK_ROWS]
+        stop = min(start + _BLOCK_ROWS, n)
         # le[i, j]: candidate j is no worse than block row i everywhere;
-        # lt[i, j]: candidate j is strictly better somewhere.
-        le = (array[None, :, :] <= block[:, None, :]).all(axis=2)
-        lt = (array[None, :, :] < block[:, None, :]).any(axis=2)
-        dominated[start : start + _BLOCK_ROWS] = (le & lt).any(axis=1)
+        # lt[i, j]: candidate j is strictly better somewhere.  Both are
+        # accumulated one objective column at a time.
+        le = np.ones((stop - start, n), dtype=bool)
+        lt = np.zeros((stop - start, n), dtype=bool)
+        for column in columns:
+            own = column[start:stop, None]
+            le &= column <= own
+            lt |= column < own
+        dominated[start:stop] = (le & lt).any(axis=1)
     return dominated
 
 
-def _frontier_numpy(items: Sequence[T], vectors: list) -> list[T]:
-    array = np.asarray(vectors, dtype=float)
+def _frontier_numpy(
+    items: Sequence[T], vectors: list, array: np.ndarray
+) -> list[T]:
     dominated = _dominated_mask(array)
     frontier: list[T] = []
     seen: set = set()
@@ -99,7 +117,7 @@ def _frontier_numpy(items: Sequence[T], vectors: list) -> list[T]:
         if dominated[i]:
             continue
         vi = vectors[i]
-        if vi in seen:
+        if _is_repeat(vi, seen):
             continue
         frontier.append(item)
         seen.add(vi)
@@ -124,12 +142,13 @@ def pareto_frontier(
     vectors = [tuple(objectives(item)) for item in items]
     if engine == "python" or not items:
         return _frontier_python(items, vectors)
-    if engine == "auto":
-        try:
-            np.asarray(vectors, dtype=float)
-        except (TypeError, ValueError):
+    try:
+        array = np.asarray(vectors, dtype=float)
+    except (TypeError, ValueError):
+        if engine == "auto":
             return _frontier_python(items, vectors)
-    return _frontier_numpy(items, vectors)
+        raise
+    return _frontier_numpy(items, vectors, array)
 
 
 def pareto_frontier_mask(
@@ -158,18 +177,18 @@ def pareto_frontier_mask(
     if n == 0:
         return np.zeros(0, dtype=bool)
     if engine == "python":
-        vectors = [tuple(row) for row in array]
-        indices = list(range(n))
-        kept = _frontier_python(indices, vectors)
+        vectors = [tuple(row) for row in array.tolist()]
+        kept = _frontier_python(list(range(n)), vectors)
         mask = np.zeros(n, dtype=bool)
         mask[kept] = True
         return mask
     surviving = ~_dominated_mask(array)
-    # Deduplicate: among equal rows, keep the first occurrence only.
+    # Deduplicate by value: among equal rows, keep the first only.
     seen: set = set()
-    for index in np.flatnonzero(surviving):
-        key = array[index].tobytes()
-        if key in seen:
+    candidates = np.flatnonzero(surviving)
+    for index, row in zip(candidates, array[candidates].tolist()):
+        key = tuple(row)
+        if _is_repeat(key, seen):
             surviving[index] = False
         else:
             seen.add(key)

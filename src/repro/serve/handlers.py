@@ -55,6 +55,7 @@ import json
 import re
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,6 +80,10 @@ from repro.serve.protocol import (
 #: Longest the status endpoint's ``wait_s`` query may block.
 MAX_WAIT_S = 60.0
 
+#: Finished jobs the job table holds; past it, the oldest finished job
+#: is evicted and its id answers 404 like an unknown one.
+MAX_FINISHED_JOBS = 1024
+
 
 def _metrics_document(metrics) -> dict:
     """A SolutionMetrics as a plain JSON-able dict."""
@@ -97,6 +102,11 @@ class JobRecord:
     status: str = "queued"  # queued | running | done | failed | cancelled
     cached: bool = False
     coalesced_with: str | None = None
+    #: A follower's primary; held here so a finished follower can read
+    #: its events and trace after the primary leaves the job table.
+    primary: "JobRecord | None" = field(
+        default=None, repr=False, compare=False
+    )
     result_text: str | None = None
     error: dict | None = None
     progress: dict | None = None
@@ -154,10 +164,12 @@ class ExplorationService:
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
         self._lock = threading.Lock()
-        # Guards every job's done_callbacks; apart from _lock, which
-        # is held where some jobs finish.
+        # Guards every job's done_callbacks and the _finished queue;
+        # apart from _lock, which is held where some jobs finish.
         self._callbacks_lock = threading.Lock()
         self._jobs: dict = {}
+        # Ids of finished jobs, oldest first: the eviction order.
+        self._finished: deque = deque()
         self._ids = itertools.count(1)
         self.stats = {
             "submitted": 0,
@@ -205,6 +217,7 @@ class ExplorationService:
                 primary = self.coalescer.admit(fingerprint, job)
                 if primary is not None:
                     job.coalesced_with = primary.job_id
+                    job.primary = primary
                 else:
                     job.cancel_token = CancelToken(
                         deadline_s=spec.deadline_s
@@ -218,6 +231,7 @@ class ExplorationService:
                         job.trace = TraceContext.root()
                     execute = True
             self._jobs[job.job_id] = job
+            self._evict_finished()
             self.stats["submitted"] += 1
             if execute:
                 self._executor.submit(self._execute, job)
@@ -230,11 +244,19 @@ class ExplorationService:
             coalesced_with=job.coalesced_with,
         )
 
+    def _evict_finished(self) -> None:
+        """Drop the oldest finished jobs beyond :data:`MAX_FINISHED_JOBS`.
+
+        Called under ``_lock``; unfinished jobs are never queued here.
+        """
+        with self._callbacks_lock:
+            finished = self._finished
+            while len(finished) > MAX_FINISHED_JOBS:
+                self._jobs.pop(finished.popleft(), None)
+
     def status_of(self, job: JobRecord) -> str:
-        if job.coalesced_with is not None and not job.finished:
-            primary = self._jobs.get(job.coalesced_with)
-            if primary is not None:
-                return primary.status
+        if job.primary is not None and not job.finished:
+            return job.primary.status
         return job.status
 
     @staticmethod
@@ -544,11 +566,12 @@ class ExplorationService:
                 job.done_callbacks.remove(callback)
 
     def _mark_done(self, job: JobRecord) -> None:
-        """Set the job's ``done_event`` and run each waiting callback
-        once."""
+        """Set the job's ``done_event``, queue it for eviction and run
+        each waiting callback once."""
         job.done_event.set()
         with self._callbacks_lock:
             callbacks, job.done_callbacks = job.done_callbacks, []
+            self._finished.append(job.job_id)
         for callback in callbacks:
             callback()
 
@@ -612,10 +635,8 @@ class ExplorationService:
             )
         events = self.job_events(job)
         trace = job.trace
-        if trace is None and job.coalesced_with is not None:
-            primary = self._jobs.get(job.coalesced_with)
-            if primary is not None:
-                trace = primary.trace
+        if trace is None and job.primary is not None:
+            trace = job.primary.trace
         return ok_envelope(
             job_id=job.job_id,
             status=job.status,
@@ -626,10 +647,8 @@ class ExplorationService:
 
     def job_events(self, job: JobRecord) -> list:
         """The job's event list (a follower reads its primary's)."""
-        if job.coalesced_with is not None:
-            primary = self._jobs.get(job.coalesced_with)
-            if primary is not None:
-                return primary.events
+        if job.primary is not None:
+            return job.primary.events
         return job.events
 
     def events_since(self, job_id: str, cursor: int) -> tuple:

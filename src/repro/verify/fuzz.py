@@ -11,8 +11,9 @@ input:
 * ``sim_invariants`` — a live-checked run reports zero protocol/state
   violations and its recorded command trace replays cleanly through
   :class:`~repro.dram.tracecheck.TraceChecker`;
-* ``pareto_engines`` — the python and numpy Pareto engines agree,
-  ties, duplicates and NaNs included;
+* ``pareto_engines`` — the python and numpy Pareto engines agree, and
+  both engines of the array mask agree with them, ties, duplicates
+  and NaNs included;
 * ``evaluator_memo`` — memoized evaluator results equal cold ones;
 * ``mapping_roundtrip`` — address decode/encode is a bijection;
 * ``pacing_plan`` — ``tick_many``/``cycles_until_wants`` are
@@ -561,7 +562,9 @@ def check_sim_invariants(params: dict) -> list:
 
 
 def check_pareto_engines(params: dict) -> list:
-    from repro.core.pareto import pareto_frontier
+    import numpy as np
+
+    from repro.core.pareto import pareto_frontier, pareto_frontier_mask
 
     vectors = [tuple(float(x) for x in row) for row in params["vectors"]]
     items = list(range(len(vectors)))
@@ -579,6 +582,15 @@ def check_pareto_engines(params: dict) -> list:
         )
     if python != auto:
         messages.append(f"python {python} != auto {auto} on {vectors}")
+    matrix = np.array(vectors, dtype=float)
+    for engine in ("python", "numpy"):
+        kept = np.flatnonzero(
+            pareto_frontier_mask(matrix, engine=engine)
+        ).tolist()
+        if kept != python:
+            messages.append(
+                f"mask[{engine}] {kept} != frontier {python} on {vectors}"
+            )
     return messages
 
 

@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from repro.core import executor as executor_module
+from repro.core import explorer as explorer_module
 from repro.core.evaluator import Evaluator
 from repro.core.executor import LocalPoolExecutor, SerialExecutor
 from repro.core.explorer import DesignSpaceExplorer
@@ -565,11 +566,25 @@ class TestExplorerEnumerate:
         with pytest.raises(TypeError, match=keyword):
             DesignSpaceExplorer().explore(requirements(), **{keyword: value})
 
-    def test_enumerate_caches_invalid_combos(self):
-        explorer = DesignSpaceExplorer()
+    def test_enumerate_builds_each_macro_once_per_process(
+        self, monkeypatch
+    ):
+        # Two fresh explorers (as two served jobs build) share the
+        # process-wide memo: each combination is built once, ever.
+        attempted, built = [], []
+
+        def counting_macro(**kwargs):
+            attempted.append(tuple(sorted(kwargs.items())))
+            macro = EDRAMMacro(**kwargs)  # raises if not constructible
+            built.append(macro)
+            return macro
+
+        monkeypatch.setattr(explorer_module, "EDRAMMacro", counting_macro)
+        explorer_module._constructible_macros.cache_clear()
         reqs = requirements()
-        first = explorer.enumerate(reqs)
-        cached = len(explorer._invalid_combos)
-        second = explorer.enumerate(reqs)
-        assert [m for m in first] == [m for m in second]
-        assert len(explorer._invalid_combos) == cached
+        first = DesignSpaceExplorer().enumerate(reqs)
+        second = DesignSpaceExplorer().enumerate(reqs)
+        assert first and second == first
+        assert built == first  # one build per constructible combination
+        assert all(a is b for a, b in zip(first, second))
+        assert len(attempted) == len(set(attempted))

@@ -10,13 +10,16 @@ probe, duplicate in-flight jobs sharing one execution).
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.serve import handlers
 from repro.serve.cache import ResultCache
 from repro.serve.protocol import parse_job
 from tests.serve_helpers import (
@@ -290,6 +293,92 @@ class TestCoalescing:
             assert stats["in_flight"] == 1
             open_gate("stats-case")
             client.wait(first["job_id"])
+
+
+class TestJobTable:
+    """A long-running service holds at most MAX_FINISHED_JOBS finished
+    jobs; the oldest finished job leaves first."""
+
+    @staticmethod
+    def _traced_bytes() -> int:
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    def test_table_size_and_traced_memory_stay_flat(self, monkeypatch):
+        bound = 256  # a quarter of the shipped bound keeps the test fast
+        monkeypatch.setattr(handlers, "MAX_FINISHED_JOBS", bound)
+        with contract_env() as (service, client):
+            client.run(CONTRACT_JOB, timeout_s=60.0)
+            tracemalloc.start()
+            try:
+                for _ in range(2 * bound):  # fill the table past its bound
+                    client.submit(CONTRACT_JOB)
+                settled = self._traced_bytes()
+                for _ in range(4 * bound):
+                    client.submit(CONTRACT_JOB)
+                grown = self._traced_bytes() - settled
+            finally:
+                tracemalloc.stop()
+            assert len(service._jobs) == bound
+            assert client.stats()["jobs"] == bound
+            assert service.stats["submitted"] == 6 * bound + 1
+            # Unbounded, 4 * bound more warm jobs would hold ~3 MB.
+            assert grown < 64 * 1024, grown
+
+    def test_evicted_job_is_not_found_like_an_unknown_one(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(handlers, "MAX_FINISHED_JOBS", 2)
+        with contract_env() as (service, client):
+            ids = []
+            for _ in range(4):
+                ids.append(client.submit(CONTRACT_JOB)["job_id"])
+                client.wait(ids[-1], timeout_s=60.0)
+            assert list(service._jobs) == ids[2:]
+            evicted = client.request("GET", f"/v1/jobs/{ids[0]}")
+            unknown = client.request("GET", "/v1/jobs/job-0")
+            assert evicted[0] == unknown[0] == 404
+            assert evicted[1] == json.loads(
+                json.dumps(unknown[1]).replace("job-0", ids[0])
+            )
+            assert client.result(ids[-1])["result"]
+
+    def test_unfinished_jobs_stay_and_followers_outlive_primary(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(handlers, "MAX_FINISHED_JOBS", 1)
+        job = {
+            "kind": "sweep",
+            "workload": "t_gated",
+            "axes": {"x": [1], "gate": ["table"]},
+        }
+
+        def run_open(x):
+            client.run(
+                dict(job, axes={"x": [x], "gate": ["open"]}), timeout_s=60.0
+            )
+
+        with gated_env() as (service, client):
+            reset_gate("table")
+            open_gate("open")
+            primary = client.submit(job)["job_id"]
+            follower = client.submit(job)["job_id"]
+            for x in (2, 3, 4):  # finished jobs come and go
+                run_open(x)
+            assert primary in service._jobs and follower in service._jobs
+            open_gate("table")
+            client.wait(primary, timeout_s=60.0)
+            client.wait(follower, timeout_s=60.0)
+            report = client.report(primary)
+            run_open(5)  # evicts the primary, keeps its follower
+            assert primary not in service._jobs
+            assert follower in service._jobs and len(service._jobs) == 2
+            assert client.request("GET", f"/v1/jobs/{primary}")[0] == 404
+            assert client.status(follower)["status"] == "done"
+            follower_report = client.report(follower)
+            assert follower_report["trace_id"] == report["trace_id"]
+            assert report["trace_id"] is not None
+            assert follower_report["markdown"] == report["markdown"]
 
 
 def _hammer(client, job, results, index):

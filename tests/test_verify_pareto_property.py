@@ -12,9 +12,11 @@ documented semantics one by one.
 import math
 import random
 
+import numpy as np
 import pytest
 
-from repro.core.pareto import dominates, pareto_frontier
+import repro.core.pareto as pareto
+from repro.core.pareto import dominates, pareto_frontier, pareto_frontier_mask
 from repro.verify.fuzz import check_pareto_engines, gen_pareto_case
 
 NAN = float("nan")
@@ -31,6 +33,17 @@ def frontiers(vectors):
     numpy_ = pareto_frontier(items, objectives, engine="numpy")
     auto = pareto_frontier(items, objectives, engine="auto")
     assert python == numpy_ == auto, (vectors, python, numpy_, auto)
+    return python
+
+
+def masks(vectors):
+    """The frontier rows from both mask engines, asserted equal."""
+    matrix = np.array(vectors, dtype=float)
+    python, numpy_ = (
+        np.flatnonzero(pareto_frontier_mask(matrix, engine=engine)).tolist()
+        for engine in ("python", "numpy")
+    )
+    assert python == numpy_, (vectors, python, numpy_)
     return python
 
 
@@ -86,11 +99,17 @@ class TestNaNSemantics:
         assert 2 not in frontier  # dominated by (0, 0)
 
     def test_all_nan_matrix_keeps_everything(self):
+        # One NaN object fills every slot, so the tuples are equal by
+        # identity; NaN != NaN all the same, and no row is a duplicate.
         vectors = [(NAN, NAN), (NAN, NAN), (NAN, NAN)]
-        # NaN tuples are identical objects value-wise but NaN != NaN, so
-        # the seen-set (equality-based) must NOT merge them; engines
-        # just have to agree, whatever the membership test does.
-        assert frontiers(vectors) == frontiers(vectors)
+        assert frontiers(vectors) == [0, 1, 2]
+        assert masks(vectors) == [0, 1, 2]
+
+    def test_dedup_by_value_on_both_entry_points(self):
+        # NaN rows never repeat one another; -0.0 repeats 0.0.
+        vectors = [(1.0, NAN), (1.0, NAN), (0.0, 1.0), (-0.0, 1.0)]
+        assert frontiers(vectors) == [0, 1, 2]
+        assert masks(vectors) == [0, 1, 2]
 
     def test_partial_nan_still_orders_finite_dimensions(self):
         vectors = [(1.0, NAN), (2.0, NAN)]
@@ -100,3 +119,22 @@ class TestNaNSemantics:
         assert all(
             math.isnan(vectors[i][1]) for i in frontiers(vectors)
         )
+
+
+class TestBlockBoundary:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_blocked_mask_matches_python_engine(self, seed, monkeypatch):
+        # Seven-row blocks: matrices of up to 40 rows span up to six
+        # blocks, with a partial last block in most of them.
+        monkeypatch.setattr(pareto, "_BLOCK_ROWS", 7)
+        rng = random.Random(f"pareto-block:{seed}")
+        n = seed + 1
+        dim = seed % 5 + 1
+        vectors = [
+            tuple(
+                NAN if rng.random() < 0.07 else rng.choice((0.0, 1.0, 2.0))
+                for _ in range(dim)
+            )
+            for _ in range(n)
+        ]
+        assert masks(vectors) == frontiers(vectors)
