@@ -88,6 +88,9 @@ class MemoryController:
     fifos: dict[str, ClientFifo] = field(default_factory=dict, init=False)
     _fifo_list: list[ClientFifo] = field(default_factory=list, init=False)
     window: list[Request] = field(default_factory=list, init=False)
+    #: The window split by bank, each list in accept order (the event
+    #: engine's pick walks banks instead of the whole window).
+    _bank_queues: list[list[Request]] = field(default_factory=list, init=False)
     completed: list[Request] = field(default_factory=list, init=False)
     _inflight: list[tuple[int, Request]] = field(default_factory=list, init=False)
     #: The shared data bus serializes bursts, so in-flight end cycles
@@ -126,6 +129,9 @@ class MemoryController:
                 rows_per_command=1,
             )
         self.commands = {kind: 0 for kind in CommandType}
+        self._bank_queues = [
+            [] for _ in range(self.device.organization.n_banks)
+        ]
 
     @property
     def refresh_scheduler(self) -> RefreshScheduler | None:
@@ -164,30 +170,10 @@ class MemoryController:
         self._retire(cycle)
         self._accept(cycle)
         if self._service_refresh(cycle):
-            self._observe(cycle)
             return
         if self._issue_policy_precharge(cycle):
-            self._observe(cycle)
             return
         self._issue_request_command(cycle)
-        self._observe(cycle)
-
-    def _observe(self, cycle: int) -> None:
-        del cycle
-        for fifo in self._fifo_list:
-            fifo.observe_cycle()
-
-    # -- event-engine support -----------------------------------------------
-
-    def skip_idle_cycles(self, cycles: int) -> None:
-        """Account for ``cycles`` inert cycles the event engine skipped.
-
-        Only per-cycle statistics accrue during an inert span (FIFO
-        occupancy observation); command state is untouched, which is
-        exactly what the engine's skip analysis guarantees is safe.
-        """
-        for fifo in self._fifo_list:
-            fifo.observe_cycles(cycles)
 
     def _retire(self, cycle: int) -> None:
         inflight = self._inflight
@@ -229,8 +215,9 @@ class MemoryController:
         request = fifo.pop()
         request.state = RequestState.ACCEPTED
         request.accepted_cycle = cycle
-        request.decoded = self.mapping.decode(request.address)
+        request.decoded = decoded = self.mapping.decode(request.address)
         self.window.append(request)
+        self._bank_queues[decoded.bank].append(request)
 
     # -- refresh ------------------------------------------------------------
 
@@ -360,6 +347,7 @@ class MemoryController:
             self._inflight_sorted = False
         self._inflight.append((end, request))
         self.window.remove(request)
+        self._bank_queues[decoded.bank].remove(request)
         self.data_beats += self.device.timing.burst_length
         if self.page_policy.close_after_access(
             decoded.bank, decoded.row, self.window
@@ -379,7 +367,7 @@ class MemoryController:
             command.kind is CommandType.ACTIVATE
             and command.request_id is not None
         ):
-            for request in self.window:
+            for request in self._bank_queues[command.bank]:
                 if request.request_id == command.request_id:
                     request.was_row_hit = False
                     break

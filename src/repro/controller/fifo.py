@@ -1,4 +1,4 @@
-"""Bounded per-client request FIFOs with occupancy tracking.
+"""Bounded per-client request FIFOs with high-water-mark tracking.
 
 "Optimizing the access scheme to minimize the latency for the memory
 clients and thus minimize the necessary FIFO depth" (Section 3): the FIFO
@@ -34,8 +34,6 @@ class ClientFifo:
     stall_cycles: int = field(default=0, init=False)
     total_enqueued: int = field(default=0, init=False)
     total_dequeued: int = field(default=0, init=False)
-    _occupancy_cycles: int = field(default=0, init=False)
-    _cycles_observed: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -75,27 +73,3 @@ class ClientFifo:
     def record_stall(self) -> None:
         """The client wanted to issue but the FIFO was full."""
         self.stall_cycles += 1
-
-    def observe_cycle(self) -> None:
-        """Accumulate occupancy statistics for one cycle."""
-        self._occupancy_cycles += len(self._queue)
-        self._cycles_observed += 1
-
-    def observe_cycles(self, cycles: int) -> None:
-        """Accumulate occupancy statistics for ``cycles`` cycles at once.
-
-        Used by the event engine for skipped inert spans, over
-        which the occupancy is constant by construction.
-        """
-        if cycles < 0:
-            raise ConfigurationError(
-                f"FIFO {self.client}: cycles must be >= 0, got {cycles}"
-            )
-        self._occupancy_cycles += len(self._queue) * cycles
-        self._cycles_observed += cycles
-
-    @property
-    def mean_occupancy(self) -> float:
-        if self._cycles_observed == 0:
-            return 0.0
-        return self._occupancy_cycles / self._cycles_observed

@@ -21,7 +21,7 @@ bandwidth and fill frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from repro.errors import ConfigurationError
@@ -200,6 +200,30 @@ class EDRAMMacro:
             page_bits=page_bits,
             **kwargs,  # type: ignore[arg-type]
         )
+
+    def __hash__(self) -> int:
+        # The generated hash would re-hash the nested rules, timing and
+        # process on every call, and memo keys hash macros often.
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Exactly the generated frozen-dataclass hash: the tuple of the
+        # fields it hashes, by dataclass's own rule.
+        return hash(
+            tuple(
+                getattr(self, f.name)
+                for f in fields(self)
+                if (f.compare if f.hash is None else f.hash)
+            )
+        )
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes, so a pickled macro
+        # recomputes its hash where it lands.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @cached_property
     def organization(self) -> Organization:

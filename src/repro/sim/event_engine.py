@@ -17,25 +17,33 @@ timestamp-ordered walk over the cycles where something *can* happen:
 * the refresh scheduler's next deadline;
 * the warm-up reset and the final cycle (always stepped).
 
-Between those timestamps the engine batch-accrues exactly what the
-naive loop would have accrued: token-bucket credit for idle clients
-(``tick_many`` reads it off the same pacing plan, whose floats are the
-naive loop's iterated accrual, bit for bit), stall cycles for
-back-pressured clients, and FIFO occupancy statistics.  Cost therefore
-scales with commands issued, not cycles elapsed.
+A full window accepts nothing, so until the next of the other events
+only the clients can act.  Such a *controller-inert* span is not cut
+at client events.  The clients are replayed alone instead: the naive
+loop's ``MemorySystemSimulator._drive_clients`` runs only at the cycles
+where some client issues or lands a held request, in cycle order.
+With room in the window, a client event may be accepted, so it ends
+the span and is stepped.
 
-On stepped cycles the clients are driven by the naive loop's own
-``MemorySystemSimulator._drive_clients``, which records a held request's
-refusal directly while its FIFO stays full (for the stock ``offer`` with
-no observer, a refusal does nothing else), the controller's phases run
-individually, and the request-command phase is one pass over the window
-(:meth:`_pick`):
-it returns the request the scheduler's candidate scan would issue this
-cycle or, when none can, the earliest cycle one could.  The pick
-issues through ``MemoryController._issue_for``, so the device still
-checks every command; the scan stays as the naive loop's reference.
-An accepted request or any issued command invalidates the cached
-next-command time; otherwise only a stepped cycle at or past it picks.
+Between the cycles it steps or drives, the engine batch-accrues
+exactly what the naive loop would have accrued: token-bucket credit for
+idle clients (``tick_many`` reads it off the same pacing plan, whose
+floats are the naive loop's iterated accrual, bit for bit) and stall
+cycles for back-pressured clients.  Cost therefore scales with
+commands issued and requests made, not cycles elapsed.
+
+On stepped cycles the clients are driven by the same
+``_drive_clients``, which records a held request's refusal directly
+while its FIFO stays full (for the stock ``offer`` with no observer, a
+refusal does nothing else), the controller's phases run individually,
+and the request-command phase is one walk over the controller's
+per-bank queues (:meth:`_pick`): it returns the request the
+scheduler's candidate scan would issue this cycle or, when none can,
+the earliest cycle one could.  The pick issues through
+``MemoryController._issue_for``, so the device still checks every
+command; the scan stays as the naive loop's reference.  An accepted
+request or any issued command invalidates the cached next-command
+time; otherwise only a stepped cycle at or past it picks.
 
 Safety argument, pinned by ``tests/test_sim_event_backend.py`` and the
 ``diff_backend`` oracle: command legality is monotone in the cycle for
@@ -127,14 +135,10 @@ class EventEngine:
 
     def run(self) -> SimulationResult:
         sim = self.sim
-        controller = self.controller
         hard_total, budget_reason = sim._budget()
         deadline = sim._deadline()
         cancel = sim.config.cancel
         warmup_barrier = sim.config.warmup_cycles - 1
-        clients = sim.clients
-        pending = sim._pending
-        fifos = controller.fifos
         cycle = 0
         while cycle < hard_total:
             self._step(cycle)
@@ -159,22 +163,76 @@ class EventEngine:
                 break
             target = self._skip_target(cycle, hard_total, warmup_barrier)
             if target > cycle:
-                skipped = target - cycle
-                for client in clients:
-                    if client.name in pending:
-                        # The naive loop re-offers the held request
-                        # every cycle; each refusal is one recorded
-                        # stall and the client's credit stays frozen.
-                        fifos[client.name].stall_cycles += skipped
-                    else:
-                        client.tick_many(skipped)
-                controller.skip_idle_cycles(skipped)
-                cycle = target
+                cycle = self._advance_clients(cycle, target)
         if budget_reason is not None:
             return sim._collect(
                 hard_total, truncation=(budget_reason, hard_total)
             )
         return sim._collect(hard_total)
+
+    def _advance_clients(self, cycle: int, target: int) -> int:
+        """Carry the clients across the controller-inert ``[cycle,
+        target)`` and return the next cycle to step.
+
+        The clients act in the span only where one issues or a held
+        request lands.  While the window has room, such a cycle may
+        accept, so it ends the span and is stepped.  A full window
+        accepts nothing until a command issues, so the clients are
+        replayed alone: the naive loop's ``_drive_clients`` runs at
+        each cycle where one acts, in cycle order, and ``target`` is
+        stepped next.  :meth:`_accrue` covers the cycles in between.
+        """
+        sim = self.sim
+        controller = self.controller
+        clients = sim.clients
+        pending = sim._pending
+        fifos = controller.fifos
+        replay = len(controller.window) >= controller.config.window_size
+        # Each client's next event, as an absolute cycle (``target``:
+        # none in the span).  A held request facing a FIFO that an
+        # accept this cycle freed after the drive phase ran lands on
+        # the very next re-offer; one facing a full FIFO stays frozen,
+        # as no accept drains it in the span.  An idle client's want
+        # cycle stays put while it ticks.
+        due = []
+        act = target
+        for client in clients:
+            name = client.name
+            if name in pending:
+                when = target if fifos[name].full else cycle
+            else:
+                when = cycle + client.cycles_until_wants(target - cycle)
+            if when < act:
+                act = when
+            due.append(when)
+        while True:
+            if act > cycle:
+                self._accrue(act - cycle)
+            if act >= target or not replay:
+                return act
+            sim._drive_clients(act)
+            cycle = act + 1
+            for index, client in enumerate(clients):
+                if due[index] == act:
+                    due[index] = (
+                        target
+                        if client.name in pending
+                        else cycle + client.cycles_until_wants(target - cycle)
+                    )
+            act = min(due)
+
+    def _accrue(self, cycles: int) -> None:
+        """Account for ``cycles`` cycles in which no client acts."""
+        fifos = self.controller.fifos
+        pending = self.sim._pending
+        for client in self.sim.clients:
+            if client.name in pending:
+                # The naive loop re-offers the held request every
+                # cycle; each refusal is one recorded stall and the
+                # client's credit stays frozen.
+                fifos[client.name].stall_cycles += cycles
+            else:
+                client.tick_many(cycles)
 
     # -- one stepped cycle ----------------------------------------------------
 
@@ -197,13 +255,11 @@ class EventEngine:
         if controller._service_refresh(cycle):
             # A drain precharge or REFRESH may have changed bank state.
             self._next_cmd_time = None
-            controller._observe(cycle)
             return
         if controller._close_wanted:
             before = len(controller._close_wanted)
             if controller._issue_policy_precharge(cycle):
                 self._next_cmd_time = None
-                controller._observe(cycle)
                 return
             if len(controller._close_wanted) != before:
                 # Stale entries were purged; previously blocked
@@ -217,7 +273,6 @@ class EventEngine:
                     controller._issue_for(request, cycle)
                     when = None
                 self._next_cmd_time = when
-        controller._observe(cycle)
 
     # -- next-command-time model ----------------------------------------------
 
@@ -225,89 +280,131 @@ class EventEngine:
         """``(request, cycle)`` the candidate scan issues, else
         ``(None, earliest)`` with the first cycle one could issue.
 
-        One pass in FR-FCFS order without materializing the ranking:
-        the row hits by age, then each bank's oldest non-hit request by
-        age.  Legality mirrors ``_next_command`` + ``can_issue``
-        (monotone in the cycle for fixed state) and depends only on a
-        request's (bank, direction, hit-or-miss) class, so each hit
-        class is evaluated once.  FCFS only ever advances the head.
+        Walks the controller's per-bank queues (each in accept order)
+        instead of ranking the window.  Per bank it looks at the first
+        read and the first write hitting the open row, whose legality
+        depends only on that (bank, direction) class, and at the
+        oldest request's prepare command (precharge or activate) when
+        that request misses.  The oldest ready hit wins, else the
+        oldest ready prepare: the FR-FCFS ranking's first legal
+        candidate.  Requests are aged by ``accepted_cycle``, which
+        strictly increases in accept order (one accept per cycle).
+        Legality mirrors ``_next_command`` + ``can_issue`` and is
+        monotone in the cycle for fixed state.  FCFS only ever advances
+        the head.
         """
         controller = self.controller
-        window = controller.window
         if type(controller.scheduler) is FCFSScheduler:
-            window = window[:1]  # the head is its bank's oldest request
+            # Only the head may advance; it is its bank's oldest request.
+            queues = [
+                (head.decoded.bank, (head,)) for head in controller.window[:1]
+            ]
+        else:
+            queues = enumerate(controller._bank_queues)
         device = self.device
         banks = device.banks
-        timing = device.timing
         close_wanted = controller._close_wanted
-        bus_free = device.data_bus_free_cycle
-        last_read = device.last_data_was_read
-        activate_floor = device.last_activate_cycle + timing.t_rrd
-        t_cas = timing.t_cas
-        t_turnaround = timing.t_turnaround
+        # First cycle a read / write burst could start on the data bus;
+        # computed at the first open row.
+        read_data = write_data = None
         earliest = _NEVER
-        prep = None
-        seen_banks: set[int] = set()
-        seen_hits: set[tuple[int, bool]] = set()
-        for request in window:
-            decoded = request.decoded
-            index = decoded.bank
-            oldest = index not in seen_banks
-            if oldest:
-                seen_banks.add(index)
-            if index in close_wanted:
+        hit = prep = None
+        for index, queue in queues:
+            if not queue or index in close_wanted:
                 continue
+            head = queue[0]
+            if hit is not None and head.accepted_cycle > hit.accepted_cycle:
+                continue  # every request here is younger than the hit
             bank = banks[index]
             open_row = bank._open_row
-            if open_row == decoded.row:
-                is_read = request.is_read
-                key = (index, is_read)
-                if key in seen_hits:
-                    continue
-                seen_hits.add(key)
-                bus = bus_free
-                if last_read is not None and last_read != is_read:
-                    bus += t_turnaround
-                when = bank._ready_column
-                data_start = bus - (t_cas if is_read else 1)
-                if data_start > when:
-                    when = data_start
-                if when <= cycle:
-                    return request, cycle  # the oldest ready row hit
-            elif oldest and prep is None:
-                if open_row is not None:
-                    when = bank._ready_precharge
-                else:
-                    when = bank._ready_activate
-                    if activate_floor > when:
-                        when = activate_floor
-                if when <= cycle:
-                    prep = request  # wins unless a younger hit is ready
+            if open_row is not None:
+                if read_data is None:
+                    read_data, write_data = self._data_starts()
+                ready = bank._ready_column
+                read_when = read_data if read_data > ready else ready
+                write_when = write_data if write_data > ready else ready
+                want_read = read_when <= cycle or read_when < earliest
+                want_write = write_when <= cycle or write_when < earliest
+                for request in queue:
+                    if not (want_read or want_write):
+                        break
+                    if request.decoded.row != open_row:
+                        continue
+                    if request.is_read:
+                        if not want_read:
+                            continue
+                        want_read = False
+                        when = read_when
+                    else:
+                        if not want_write:
+                            continue
+                        want_write = False
+                        when = write_when
+                    if when <= cycle:
+                        if (
+                            hit is None
+                            or request.accepted_cycle < hit.accepted_cycle
+                        ):
+                            hit = request
+                    elif when < earliest:
+                        earliest = when
+                if hit is not None or head.decoded.row == open_row:
+                    continue  # no prepare command can win
+                when = bank._ready_precharge
             else:
-                continue
-            if when < earliest:
+                when = bank._ready_activate
+                floor = device._last_activate_cycle + device.timing.t_rrd
+                if floor > when:
+                    when = floor
+            if when <= cycle:
+                if prep is None or head.accepted_cycle < prep.accepted_cycle:
+                    prep = head
+            elif when < earliest:
                 earliest = when
+        if hit is not None:
+            return hit, cycle
         if prep is not None:
             return prep, cycle
         return None, earliest
+
+    def _data_starts(self) -> tuple:
+        """First cycles a read and a write burst could start on the
+        shared data bus, the turnaround included."""
+        device = self.device
+        timing = device.timing
+        read_data = write_data = device._data_bus_free
+        read_data -= timing.t_cas
+        write_data -= 1
+        last_read = device._last_data_was_read
+        if last_read is not None:
+            if last_read:
+                write_data += timing.t_turnaround
+            else:
+                read_data += timing.t_turnaround
+        return read_data, write_data
 
     # -- skip analysis --------------------------------------------------------
 
     def _skip_target(
         self, next_cycle: int, hard_total: int, warmup_barrier: int
     ) -> int:
-        """Furthest cycle such that ``[next_cycle, target)`` is inert.
+        """Furthest cycle such that ``[next_cycle, target)`` is
+        controller-inert.
 
         Returns ``next_cycle`` itself when the next cycle must be
-        stepped.  A span is inert when: refresh is neither draining nor
-        due within it, no committed policy precharge can land in it, no
-        request can be accepted on any of its cycles (window full or
-        all FIFOs empty — the stock arbiters are state-neutral then),
-        no queued request's command becomes legal, and no idle client's
-        token bucket reaches threshold.  Retirement is deliberately not
-        an event: completed bursts retire with their recorded end cycle
+        stepped.  A span is controller-inert when: refresh is neither
+        draining nor due within it, no committed policy precharge can
+        land in it, no queued request's command becomes legal, and it
+        holds neither the warm-up reset nor the final cycle (always
+        stepped).  The window is either full or, with all FIFOs empty,
+        has nothing to accept: the stock arbiters are state-neutral
+        then.  The clients may still act in the span;
+        :meth:`_advance_clients` stops at their first event while the
+        window has room (an issue could be accepted) and replays them
+        alone while it is full.  Retirement is deliberately not an
+        event: completed bursts retire with their recorded end cycle
         whenever the next step happens, and nothing can observe the
-        delay (the warm-up reset and final cycle are always stepped).
+        delay.
         """
         controller = self.controller
         if controller._refresh_draining:
@@ -346,19 +443,4 @@ class EventEngine:
                 target = when
             if target <= next_cycle:
                 return next_cycle
-        pending = self.sim._pending
-        for name in pending:
-            # An accept this cycle may have freed space after the
-            # drive phase ran; the held request would then land on the
-            # very next re-offer.
-            if not controller.fifos[name].full:
-                return next_cycle
-        for client in self.sim.clients:
-            if client.name in pending:
-                continue  # frozen: neither ticks nor polls
-            ticks = client.cycles_until_wants(target - next_cycle)
-            if ticks == 0:
-                return next_cycle
-            if next_cycle + ticks < target:
-                target = next_cycle + ticks
         return target

@@ -50,14 +50,6 @@ class TestClientFifo:
         with pytest.raises(ConfigurationError):
             ClientFifo(client="a").pop()
 
-    def test_occupancy_statistics(self):
-        fifo = ClientFifo(client="a", capacity=8)
-        fifo.push(req(0))
-        fifo.observe_cycle()
-        fifo.push(req(1))
-        fifo.observe_cycle()
-        assert fifo.mean_occupancy == pytest.approx(1.5)
-
     def test_stall_counting(self):
         fifo = ClientFifo(client="a", capacity=1)
         fifo.push(req(0))

@@ -1,5 +1,8 @@
 """Tests for repro.dram.edram: the Siemens flexible concept (E8)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.dram.edram import (
@@ -79,6 +82,35 @@ class TestMacroConstruction:
             size_bits=16 * MBIT, width=128, redundancy_spares=8
         )
         assert fat.area_mm2() > lean.area_mm2()
+
+
+class TestMacroHash:
+    """The hash is computed once, as the generated one would be."""
+
+    def test_hash_is_the_declared_fields_tuple(self):
+        macro = EDRAMMacro.build(size_bits=8 * MBIT, width=64, banks=8)
+        declared = tuple(
+            getattr(macro, f.name) for f in dataclasses.fields(macro)
+        )
+        assert hash(macro) == hash(declared)
+        assert hash(macro) == hash(declared)  # the cached value
+
+    def test_equality_uses_declared_fields_only(self):
+        hashed = EDRAMMacro.build(size_bits=8 * MBIT, width=64)
+        fresh = EDRAMMacro.build(size_bits=8 * MBIT, width=64)
+        hash(hashed)
+        hashed.organization  # more cached, non-field state
+        assert hashed == fresh and fresh == hashed
+        assert hashed != EDRAMMacro.build(size_bits=8 * MBIT, width=128)
+        assert len({hashed, fresh}) == 1
+
+    def test_pickle_recomputes_the_hash(self):
+        # A cached string hash would be wrong in another process.
+        macro = EDRAMMacro.build(size_bits=8 * MBIT, width=64)
+        hash(macro)
+        copy = pickle.loads(pickle.dumps(macro))
+        assert "_hash" not in copy.__dict__
+        assert copy == macro and hash(copy) == hash(macro)
 
 
 class TestConceptValidation:

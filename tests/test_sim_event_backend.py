@@ -6,7 +6,9 @@ the fuzz corpus generates — both schedulers (FCFS, FR-FCFS), all three
 page policies (open, closed, adaptive), windows of 1 to 64 requests,
 refresh pressure, backpressure and truncation, all behind the stock
 round-robin arbiter — and on the saturated systems behind E5's and the
-MPEG2 decoder's claims.  These tests pin that contract in tier 1;
+MPEG2 decoder's claims and the e2e ``sim_load`` systems, where the
+engine replays the clients alone while the window is full.  These
+tests pin that contract in tier 1;
 divergences are localized to the first divergent command cycle by the
 ``diff_backend`` oracle.
 """
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,21 +60,103 @@ def _reconfigured(simulator, backend, record_commands):
     return simulator
 
 
-@pytest.mark.parametrize("banks,page_bits", [(1, 1024), (8, 4096)])
-def test_backend_bit_identity_e05_organizations(banks, page_bits):
-    """E5's weak and strong organizations at 120% load, saturated."""
+@pytest.mark.parametrize(
+    "banks,page_bits,private",
+    [(1, 1024, False), (8, 4096, False), (8, 4096, True)],
+    ids=["1-1024", "8-4096", "8-4096-private"],
+)
+def test_backend_bit_identity_e05_organizations(banks, page_bits, private):
+    """E5's three organizations (the weak, the strong and the strong
+    with region-private mapping) at E5's 120% load, saturated: their
+    windows stay full, so the event engine replays the clients alone
+    for most of the run."""
+    from repro.dram.organizations import MappingScheme
     from repro.experiments.e05_sustainable_bw import org_simulator
 
+    mapping = (
+        MappingScheme.BANK_ROW_COL if private else MappingScheme.ROW_BANK_COL
+    )
     report = diff_backend(
         lambda backend, record_commands: _reconfigured(
-            org_simulator(banks, page_bits, cycles=2_000),
+            org_simulator(banks, page_bits, mapping, cycles=2_000),
             backend,
             record_commands,
         ),
-        label=f"E5 {banks} bank(s) / {page_bits}-bit pages",
+        label=f"E5 {banks} bank(s) / {page_bits}-bit pages / {mapping.value}",
     )
     assert "fallback" not in report.label
     assert report.identical, report.describe()
+
+
+E2E_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+
+
+def _sim_load_system(level: str, sub_seed: int):
+    """One e2e ``sim_load`` system, built by the benchmark's own
+    ``build_system`` at its full length."""
+    sys.path.insert(0, str(E2E_DIR))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(E2E_DIR))
+    return workloads.build_system(level, sub_seed)
+
+
+@pytest.mark.parametrize("sub_seed", [0, 1, 2])
+@pytest.mark.parametrize("level", ["mid", "high"])
+def test_backend_bit_identity_saturated_sim_load(level, sub_seed):
+    """The e2e ``sim_load`` systems that fill their windows."""
+    report = diff_backend(
+        lambda backend, record_commands: _reconfigured(
+            _sim_load_system(level, sub_seed), backend, record_commands
+        ),
+        label=f"sim_load {level} sub-seed {sub_seed}",
+    )
+    assert "fallback" not in report.label
+    assert report.identical, report.describe()
+
+
+def test_saturated_run_steps_only_controller_events(call_cycles):
+    """With the window full, client issues are replayed between steps,
+    not stepped: seed-0 ``high`` steps at most 60 % of its cycles."""
+    steps = call_cycles(EventEngine, "_step")
+    simulator = _sim_load_system("high", 0)
+    simulator.run()
+    total = simulator.config.cycles + simulator.config.warmup_cycles
+    assert simulator.backend_used == "event"
+    assert len(steps) <= 0.6 * total, (len(steps), total)
+
+
+def test_bank_queues_split_the_window_in_order():
+    """After every accept and every column command of random runs on
+    the naive loop, the controller's per-bank queues are the window
+    filtered by bank, each in window order."""
+    checks = 0
+    for index in range(12):
+        params = fuzz.gen_sim_case(random.Random(f"bank-queues:{index}"))
+        simulator = fuzz.build_simulator(params, backend="cycle")
+        controller = simulator.controller
+        n_banks = simulator.device.organization.n_banks
+
+        def check(controller=controller, n_banks=n_banks):
+            nonlocal checks
+            expected = [[] for _ in range(n_banks)]
+            for request in controller.window:
+                expected[request.decoded.bank].append(request)
+            assert controller._bank_queues == expected
+            checks += 1
+
+        def checked(method, check=check):
+            def run(*args):
+                method(*args)
+                check()
+
+            return run
+
+        controller._accept = checked(controller._accept)
+        controller._commit_access = checked(controller._commit_access)
+        simulator.run()
+    assert checks > 1_000, checks
 
 
 def test_backend_bit_identity_mpeg2_decoder():
