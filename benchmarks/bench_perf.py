@@ -16,11 +16,10 @@ implementations and writes ``BENCH_perf.json``:
   three organizations run saturated, after checking its report against
   the fingerprint tier 1 pins.
 * **design_space** — the E10 MPEG2 exploration with the reference
-  configuration (python pareto engine, a cold evaluator memo) vs the
-  optimized one (column-wise numpy pareto, batched evaluator), plus the
-  warm re-explore hit rate.  Both cold sides clear the process-wide
-  enumeration memo first, so each enumerates from scratch; the warm
-  re-explore reuses it.
+  configuration (python pareto engine) vs the optimized one
+  (column-wise numpy pareto), each on a fresh explorer and evaluator.
+  Both sides clear the process-wide enumeration memo first, so each
+  enumerates from scratch.
 * **batched_design_space** — the same 240-point grid evaluated by the
   scalar reference loop (macro construction + ``evaluate_macro`` +
   ``meets`` + ``objective_tuple`` per point) vs the numpy array-lane
@@ -351,8 +350,8 @@ def bench_dft_flow(report: PerfReport, smoke: bool = False) -> None:
 
 
 def bench_design_space(report: PerfReport) -> None:
-    # Each cold repeat clears the process-wide enumeration memo, so
-    # both sides pay for a cold enumeration; the warm re-explore keeps it.
+    # Each repeat clears the process-wide enumeration memo, so both
+    # sides pay for a cold enumeration.
     def reference() -> int:
         _constructible_macros.cache_clear()
         explorer = DesignSpaceExplorer(
@@ -360,29 +359,21 @@ def bench_design_space(report: PerfReport) -> None:
         )
         return explorer.explore(_REQUIREMENTS).n_explored
 
-    def optimized():
+    def optimized() -> int:
         _constructible_macros.cache_clear()
         explorer = DesignSpaceExplorer(evaluator=Evaluator())
-        result = explorer.explore(_REQUIREMENTS)
-        return explorer, result.n_explored
+        return explorer.explore(_REQUIREMENTS).n_explored
 
     reference_s, n_points = measure(reference)
-    optimized_s, (explorer, _) = measure(optimized)
-    # Warm re-explore: every evaluation served from the memo.
-    warm_s, _ = measure(lambda: explorer.explore(_REQUIREMENTS).n_explored)
-    info = explorer.evaluator.macro_cache_info()
+    optimized_s, _ = measure(optimized)
     report.add(
         "design_space",
         points=n_points,
         reference_seconds=reference_s,
         optimized_seconds=optimized_s,
-        warm_seconds=warm_s,
         reference_evals_per_sec=n_points / reference_s,
         optimized_evals_per_sec=n_points / optimized_s,
         speedup=reference_s / optimized_s,
-        warm_speedup=reference_s / warm_s,
-        cache_hits=info["hits"],
-        cache_misses=info["misses"],
     )
 
 

@@ -18,25 +18,28 @@ Two entry points share the kernel:
   :class:`~repro.dram.edram.EDRAMMacro` objects, for callers that
   already hold macros (the explorer).
 
-Bit-identity contract (pinned by ``tests/test_core_batch.py``): every
-lane reproduces the scalar evaluator's result to **exact float
-equality**, not a tolerance.  Three rules make that possible:
+Bit-identity contract (pinned by ``tests/test_core_batch.py`` and the
+``evaluator_batch`` fuzz property): every lane reproduces the scalar
+evaluator's result to **exact float equality**, not a tolerance.  Three
+rules make that possible:
 
 * the vector expressions replicate the scalar code's operation order
   exactly (IEEE-754 ``+ - * /``, ``min``/``max`` are deterministic, so
   same order means same bits);
-* anything transcendental or control-flow-heavy — the redundancy-repair
-  yield's ``exp`` series and the gross-die truncation inside the cost
-  model — is computed by the *scalar* helpers once per unique die area
-  (a design space has few distinct areas; the values are memoized
-  module-wide, keyed by the frozen wafer/yield assumptions) and
-  scattered back;
+* anything transcendental or control-flow-heavy — the macro area model,
+  the redundancy-repair yield's ``exp`` series and the gross-die
+  truncation inside the cost model — is computed once per unique
+  (size, width) pair by the very functions the scalar path calls
+  (``repro.dram.edram._macro_area_mm2`` and
+  ``repro.core.evaluator._silicon_cost``) and scattered back, so those
+  lanes are identical by construction;
 * per-width core power comes from the same memoized
   ``_edram_core_power`` the scalar path uses.
 
-Inputs outside the analyzed envelope (mixed timing parameters across
-macros) are refused by
-:func:`batch_fallback_reason`; callers then fall back to the scalar
+Batches outside the analyzed envelope (mixed timing parameters, or
+mixed redundancy spares or process, across macros) are refused by
+:func:`batch_fallback_reason`; :meth:`Evaluator.evaluate_macros
+<repro.core.evaluator.Evaluator.evaluate_macros>` then runs the scalar
 reference loop, mirroring how the event simulator backend declines
 configurations it cannot prove.
 """
@@ -58,47 +61,25 @@ from repro.units import MBIT
 def batch_fallback_reason(macros) -> str | None:
     """Why ``macros`` cannot be evaluated as one batch (None = they can).
 
-    The vector expressions assume the timing parameters are shared
-    scalars; a mixed-timing batch would need per-lane timing arrays and
-    is rare enough to serve from the scalar loop instead.
+    The vector expressions take the timing parameters and the area-model
+    knobs (redundancy spares, process) as shared scalars; a batch that
+    mixes them would need per-lane arrays and is rare enough to serve
+    from the scalar loop instead.
     """
     if not macros:
         return "empty batch"
-    timing = macros[0].timing
+    first = macros[0]
+    timing = first.timing
+    spares = first.redundancy_spares
+    process = first.process
     for macro in macros:
         if macro.timing is not timing and macro.timing != timing:
             return "mixed timing parameters across macros"
+        if macro.redundancy_spares != spares or (
+            macro.process is not process and macro.process != process
+        ):
+            return "mixed redundancy spares or process across macros"
     return None
-
-
-@lru_cache(maxsize=4096)
-def _silicon_cost(wafer, yield_model, area_mm2: float) -> float:
-    """Memoized ``Evaluator._silicon_cost``.
-
-    Exactly the scalar computation (Poisson repair-yield series,
-    gross-die truncation and all); the memo key includes the frozen
-    wafer and yield assumptions, so evaluators with different economics
-    never share entries.  A design space revisits the same few die
-    areas hundreds of times.
-    """
-    from repro.cost.wafer import die_cost_before_test
-
-    return die_cost_before_test(
-        wafer, area_mm2, yield_model.memory_yield(area_mm2)
-    )
-
-
-@lru_cache(maxsize=4096)
-def _macro_area_mm2(
-    size_bits: int, width: int, spares: int, process: BaseProcess
-) -> float:
-    """Memoized ``EDRAMMacro.area_mm2`` as a pure function of its key."""
-    from repro.area.macro import MacroAreaModel
-
-    model = MacroAreaModel(
-        process=process, redundancy_area_fraction=0.005 * spares
-    )
-    return model.total_area_mm2(size_bits, width)
 
 
 @lru_cache(maxsize=128)
@@ -112,25 +93,25 @@ def _economics_lanes(
 ) -> tuple:
     """(area, silicon-cost) lanes for one (size, width) grid.
 
-    Keyed by the raw lane bytes so a repeated grid — the common sweep
-    shape — pays one dict hit instead of a unique-scan plus per-area
-    memo lookups every call.  The returned arrays come from
-    ``np.frombuffer``-derived indexing and are treated as immutable.
+    Each unique (size, width) pair is costed once by the scalar path's
+    own functions.  Keyed by the raw lane bytes so a repeated grid — the
+    common sweep shape — pays one dict hit instead of a unique-scan
+    every call.  The returned arrays come from ``np.frombuffer``-derived
+    indexing and are treated as immutable.
     """
+    from repro.core.evaluator import _silicon_cost
+    from repro.dram.edram import _macro_area_mm2
+
     size = np.frombuffer(size_bytes, dtype=np.int64)
     width = np.frombuffer(width_bytes, dtype=np.int64)
     pair_key = (size << 20) + width
     unique_keys, inverse = np.unique(pair_key, return_inverse=True)
-    unique_area = np.empty(len(unique_keys), dtype=np.float64)
-    unique_cost = np.empty(len(unique_keys), dtype=np.float64)
-    for index, key in enumerate(unique_keys):
-        k = int(key)
-        area_value = _macro_area_mm2(
-            k >> 20, k & ((1 << 20) - 1), spares, process
-        )
-        unique_area[index] = area_value
-        unique_cost[index] = _silicon_cost(wafer, yield_model, area_value)
-    return unique_area[inverse], unique_cost[inverse]
+    areas = [
+        _macro_area_mm2(key >> 20, key & ((1 << 20) - 1), spares, process)
+        for key in unique_keys.tolist()
+    ]
+    costs = [_silicon_cost(wafer, yield_model, area) for area in areas]
+    return np.array(areas)[inverse], np.array(costs)[inverse]
 
 
 @lru_cache(maxsize=128)
@@ -145,19 +126,13 @@ def _core_power_lanes(width_bytes: bytes, read_fraction: float) -> tuple:
     from repro.core.evaluator import _edram_core_power
 
     width = np.frombuffer(width_bytes, dtype=np.int64)
-    unique = np.unique(width)
+    unique, inverse = np.unique(width, return_inverse=True)
     if len(unique) == 1:
         return _edram_core_power(int(unique[0]), read_fraction)
-    pairs = {
-        int(w): _edram_core_power(int(w), read_fraction) for w in unique
-    }
-    busy = np.empty(len(width), dtype=np.float64)
-    idle = np.empty(len(width), dtype=np.float64)
-    for index, w in enumerate(width):
-        pair = pairs[int(w)]
-        busy[index] = pair[0]
-        idle[index] = pair[1]
-    return busy, idle
+    busy, idle = np.array(
+        [_edram_core_power(w, read_fraction) for w in unique.tolist()]
+    ).T
+    return busy[inverse], idle[inverse]
 
 
 @dataclass(frozen=True)
@@ -412,11 +387,8 @@ def evaluate_macro_batch(
     would when a configuration cannot be costed (e.g. a die too large
     for the wafer).
 
-    All macros must share ``timing`` (checked by the fallback gate) and
-    the area-model knobs; mixed ``redundancy_spares``/``process``
-    batches are evaluated in homogeneous sub-batches by the caller-
-    facing :meth:`Evaluator.evaluate_macros`, which simply falls back
-    to the scalar loop for such exotic mixes.
+    The macros must share ``timing``, ``redundancy_spares`` and
+    ``process``, which :func:`batch_fallback_reason` checks.
     """
     first = macros[0]
     lanes = [
@@ -436,13 +408,3 @@ def evaluate_macro_batch(
         process=first.process,
     )
 
-
-def macro_batch_homogeneous(macros) -> bool:
-    """Whether all macros share the area-model knobs (spares, process)."""
-    first = macros[0]
-    spares = first.redundancy_spares
-    process = first.process
-    for macro in macros:
-        if macro.redundancy_spares != spares or macro.process != process:
-            return False
-    return True

@@ -51,29 +51,22 @@ def _edram_core_power(width: int, read_fraction: float) -> tuple:
     return core.busy_power_w(read_fraction), core.idle_power_w()
 
 
-class _MacroCache:
-    """Mutable, unbounded memo store living inside the frozen
-    :class:`Evaluator`; each explorer builds its own evaluator, so the
-    memo lives no longer than the explorer."""
-
-    __slots__ = ("entries", "hits", "misses")
-
-    def __init__(self) -> None:
-        self.entries: dict = {}
-        self.hits = 0
-        self.misses = 0
+def _silicon_cost(
+    wafer: WaferSpec, yield_model: YieldModel, area_mm2: float
+) -> float:
+    """Cost of embedded memory silicon (yielded); the scalar evaluator
+    and the batch kernel both call this one copy."""
+    memory_yield = yield_model.memory_yield(area_mm2)
+    return die_cost_before_test(wafer, area_mm2, memory_yield)
 
 
 @dataclass(frozen=True)
 class Evaluator:
     """Analytic evaluator for embedded and discrete memory solutions.
 
-    ``evaluate_macro`` results are memoized per evaluator instance,
-    keyed on the ``(macro, requirements)`` pair.  Both keys and every
-    evaluator attribute are frozen dataclasses, so a cache entry can
-    only go stale by constructing a *different* evaluator — which gets
-    its own empty cache.  That is the whole invalidation rule: new
-    wafer/yield/cost assumptions mean a new ``Evaluator``.
+    Frozen and stateless: every evaluation is a pure function of the
+    evaluator's assumptions and its arguments, so evaluators with equal
+    fields are interchangeable (and pickle to equal copies).
 
     Attributes:
         wafer: Wafer economics for embedded silicon cost.
@@ -88,46 +81,6 @@ class Evaluator:
     yield_model: YieldModel = field(default_factory=YieldModel)
     test_cost_per_mbit: float = 0.02
     max_utilization: float = 0.95
-
-    _macro_cache: _MacroCache = field(
-        default_factory=_MacroCache, init=False, repr=False, compare=False
-    )
-
-    def __getstate__(self) -> dict:
-        # The cache never crosses process boundaries: a worker process
-        # starts cold.
-        state = self.__dict__.copy()
-        state["_macro_cache"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        state = dict(state)
-        state["_macro_cache"] = _MacroCache()
-        self.__dict__.update(state)
-
-    # -- memo cache ---------------------------------------------------------
-
-    def macro_cache_info(self) -> dict:
-        """Cache statistics: size, hits, misses."""
-        cache = self._macro_cache
-        return {
-            "size": len(cache.entries),
-            "hits": cache.hits,
-            "misses": cache.misses,
-        }
-
-    def clear_macro_cache(self) -> None:
-        cache = self._macro_cache
-        cache.entries.clear()
-        cache.hits = 0
-        cache.misses = 0
-
-    def prime_macro_cache(self, pairs) -> None:
-        """Pre-populate the memo from ``((macro, requirements), metrics)``
-        pairs (e.g. results of the batched evaluator)."""
-        entries = self._macro_cache.entries
-        for key, metrics in pairs:
-            entries[tuple(key)] = metrics
 
     # -- shared analytic kernels --------------------------------------------
 
@@ -179,11 +132,6 @@ class Evaluator:
             raise ConfigurationError("utilization must be >= 0")
         return base_ns * (1.0 + utilization / (2.0 * (1.0 - utilization)))
 
-    def _silicon_cost(self, area_mm2: float) -> float:
-        """Cost of embedded memory silicon (yielded)."""
-        memory_yield = self.yield_model.memory_yield(area_mm2)
-        return die_cost_before_test(self.wafer, area_mm2, memory_yield)
-
     # -- embedded ---------------------------------------------------------
 
     def evaluate_macro(
@@ -191,93 +139,7 @@ class Evaluator:
         macro: EDRAMMacro,
         requirements: ApplicationRequirements,
     ) -> SolutionMetrics:
-        """Analytic metrics of an eDRAM macro under the requirements.
-
-        Memoized on ``(macro, requirements)``; see the class docstring
-        for the invalidation rule.  The returned metrics are frozen, so
-        sharing the cached instance is safe.
-        """
-        cache = self._macro_cache
-        key = (macro, requirements)
-        metrics = cache.entries.get(key)
-        if metrics is not None:
-            cache.hits += 1
-            return metrics
-        cache.misses += 1
-        metrics = self._evaluate_macro_uncached(macro, requirements)
-        cache.entries[key] = metrics
-        return metrics
-
-    def evaluate_macros(
-        self,
-        macros,
-        requirements: ApplicationRequirements,
-    ) -> list:
-        """Batched :meth:`evaluate_macro` over many macros.
-
-        Served by the numpy array-lane kernel of :mod:`repro.core.batch`
-        when the batch is homogeneous enough (shared timing and area
-        knobs), with the memo primed from the batched results.
-        Memoized points are served from the cache (counted as hits)
-        and only the misses are batched, so a warm re-explore behaves
-        like the scalar memo.
-        Falls back to the scalar per-macro loop otherwise.  Both paths
-        return bit-identical metrics, in input order.
-        """
-        from repro.core.batch import (
-            batch_fallback_reason,
-            evaluate_macro_batch,
-            macro_batch_homogeneous,
-        )
-
-        macros = list(macros)
-        reason = batch_fallback_reason(macros)
-        if reason is None and not macro_batch_homogeneous(macros):
-            reason = "mixed area-model parameters across macros"
-        if reason is not None:
-            return [
-                self.evaluate_macro(macro, requirements)
-                for macro in macros
-            ]
-        entries = self._macro_cache.entries
-        if entries:
-            misses = [
-                index
-                for index, macro in enumerate(macros)
-                if (macro, requirements) not in entries
-            ]
-        else:  # cold cache: skip the per-key hashing of the miss scan
-            misses = range(len(macros))
-        if len(misses) == len(macros):
-            results = evaluate_macro_batch(
-                self, macros, requirements
-            ).metrics_list()
-            self.prime_macro_cache(
-                ((macro, requirements), metrics)
-                for macro, metrics in zip(macros, results)
-            )
-            return results
-        results: list = [None] * len(macros)
-        if misses:
-            batched = evaluate_macro_batch(
-                self, [macros[index] for index in misses], requirements
-            ).metrics_list()
-            self.prime_macro_cache(
-                ((macros[index], requirements), metrics)
-                for index, metrics in zip(misses, batched)
-            )
-            for index, metrics in zip(misses, batched):
-                results[index] = metrics
-        for index, macro in enumerate(macros):
-            if results[index] is None:
-                results[index] = self.evaluate_macro(macro, requirements)
-        return results
-
-    def _evaluate_macro_uncached(
-        self,
-        macro: EDRAMMacro,
-        requirements: ApplicationRequirements,
-    ) -> SolutionMetrics:
+        """Analytic metrics of an eDRAM macro under the requirements."""
         timing = macro.timing
         burst_bits = macro.width * timing.burst_length
         hit = self.row_hit_rate(
@@ -315,8 +177,8 @@ class Evaluator:
             frequency_hz=timing.clock_hz,
         ).power_w(utilization)
         area = macro.area_mm2()
-        cost = self._silicon_cost(area) + self.test_cost_per_mbit * (
-            macro.size_bits / MBIT
+        cost = _silicon_cost(self.wafer, self.yield_model, area) + (
+            self.test_cost_per_mbit * (macro.size_bits / MBIT)
         )
         return SolutionMetrics(
             label=(
@@ -333,6 +195,30 @@ class Evaluator:
             unit_cost=cost,
             embedded=True,
         )
+
+    def evaluate_macros(
+        self,
+        macros,
+        requirements: ApplicationRequirements,
+    ) -> list:
+        """:meth:`evaluate_macro` over many macros, in input order.
+
+        Served by the numpy array-lane kernel of :mod:`repro.core.batch`
+        when :func:`~repro.core.batch.batch_fallback_reason` accepts the
+        batch (shared timing and area-model knobs), by the scalar loop
+        otherwise.  Both paths return bit-identical metrics.
+        """
+        from repro.core.batch import (
+            batch_fallback_reason,
+            evaluate_macro_batch,
+        )
+
+        macros = list(macros)
+        if batch_fallback_reason(macros) is None:
+            return evaluate_macro_batch(
+                self, macros, requirements
+            ).metrics_list()
+        return [self.evaluate_macro(macro, requirements) for macro in macros]
 
     # -- discrete ---------------------------------------------------------
 

@@ -90,10 +90,10 @@ class DesignSpaceExplorer:
             :func:`~repro.core.pareto.pareto_frontier` ("auto" picks the
             vectorized engine; "python" forces the reference loop, used
             by the perf benchmark as the baseline).
-        batch: Serve serial evaluations from the numpy-batched kernel
-            (:meth:`Evaluator.evaluate_macros`), which falls back to the
-            scalar loop for heterogeneous batches.  False forces the
-            scalar reference loop — the perf benchmark's baseline.
+        batch: Evaluate through :meth:`Evaluator.evaluate_macros`: the
+            numpy batch kernel, or the scalar loop when the macros mix
+            timing, spares or process.  False forces the scalar
+            reference loop (``repro explore --backend scalar``).
     """
 
     rules: SiemensConceptRules = SIEMENS_CONCEPT

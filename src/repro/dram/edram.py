@@ -21,7 +21,7 @@ bandwidth and fill frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.errors import ConfigurationError
@@ -141,6 +141,17 @@ class SiemensConceptRules:
 SIEMENS_CONCEPT = SiemensConceptRules()
 
 
+def _macro_area_mm2(
+    size_bits: int, width: int, redundancy_spares: int, process: BaseProcess
+) -> float:
+    """Macro area from the process's macro model; :meth:`EDRAMMacro.area_mm2`
+    and the batch kernel both call this one copy."""
+    model = MacroAreaModel(
+        process=process, redundancy_area_fraction=0.005 * redundancy_spares
+    )
+    return model.total_area_mm2(size_bits, width)
+
+
 @dataclass(frozen=True)
 class EDRAMMacro:
     """A generated embedded DRAM module.
@@ -201,30 +212,6 @@ class EDRAMMacro:
             **kwargs,  # type: ignore[arg-type]
         )
 
-    def __hash__(self) -> int:
-        # The generated hash would re-hash the nested rules, timing and
-        # process on every call, and memo keys hash macros often.
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # Exactly the generated frozen-dataclass hash: the tuple of the
-        # fields it hashes, by dataclass's own rule.
-        return hash(
-            tuple(
-                getattr(self, f.name)
-                for f in fields(self)
-                if (f.compare if f.hash is None else f.hash)
-            )
-        )
-
-    def __getstate__(self) -> dict:
-        # String hashes differ between processes, so a pickled macro
-        # recomputes its hash where it lands.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
     @cached_property
     def organization(self) -> Organization:
         # cached_property writes straight into __dict__, which the
@@ -258,11 +245,9 @@ class EDRAMMacro:
 
     @cached_property
     def _area_mm2(self) -> float:
-        model = MacroAreaModel(
-            process=self.process,
-            redundancy_area_fraction=0.005 * self.redundancy_spares,
+        return _macro_area_mm2(
+            self.size_bits, self.width, self.redundancy_spares, self.process
         )
-        return model.total_area_mm2(self.size_bits, self.width)
 
     def area_efficiency_mbit_per_mm2(self) -> float:
         return (self.size_bits / MBIT) / self.area_mm2()

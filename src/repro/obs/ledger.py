@@ -140,71 +140,21 @@ def _span_context(stack: list):
             stack.pop()
 
 
-class RunLedger:
-    """Append-only JSONL event stream for one (or one resumed) run.
+class _Ledger:
+    """What both ledgers share: event records, spans and trace binding.
 
-    Opening a path that already holds a ledger *continues* it: the run
-    id and the event-id sequence carry on from the existing tail and a
-    ``resume`` event marks the seam.  Opening a fresh path writes the
-    ``ledger_open`` provenance event first.
-
-    Attributes:
-        path: The JSONL file.
-        run_id: Stable id stamped on every event (inherited on resume).
-        resumed: Whether this ledger continued an existing file.
+    A record is built here and handed to :meth:`_emit`, the one thing a
+    subclass decides: where the record goes.
     """
 
-    def __init__(self, path: str | Path, trace=None) -> None:
-        self.path = Path(path)
-        self._handle = None
-        self._unflushed = 0
-        self._needs_newline = False
-        self.resumed = False
+    def __init__(self, run_id: str, next_id: int, trace) -> None:
+        self.run_id = run_id
+        self._next_id = next_id
         context = coerce_trace(trace)
         self._trace_stack: list = [] if context is None else [context]
-        run_id = None
-        next_id = 0
-        if self.path.exists() and self.path.stat().st_size > 0:
-            run_id, next_id = self._scan_existing()
-            self.resumed = True
-        self.run_id = run_id if run_id else uuid.uuid4().hex[:12]
-        self._next_id = next_id
-        if self.resumed:
-            self.event("resume", prior_events=next_id)
-        else:
-            self.event(
-                "ledger_open",
-                environment=environment_fingerprint(),
-                git=git_provenance(),
-            )
-
-    def _scan_existing(self) -> tuple:
-        """Recover (run_id, next_event_id) from an existing ledger."""
-        run_id = None
-        max_id = -1
-        line = ""
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail from an interrupted run
-                if run_id is None:
-                    run_id = record.get("run")
-                event_id = record.get("id")
-                if isinstance(event_id, int) and event_id > max_id:
-                    max_id = event_id
-        # A writer killed mid-line leaves no trailing newline; appending
-        # straight after it would corrupt the next event too.
-        self._needs_newline = bool(line) and not line.endswith("\n")
-        return run_id, max_id + 1
-
-    # -- event emission ------------------------------------------------------
 
     def event(self, kind: str, **fields) -> int:
-        """Emit one event; returns its id (monotonic within the file)."""
+        """Emit one event; returns its id (monotonic within the ledger)."""
         if not kind:
             raise ConfigurationError("ledger event kind required")
         event_id = self._next_id
@@ -217,12 +167,11 @@ class RunLedger:
         }
         record.update(fields)
         _stamp_trace(record, self._trace_stack)
-        handle = self._open()
-        handle.write(json.dumps(record, default=str) + "\n")
-        self._unflushed += 1
-        if kind in FLUSH_KINDS or self._unflushed >= 128:
-            self.flush()
+        self._emit(record)
         return event_id
+
+    def _emit(self, record: dict) -> None:
+        raise NotImplementedError
 
     @contextmanager
     def span(self, name: str, **fields):
@@ -268,6 +217,80 @@ class RunLedger:
     # -- lifecycle -----------------------------------------------------------
 
     def flush(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class RunLedger(_Ledger):
+    """Append-only JSONL event stream for one (or one resumed) run.
+
+    Opening a path that already holds a ledger *continues* it: the run
+    id and the event-id sequence carry on from the existing tail and a
+    ``resume`` event marks the seam.  Opening a fresh path writes the
+    ``ledger_open`` provenance event first.
+
+    Attributes:
+        path: The JSONL file.
+        run_id: Stable id stamped on every event (inherited on resume).
+        resumed: Whether this ledger continued an existing file.
+    """
+
+    def __init__(self, path: str | Path, trace=None) -> None:
+        self.path = Path(path)
+        self._handle = None
+        self._unflushed = 0
+        self._needs_newline = False
+        self.resumed = False
+        run_id = None
+        next_id = 0
+        if self.path.exists() and self.path.stat().st_size > 0:
+            run_id, next_id = self._scan_existing()
+            self.resumed = True
+        super().__init__(run_id or uuid.uuid4().hex[:12], next_id, trace)
+        if self.resumed:
+            self.event("resume", prior_events=next_id)
+        else:
+            self.event(
+                "ledger_open",
+                environment=environment_fingerprint(),
+                git=git_provenance(),
+            )
+
+    def _scan_existing(self) -> tuple:
+        """Recover (run_id, next_event_id) from an existing ledger."""
+        run_id = None
+        max_id = -1
+        line = ""
+        with open(self.path, "r", encoding="utf-8") as handle:
+            for line in handle:
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    continue  # torn tail from an interrupted run
+                if run_id is None:
+                    run_id = record.get("run")
+                event_id = record.get("id")
+                if isinstance(event_id, int) and event_id > max_id:
+                    max_id = event_id
+        # A writer killed mid-line leaves no trailing newline; appending
+        # straight after it would corrupt the next event too.
+        self._needs_newline = bool(line) and not line.endswith("\n")
+        return run_id, max_id + 1
+
+    def _emit(self, record: dict) -> None:
+        handle = self._open()
+        handle.write(json.dumps(record, default=str) + "\n")
+        self._unflushed += 1
+        if record["kind"] in FLUSH_KINDS or self._unflushed >= 128:
+            self.flush()
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def flush(self) -> None:
         if self._handle is not None:
             self._handle.flush()
             self._unflushed = 0
@@ -292,12 +315,11 @@ class RunLedger:
         return self._handle
 
 
-class MemoryLedger:
-    """In-memory, ledger-shaped event sink (no file, no provenance).
+class MemoryLedger(_Ledger):
+    """In-memory event sink (no file, no provenance).
 
-    Quacks like :class:`RunLedger` — ``event`` / ``span`` / ``flush`` /
-    ``close`` with the same record shape — but appends dicts to
-    :attr:`events` instead of writing JSONL.  The exploration service
+    Records have :class:`RunLedger`'s shape but are appended to
+    :attr:`events` instead of written as JSONL.  The exploration service
     taps one per job so ledger events double as the server-sent event
     stream; an optional ``subscriber`` callable sees each record as it
     is emitted.
@@ -310,92 +332,31 @@ class MemoryLedger:
     def __init__(
         self, run_id: str = "mem", subscriber=None, trace=None
     ) -> None:
-        self.run_id = run_id
+        super().__init__(run_id, 0, trace)
         self.events: list = []
         self._subscriber = subscriber
-        self._next_id = 0
-        context = coerce_trace(trace)
-        self._trace_stack: list = [] if context is None else [context]
 
-    def event(self, kind: str, **fields) -> int:
-        if not kind:
-            raise ConfigurationError("ledger event kind required")
-        event_id = self._next_id
-        self._next_id += 1
-        record = {
-            "id": event_id,
-            "t": round(time.time(), 6),
-            "run": self.run_id,
-            "kind": kind,
-        }
-        record.update(fields)
-        _stamp_trace(record, self._trace_stack)
+    def _emit(self, record: dict) -> None:
         self.events.append(record)
         if self._subscriber is not None:
             self._subscriber(record)
-        return event_id
-
-    @contextmanager
-    def span(self, name: str, **fields):
-        with _span_context(self._trace_stack):
-            start_id = self.event("span_start", name=name, **fields)
-            started = time.perf_counter()
-            try:
-                yield start_id
-            finally:
-                self.event(
-                    "span_end",
-                    name=name,
-                    span=start_id,
-                    s=round(time.perf_counter() - started, 6),
-                )
-
-    @property
-    def trace_context(self):
-        """The innermost bound :class:`TraceContext`, or None."""
-        return self._trace_stack[-1] if self._trace_stack else None
-
-    @contextmanager
-    def bind_trace(self, context):
-        """Bind ``context`` (context/dict/None) for the enclosed block."""
-        context = coerce_trace(context)
-        if context is None:
-            yield None
-            return
-        self._trace_stack.append(context)
-        try:
-            yield context
-        finally:
-            self._trace_stack.pop()
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 def coerce_ledger(ledger) -> tuple:
     """Normalize a ``ledger=`` argument to ``(ledger | None, owned)``.
 
     Callers accept ``None`` (off), a path (the common case — the callee
-    opens and closes it), an already-open :class:`RunLedger` (shared
-    across several invocations; the caller keeps ownership), or any
-    ledger-shaped object — something with callable ``event`` and
-    ``close`` — such as :class:`MemoryLedger` (never owned: the
-    provider keeps reading it after the run).
+    opens and closes it), or an open :class:`RunLedger` or
+    :class:`MemoryLedger` (shared across several invocations, or read
+    after the run: never owned, the caller keeps it).
     """
     if ledger is None:
         return None, False
-    if isinstance(ledger, RunLedger):
+    if isinstance(ledger, _Ledger):
         return ledger, False
     if isinstance(ledger, (str, Path)):
         return RunLedger(ledger), True
-    if callable(getattr(ledger, "event", None)) and callable(
-        getattr(ledger, "close", None)
-    ):
-        return ledger, False
     raise ConfigurationError(
-        f"ledger must be a path, RunLedger or ledger-shaped object, "
+        f"ledger must be a path, RunLedger or MemoryLedger, "
         f"got {type(ledger).__name__}"
     )

@@ -37,7 +37,8 @@ JOB_KINDS = ("sweep", "explore")
 
 #: Evaluation backends per job kind.  Sweep workloads are scalar python
 #: functions evaluated point by point, so "auto" and "scalar" run the
-#: same ``Sweep.run`` path.
+#: same ``Sweep.run`` path: both parse to one job, whose canonical form
+#: and fingerprint name "auto", so they share one cache entry.
 SWEEP_BACKENDS = ("auto", "scalar")
 EXPLORE_BACKENDS = ("batched", "scalar")
 
@@ -167,7 +168,6 @@ class SweepJobSpec:
 
     workload: str
     axes: tuple  # ((name, (value, ...)), ...) in request order
-    backend: str = "auto"
     skip_errors: bool = False
     #: Execution hint only: fan the sweep across this many local worker
     #: processes (0 = serial).  Deliberately excluded from
@@ -198,7 +198,7 @@ class SweepJobSpec:
             "kind": self.kind,
             "workload": self.workload,
             "axes": [[name, list(values)] for name, values in self.axes],
-            "backend": self.backend,
+            "backend": "auto",  # every sweep backend is this one path
             "skip_errors": self.skip_errors,
         }
 
@@ -209,7 +209,7 @@ class SweepJobSpec:
             schema_version=SCHEMA_VERSION,
             kind=self.kind,
             workload=self.workload,
-            backend=self.backend,
+            backend="auto",
             skip_errors=self.skip_errors,
             axis_order=[name for name, _ in self.axes],
         )
@@ -392,7 +392,6 @@ def _parse_sweep(payload: dict) -> SweepJobSpec:
     spec = SweepJobSpec(
         workload=workload,
         axes=_parse_axes(payload, workload),
-        backend=backend,
         skip_errors=_bool_field(payload, "skip_errors", "job", False),
         workers=workers,
         deadline_s=_number_field(payload, "deadline_s", "job"),

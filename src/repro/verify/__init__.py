@@ -9,8 +9,8 @@ Three pillars (see :mod:`repro.verify.oracle`,
   oracle and checks simulator-state conservation laws while the
   simulation runs;
 * **differential oracles** — the same workload through the event engine
-  vs per-cycle simulation, serial vs parallel sweeps, memoized vs cold
-  evaluators and the fault-sparse vs cell-by-cell march
+  vs per-cycle simulation, serial vs parallel sweeps, the batched vs
+  scalar evaluator and the fault-sparse vs cell-by-cell march
   (:func:`march_reference`), diffed field by field with
   first-divergence localization;
 * **seeded fuzzing** — deterministic generators, registered properties
@@ -32,7 +32,6 @@ _EXPORTS = {
     "PROPERTIES": "fuzz",
     "Violation": "oracle",
     "diff_backend": "differential",
-    "diff_memoized_vs_cold": "differential",
     "diff_results": "differential",
     "diff_serial_vs_parallel": "differential",
     "diff_values": "differential",

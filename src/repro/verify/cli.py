@@ -6,15 +6,14 @@ Usage::
     python -m repro.verify fuzz --property sim_differential --budget 40
     python -m repro.verify fuzz --property pacing_plan --case '{...}'
     python -m repro.verify fuzz --budget 200 --trace-dir traces/
-    python -m repro.verify diff --seed 0 --cases 5
     python -m repro.verify chaos --profile smoke --out chaos.jsonl
     python -m repro.verify properties
 
 ``fuzz`` runs the seeded fuzz harness (failing cases are shrunk and
-printed with a one-line repro command); ``diff`` runs the differential
-oracles — event backend vs per-cycle and memoized vs cold — on
-generated configurations; ``properties`` lists the registered fuzz
-properties.
+printed with a one-line repro command; ``--property sim_differential``
+runs the event backend against the per-cycle loop alone); ``chaos``
+induces failures and checks recovery; ``properties`` lists the
+registered fuzz properties.
 Also reachable as ``python -m repro.cli verify ...``.
 """
 
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from repro.errors import ConfigurationError
@@ -72,33 +70,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             if path:
                 print(f"  trace: {path}")
     return 0 if report.ok else 1
-
-
-def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.verify import fuzz
-    from repro.verify.differential import diff_backend, diff_memoized_vs_cold
-
-    failures = 0
-    for index in range(args.cases):
-        rng = random.Random(f"{args.seed}:backend:{index}")
-        params = fuzz.gen_sim_case(rng)
-        report = diff_backend(
-            lambda backend, record_commands: fuzz.build_simulator(
-                params, backend=backend, record_commands=record_commands
-            ),
-            label=f"sim case {index}: event backend vs per-cycle",
-        )
-        print(report.describe())
-        failures += 0 if report.identical else 1
-    for index in range(args.cases):
-        rng = random.Random(f"{args.seed}:memo:{index}")
-        params = fuzz.gen_macro_case(rng)
-        report = diff_memoized_vs_cold(
-            fuzz.build_macro(params), fuzz.build_requirements(params)
-        )
-        print(f"macro case {index}: {report.describe()}")
-        failures += 0 if report.identical else 1
-    return 0 if failures == 0 else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -160,13 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         "into this directory",
     )
     fuzz_cmd.set_defaults(func=_cmd_fuzz)
-
-    diff_cmd = sub.add_parser(
-        "diff", help="run the differential oracles on generated cases"
-    )
-    diff_cmd.add_argument("--seed", type=int, default=0)
-    diff_cmd.add_argument("--cases", type=int, default=5)
-    diff_cmd.set_defaults(func=_cmd_diff)
 
     chaos_cmd = sub.add_parser(
         "chaos",

@@ -12,9 +12,7 @@ turns that promise into machinery:
   command recording to report the **first divergent command cycle** —
   the cycle where the two executions stopped being the same machine;
 * :func:`diff_serial_vs_parallel` compares a process-pool sweep against
-  its serial reference, point by point in input order;
-* :func:`diff_memoized_vs_cold` compares a memo-served evaluator result
-  against a cold evaluator of identical configuration.
+  its serial reference, point by point in input order.
 
 Everything returns a :class:`DifferentialReport`; ``report.identical``
 is the assertion surface, ``report.describe()`` the failure message.
@@ -261,20 +259,3 @@ def diff_serial_vs_parallel(
     return DifferentialReport(
         label=f"serial vs parallel({workers} workers)", diffs=diffs
     )
-
-
-def diff_memoized_vs_cold(macro, requirements) -> DifferentialReport:
-    """Compare a memo-served evaluation against a cold evaluator."""
-    from repro.core.evaluator import Evaluator
-
-    warm_evaluator = Evaluator()
-    warm_evaluator.evaluate_macro(macro, requirements)  # prime the memo
-    memoized = warm_evaluator.evaluate_macro(macro, requirements)
-    if warm_evaluator.macro_cache_info()["hits"] < 1:
-        return DifferentialReport(
-            label="memoized vs cold",
-            diffs=[FieldDiff("cache.hits", 0, ">= 1")],
-        )
-    cold = Evaluator().evaluate_macro(macro, requirements)
-    diffs = diff_values(memoized, cold, "metrics")
-    return DifferentialReport(label="memoized vs cold", diffs=diffs)

@@ -14,7 +14,9 @@ input:
 * ``pareto_engines`` — the python and numpy Pareto engines agree, and
   both engines of the array mask agree with them, ties, duplicates
   and NaNs included;
-* ``evaluator_memo`` — memoized evaluator results equal cold ones;
+* ``evaluator_batch`` — :meth:`Evaluator.evaluate_macros` (the numpy
+  batch kernel, or its scalar fallback on mixed batches) equals the
+  scalar :meth:`Evaluator.evaluate_macro` loop exactly;
 * ``mapping_roundtrip`` — address decode/encode is a bijection;
 * ``pacing_plan`` — ``tick_many``/``cycles_until_wants`` are
   bit-identical to iterated ``tick`` calls, also across a random
@@ -207,6 +209,29 @@ def gen_macro_case(rng: random.Random) -> dict:
             "locality": round(rng.random(), 3),
         },
     }
+
+
+def gen_macro_batch_case(rng: random.Random) -> dict:
+    """1-24 macros from :func:`gen_macro_case` under one requirement set.
+
+    Most cases share one ``redundancy_spares`` across the list, so the
+    batch kernel serves them; the rest keep each macro's own spares, or
+    give some macros their own timing, so the scalar fallback runs too.
+    """
+    cases = [gen_macro_case(rng) for _ in range(rng.randint(1, 24))]
+    macros = [case["macro"] for case in cases]
+    mix = rng.choices(["shared", "spares", "timing"], weights=[8, 1, 1])[0]
+    if mix != "spares":
+        spares = rng.choice([0, 2, 4, 8])
+        for macro in macros:
+            macro["redundancy_spares"] = spares
+    if mix == "timing":
+        timing = gen_timing(rng)
+        # The concept's cycle time is 7 ns; a slower clock is refused.
+        timing["clock_period_ns"] = rng.choice([5.0, 7.0])
+        for macro in rng.sample(macros, rng.randint(1, len(macros))):
+            macro["timing"] = dict(timing)
+    return {"macros": macros, "requirements": cases[0]["requirements"]}
 
 
 def gen_pareto_case(rng: random.Random) -> dict:
@@ -511,9 +536,14 @@ def build_simulator(
 
 
 def build_macro(params: dict):
+    """An :class:`EDRAMMacro` from its kwargs (``timing`` as a dict)."""
     from repro.dram.edram import EDRAMMacro
+    from repro.dram.timing import TimingParameters
 
-    return EDRAMMacro(**params["macro"])
+    kwargs = dict(params)
+    if "timing" in kwargs:
+        kwargs["timing"] = TimingParameters(**kwargs["timing"])
+    return EDRAMMacro(**kwargs)
 
 
 def build_requirements(params: dict):
@@ -594,13 +624,23 @@ def check_pareto_engines(params: dict) -> list:
     return messages
 
 
-def check_evaluator_memo(params: dict) -> list:
-    from repro.verify.differential import diff_memoized_vs_cold
+def check_evaluator_batch(params: dict) -> list:
+    from repro.core.batch import batch_fallback_reason
+    from repro.core.evaluator import Evaluator
+    from repro.verify.differential import diff_values
 
-    report = diff_memoized_vs_cold(
-        build_macro(params), build_requirements(params)
-    )
-    return [] if report.identical else [report.describe()]
+    macros = [build_macro(macro) for macro in params["macros"]]
+    requirements = build_requirements(params)
+    evaluator = Evaluator()
+    batched = evaluator.evaluate_macros(macros, requirements)
+    scalar = [evaluator.evaluate_macro(m, requirements) for m in macros]
+    if batched == scalar:
+        return []
+    path = batch_fallback_reason(macros) or "batch kernel"
+    return [
+        f"evaluate_macros ({path}) != scalar loop: {diff}"
+        for diff in diff_values(batched, scalar, "metrics")
+    ]
 
 
 def check_mapping_roundtrip(params: dict) -> list:
@@ -888,7 +928,9 @@ PROPERTIES = (
     FuzzProperty(
         "mapping_roundtrip", gen_mapping_case, check_mapping_roundtrip
     ),
-    FuzzProperty("evaluator_memo", gen_macro_case, check_evaluator_memo),
+    FuzzProperty(
+        "evaluator_batch", gen_macro_batch_case, check_evaluator_batch
+    ),
     FuzzProperty("pacing_plan", gen_pacing_case, check_pacing_plan),
     FuzzProperty("serve_protocol", gen_serve_case, check_serve_protocol),
     FuzzProperty("march_sparse", gen_march_case, check_march_sparse),

@@ -112,11 +112,12 @@ def test_evaluate_macros_batched_and_fallback():
     macros = _grid_macros()
     reference = [Evaluator().evaluate_macro(m, REQ) for m in macros]
     evaluator = Evaluator()
+    assert batch_fallback_reason(macros) is None  # the batch kernel
     assert evaluator.evaluate_macros(macros, REQ) == reference
-    # The batch primes the memo, exactly like the parallel fan-out.
-    assert evaluator.macro_cache_info()["size"] == len(macros)
-    evaluator.evaluate_macro(macros[0], REQ)
-    assert evaluator.macro_cache_info()["hits"] == 1
+    # A repeat on the same evaluator evaluates afresh, equally.
+    assert evaluator.evaluate_macros(macros, REQ) == [
+        evaluator.evaluate_macro(m, REQ) for m in macros
+    ]
     # Heterogeneous area knobs: scalar fallback, same results.
     spares = EDRAMMacro(
         size_bits=macros[0].size_bits,
@@ -126,6 +127,7 @@ def test_evaluate_macros_batched_and_fallback():
         redundancy_spares=8,
     )
     mixed = [macros[0], spares]
+    assert batch_fallback_reason(mixed) is not None
     assert Evaluator().evaluate_macros(mixed, REQ) == [
         Evaluator().evaluate_macro(m, REQ) for m in mixed
     ]
@@ -167,17 +169,41 @@ def test_pareto_mask_deduplicates():
     assert mask.tolist() == [True, False, True]
 
 
-def test_macro_cache_unbounded_by_default():
+
+def test_fallback_reason_names_mixed_spares_or_process():
+    from repro.area.process import LOGIC_BASED_025
+
+    macros = _grid_macros()[:2]
+    first, second = macros
+    spares = EDRAMMacro(
+        size_bits=second.size_bits,
+        width=second.width,
+        banks=second.banks,
+        page_bits=second.page_bits,
+        redundancy_spares=8,
+    )
+    process = EDRAMMacro(
+        size_bits=second.size_bits,
+        width=second.width,
+        banks=second.banks,
+        page_bits=second.page_bits,
+        process=LOGIC_BASED_025,
+    )
+    reason = "mixed redundancy spares or process across macros"
+    assert batch_fallback_reason([first, spares]) == reason
+    assert batch_fallback_reason([first, process]) == reason
+
+
+def test_economics_lanes_are_the_scalar_formulas():
+    """Area and silicon cost come from the scalar path's own functions."""
+    from repro.core.evaluator import _silicon_cost
+
+    macros = _grid_macros()
     evaluator = Evaluator()
-    for macro in _grid_macros():
-        evaluator.evaluate_macro(macro, REQ)
-    info = evaluator.macro_cache_info()
-    assert info["size"] == info["misses"] == len(_grid_macros())
-
-
-def test_macro_cache_bound_is_not_settable():
-    # Every explore builds a fresh evaluator, so its memo needs no
-    # bound: there is no LRU and no eviction count to report.
-    with pytest.raises(TypeError, match="macro_cache_maxsize"):
-        Evaluator(macro_cache_maxsize=10)
-    assert set(Evaluator().macro_cache_info()) == {"size", "hits", "misses"}
+    batch = evaluate_macro_batch(evaluator, macros, REQ)
+    for index, macro in enumerate(macros):
+        area = macro.area_mm2()
+        assert batch.area_mm2[index] == area
+        silicon = _silicon_cost(evaluator.wafer, evaluator.yield_model, area)
+        test_cost = evaluator.test_cost_per_mbit * (macro.size_bits / MBIT)
+        assert batch.unit_cost[index] == silicon + test_cost

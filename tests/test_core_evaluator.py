@@ -1,5 +1,7 @@
 """Tests for repro.core.evaluator, requirements and metrics."""
 
+import pickle
+
 import pytest
 
 from repro.core.evaluator import Evaluator
@@ -116,6 +118,22 @@ class TestMacroEvaluation:
             macro, requirements(bandwidth=5e9)
         )
         assert heavy.mean_latency_ns > light.mean_latency_ns
+
+    def test_pickle_round_trip_compares_equal(self):
+        # The evaluator holds its four assumptions and nothing else, so
+        # a copy in another process is the same evaluator.
+        evaluator = Evaluator()
+        macro = EDRAMMacro.build(size_bits=4 * MBIT, width=64)
+        metrics = evaluator.evaluate_macro(macro, requirements())
+        clone = pickle.loads(pickle.dumps(evaluator))
+        assert clone == evaluator
+        assert set(vars(clone)) == {
+            "wafer",
+            "yield_model",
+            "test_cost_per_mbit",
+            "max_utilization",
+        }
+        assert clone.evaluate_macro(macro, requirements()) == metrics
 
 
 class TestDiscreteEvaluation:

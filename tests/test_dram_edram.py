@@ -85,7 +85,8 @@ class TestMacroConstruction:
 
 
 class TestMacroHash:
-    """The hash is computed once, as the generated one would be."""
+    """The generated frozen-dataclass hash and equality: declared fields
+    only, never cached state."""
 
     def test_hash_is_the_declared_fields_tuple(self):
         macro = EDRAMMacro.build(size_bits=8 * MBIT, width=64, banks=8)
@@ -104,13 +105,13 @@ class TestMacroHash:
         assert hashed != EDRAMMacro.build(size_bits=8 * MBIT, width=128)
         assert len({hashed, fresh}) == 1
 
-    def test_pickle_recomputes_the_hash(self):
-        # A cached string hash would be wrong in another process.
+    def test_pickle_round_trip_keeps_equality_and_hash(self):
+        # A copy in another process keys the same dict slot.
         macro = EDRAMMacro.build(size_bits=8 * MBIT, width=64)
-        hash(macro)
+        macro.area_mm2()  # cached state must not travel or matter
         copy = pickle.loads(pickle.dumps(macro))
-        assert "_hash" not in copy.__dict__
         assert copy == macro and hash(copy) == hash(macro)
+        assert copy.area_mm2() == macro.area_mm2()
 
 
 class TestConceptValidation:

@@ -118,6 +118,34 @@ class TestLedgerTracing:
         # The inner event lives in the span's context.
         assert inner[0]["span_id"] == spans[0]["span_id"]
 
+    def test_file_and_memory_ledgers_build_the_same_records(self, tmp_path):
+        # One record builder: the two ledgers differ only in where a
+        # record goes, so a traced span reads the same in both.
+        root = TraceContext.root()
+        file_ledger = RunLedger(tmp_path / "run.jsonl", trace=root)
+        memory = MemoryLedger(run_id=file_ledger.run_id, trace=root)
+        memory.event("ledger_open")  # keep the two id sequences aligned
+        for ledger in (file_ledger, memory):
+            with ledger.span("phase", step=1):
+                ledger.event("checkpoint", n=2)
+        file_ledger.close()
+        _, written = load_trace_file(tmp_path / "run.jsonl")
+
+        def shape(record):
+            return {
+                key: value
+                for key, value in record.items()
+                if key not in ("t", "s", "span_id", "environment", "git")
+            }
+
+        assert [shape(r) for r in written] == [
+            shape(r) for r in memory.events
+        ]
+        file_spans = [r["span_id"] for r in written[1:]]
+        memory_spans = [r["span_id"] for r in memory.events[1:]]
+        assert len(set(file_spans)) == len(set(memory_spans)) == 1
+        assert written[1]["parent_span_id"] == root.span_id
+
     def test_bind_trace_is_none_safe(self):
         ledger = MemoryLedger(run_id="r")
         with ledger.bind_trace(None):

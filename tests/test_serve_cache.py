@@ -146,6 +146,14 @@ class TestFingerprint:
                 dict(CONTRACT_JOB, skip_errors=True)
             ) != self._fingerprint(CONTRACT_JOB)
 
+    def test_sweep_backends_share_a_fingerprint(self):
+        # Both sweep backends run the same Sweep.run path, so they name
+        # the same work.
+        with contract_env():
+            assert self._fingerprint(
+                dict(CONTRACT_JOB, backend="scalar")
+            ) == self._fingerprint(dict(CONTRACT_JOB, backend="auto"))
+
     def test_explore_requirement_key_order_is_canonical(self):
         base = {
             "kind": "explore",
@@ -190,6 +198,18 @@ class TestServiceCache:
             assert service.stats["evaluations"] == evaluations
             assert service.stats["executions"] == executions
             assert service.stats["cache_hits"] == 1
+
+    def test_scalar_then_auto_sweep_is_a_cache_hit(self):
+        with contract_env() as (service, client):
+            cold = client.submit(dict(CONTRACT_JOB, backend="scalar"))
+            client.wait(cold["job_id"])
+            warm = client.submit(dict(CONTRACT_JOB, backend="auto"))
+            assert cold["cached"] is False
+            assert warm["cached"] is True
+            assert service.result_text(warm["job_id"]) == (
+                service.result_text(cold["job_id"])
+            )
+            assert service.stats["executions"] == 1
 
     def test_shared_cache_survives_service_restart(self, tmp_path):
         spill = tmp_path / "results.jsonl"

@@ -212,6 +212,21 @@ class TestParseJob:
         assert spec.requirements_dict["name"] == "MPEG2 decoder"
         assert spec.to_requirements().max_latency_ns == 400.0
 
+    def test_sweep_backends_parse_to_one_job(self):
+        # "scalar" stays accepted on the wire but names the same work as
+        # "auto"; the explore backend keeps its choice.
+        with contract_env():
+            scalar = parse_job(dict(CONTRACT_JOB, backend="scalar"))
+            auto = parse_job(dict(CONTRACT_JOB, backend="auto"))
+            assert scalar == auto == parse_job(CONTRACT_JOB)
+            assert scalar.canonical()["backend"] == "auto"
+            with pytest.raises(RequestError, match="job.backend"):
+                parse_job(dict(CONTRACT_JOB, backend="batched"))
+        explore = parse_job(
+            {"kind": "explore", "requirements": "mpeg2", "backend": "scalar"}
+        )
+        assert explore.canonical()["backend"] == "scalar"
+
     def test_cli_client_submit_wait_round_trip(self, capsys):
         """`repro client submit --wait` against a live server."""
         from repro.serve.cli import client_main

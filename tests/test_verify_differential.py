@@ -22,7 +22,6 @@ from repro.verify.differential import (
     FieldDiff,
     FirstDivergence,
     diff_backend,
-    diff_memoized_vs_cold,
     diff_serial_vs_parallel,
     diff_values,
     first_command_divergence,
@@ -204,22 +203,6 @@ class TestSerialVsParallel:
         report = diff_serial_vs_parallel(
             _rejects, [16, 64, 128, 256], workers=2, chunk_size=1
         )
-        assert report.identical, report.describe()
-
-
-class TestMemoizedVsCold:
-    def test_memo_serves_identical_metrics(self):
-        from repro.core.requirements import ApplicationRequirements
-
-        macro = EDRAMMacro(
-            size_bits=8 * MBIT, width=64, banks=4, page_bits=2048
-        )
-        requirements = ApplicationRequirements(
-            name="memo",
-            capacity_bits=4 * MBIT,
-            sustained_bandwidth_bits_per_s=0.4e9,
-        )
-        report = diff_memoized_vs_cold(macro, requirements)
         assert report.identical, report.describe()
 
 

@@ -75,6 +75,45 @@ class TestRunFuzz:
             run_fuzz(seed=0, budget=0)
 
 
+class TestEvaluatorBatchProperty:
+    def _cases(self, n):
+        import random
+
+        generate = PROPERTY_BY_NAME["evaluator_batch"].generate
+        return [generate(random.Random(f"batch:{i}")) for i in range(n)]
+
+    def test_cases_take_the_batch_path_and_both_fallbacks(self):
+        from repro.core.batch import batch_fallback_reason
+        from repro.verify.fuzz import build_macro
+
+        reasons = [
+            batch_fallback_reason(
+                [build_macro(macro) for macro in case["macros"]]
+            )
+            for case in self._cases(200)
+        ]
+        assert reasons.count(None) >= 140  # most cases batch
+        fallbacks = " ".join(r for r in reasons if r is not None)
+        assert "timing" in fallbacks
+        assert "spares" in fallbacks
+
+    def test_a_kernel_mutation_is_caught(self, monkeypatch):
+        from repro.core import batch
+
+        original = batch._core_power_lanes
+
+        def off_by_a_bit(width_bytes, read_fraction):
+            busy, idle = original(width_bytes, read_fraction)
+            return busy * (1 + 1e-12), idle
+
+        monkeypatch.setattr(batch, "_core_power_lanes", off_by_a_bit)
+        report = run_fuzz(
+            seed=0, budget=8, properties=["evaluator_batch"], shrink=False
+        )
+        assert not report.ok
+        assert "power_w" in report.failures[0].messages[0]
+
+
 class TestInjectedBugDetection:
     def test_mutation_is_caught_and_shrunk(self, trcd_bug):
         report = run_fuzz(
@@ -222,11 +261,39 @@ class TestVerifyCLI:
         )
         assert code == 2
 
-    def test_diff_subcommand(self, capsys):
-        code = verify_main(["diff", "--seed", "3", "--cases", "2"])
+    def test_sim_differential_subcommand(self, capsys):
+        code = verify_main(
+            [
+                "fuzz",
+                "--seed",
+                "3",
+                "--budget",
+                "4",
+                "--property",
+                "sim_differential",
+            ]
+        )
         out = capsys.readouterr().out
         assert code == 0
-        assert "identical" in out
+        assert "all passed" in out
+        assert "sim_differential" in out
+
+    def test_evaluator_batch_subcommand(self, capsys):
+        code = verify_main(
+            [
+                "fuzz",
+                "--seed",
+                "0",
+                "--budget",
+                "8",
+                "--property",
+                "evaluator_batch",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "all passed" in out
+        assert "evaluator_batch" in out
 
     def test_repro_cli_forwards(self, capsys):
         from repro.cli import main as repro_main
