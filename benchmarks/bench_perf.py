@@ -17,9 +17,9 @@ implementations and writes ``BENCH_perf.json``:
   the fingerprint tier 1 pins.
 * **design_space** — the E10 MPEG2 exploration with the reference
   configuration (python pareto engine) vs the optimized one
-  (column-wise numpy pareto), each on a fresh explorer and evaluator.
-  Both sides clear the process-wide enumeration memo first, so each
-  enumerates from scratch.
+  (column-wise numpy pareto), each on a fresh explorer and evaluator,
+  best of 5 per side.  Both sides clear the process-wide enumeration
+  memo first, so each enumerates from scratch.
 * **batched_design_space** — the same 240-point grid evaluated by the
   scalar reference loop (macro construction + ``evaluate_macro`` +
   ``meets`` + ``objective_tuple`` per point) vs the numpy array-lane
@@ -46,9 +46,12 @@ implementations and writes ``BENCH_perf.json``:
 * **dft_flow** — a lot of E09's Section 6 test flow (64x64 dies,
   March C-, seed 42) with the cell-by-cell reference march
   (:func:`repro.verify.march_reference`) vs the default fault-sparse
-  ``MarchTest.run``.  The two lots' ``FlowResult`` must be equal before
-  any timing is reported; the section reports ms/die on each path and
-  the speedup (the documented target is >= 50x).
+  ``MarchTest.run`` (best of 3 and of 5).  The two lots' ``FlowResult``
+  must be equal before any timing is reported; the section reports
+  ms/die on each path and the speedup (the documented target is >=
+  50x).  It also times E9's ``run()`` (``e09_seconds``, best of 3), its
+  two 400-die lots, after checking its report against the fingerprint
+  tier 1 pins.
 * **serve_cache** — the E10 MPEG2 exploration submitted twice to an
   in-process exploration service: cold (full execution) vs warm (a
   content-addressed cache hit).  The responses must be byte-identical
@@ -104,7 +107,7 @@ from repro.dram.organizations import (
     Organization,
 )
 from repro.dram.timing import PC100_TIMING
-from repro.experiments import e05_sustainable_bw
+from repro.experiments import e05_sustainable_bw, e09_test_cost
 from repro.experiments.e10_design_space import mpeg2_requirements
 from repro.reporting.profiling import PerfReport, measure
 from repro.sim.simulator import MemorySystemSimulator, SimulationConfig
@@ -296,23 +299,25 @@ def bench_event_engine(
         section.update(
             {f"{level}_{key}": value for key, value in timings.items()}
         )
-    section["e05_seconds"] = bench_e05()
+    # E5's three organizations run saturated on the event engine: the
+    # paper's one simulation claim.
+    section["e05_seconds"] = bench_experiment(e05_sustainable_bw, "E5")
     section["identical"] = True
     report.add("event_engine", **section)
 
 
-def bench_e05(repeat: int = 3) -> float:
-    """Best-of-``repeat`` wall time of E5's ``run()``: three saturated
-    organizations on the event engine, the paper's one simulation
-    claim.  The report must match E5's pinned fingerprint in
+def bench_experiment(module, experiment_id: str, repeat: int = 3) -> float:
+    """Best-of-``repeat`` wall time of ``module.run()``.  The report
+    must match the experiment's pinned fingerprint in
     ``tests/data/experiment_goldens.json`` before any time counts."""
-    golden = json.loads(EXPERIMENT_GOLDENS.read_text())["E5"]
-    seconds, report = measure(e05_sustainable_bw.run, repeat)
+    golden = json.loads(EXPERIMENT_GOLDENS.read_text())[experiment_id]
+    seconds, report = measure(module.run, repeat)
     text = canonical_text(dataclasses.asdict(report))
     fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
     if fingerprint != golden:
         raise AssertionError(
-            f"E5 report fingerprint {fingerprint} != golden {golden}"
+            f"{experiment_id} report fingerprint {fingerprint} != "
+            f"golden {golden}"
         )
     return seconds
 
@@ -332,7 +337,7 @@ def bench_dft_flow(report: PerfReport, smoke: bool = False) -> None:
         test=_ReferenceMarch(MARCH_C_MINUS.name, MARCH_C_MINUS.elements),
     )
     reference_s, reference = measure(
-        lambda: reference_flow.run_lot(dies, seed=42)
+        lambda: reference_flow.run_lot(dies, seed=42), 3
     )
     fast_s, fast = measure(lambda: fast_flow.run_lot(dies, seed=42), 5)
     if fast != reference:
@@ -345,6 +350,7 @@ def bench_dft_flow(report: PerfReport, smoke: bool = False) -> None:
         reference_ms_per_die=1e3 * reference_s / dies,
         fast_ms_per_die=1e3 * fast_s / dies,
         speedup=reference_s / fast_s,
+        e09_seconds=bench_experiment(e09_test_cost, "E9"),
         identical=True,
     )
 
@@ -364,8 +370,8 @@ def bench_design_space(report: PerfReport) -> None:
         explorer = DesignSpaceExplorer(evaluator=Evaluator())
         return explorer.explore(_REQUIREMENTS).n_explored
 
-    reference_s, n_points = measure(reference)
-    optimized_s, _ = measure(optimized)
+    reference_s, n_points = measure(reference, repeat=5)
+    optimized_s, _ = measure(optimized, repeat=5)
     report.add(
         "design_space",
         points=n_points,

@@ -32,6 +32,20 @@ class FaultKind(enum.Enum):
     RETENTION = "RET"  # cell leaks to 0 after a pause
 
 
+#: Bits of a cell's signature (:meth:`FaultyArray.signatures`): the value
+#: it stores and the uncoupled faults it carries.  Two cells with one
+#: signature and no coupling behave alike under any access sequence.
+SIG_VALUE = 1
+SIG_STUCK_0 = 2
+SIG_STUCK_1 = 4
+SIG_TRANSITION = 8
+SIG_RETENTION = 16
+#: Number of distinct signatures.
+SIGNATURES = 32
+
+_NO_CELLS = np.empty(0, dtype=np.intp)
+
+
 @dataclass(frozen=True)
 class Fault:
     """One injected fault.
@@ -69,20 +83,15 @@ class FaultyArray:
     faults: list = field(default_factory=list)
 
     _data: np.ndarray = field(init=False, repr=False)
-    _stuck0: np.ndarray = field(init=False, repr=False)
-    _stuck1: np.ndarray = field(init=False, repr=False)
-    _transition: np.ndarray = field(init=False, repr=False)
-    _retention: np.ndarray = field(init=False, repr=False)
+    #: Uncoupled fault bits per cell (``SIG_*`` except ``SIG_VALUE``).
+    _flags: np.ndarray = field(init=False, repr=False)
     _couplings: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ConfigurationError("array dimensions must be positive")
         self._data = np.zeros((self.rows, self.cols), dtype=bool)
-        self._stuck0 = np.zeros((self.rows, self.cols), dtype=bool)
-        self._stuck1 = np.zeros((self.rows, self.cols), dtype=bool)
-        self._transition = np.zeros((self.rows, self.cols), dtype=bool)
-        self._retention = np.zeros((self.rows, self.cols), dtype=bool)
+        self._flags = np.zeros((self.rows, self.cols), dtype=np.uint8)
         for fault in self.faults:
             self._apply_fault(fault)
 
@@ -93,17 +102,17 @@ class FaultyArray:
                 f"{self.rows}x{self.cols} array"
             )
         if fault.kind is FaultKind.STUCK_AT_0:
-            self._stuck0[fault.row, fault.col] = True
+            self._flags[fault.row, fault.col] |= SIG_STUCK_0
         elif fault.kind is FaultKind.STUCK_AT_1:
-            self._stuck1[fault.row, fault.col] = True
+            self._flags[fault.row, fault.col] |= SIG_STUCK_1
         elif fault.kind is FaultKind.TRANSITION:
-            self._transition[fault.row, fault.col] = True
+            self._flags[fault.row, fault.col] |= SIG_TRANSITION
         elif fault.kind is FaultKind.WORD_LINE:
-            self._stuck0[fault.row, :] = True
+            self._flags[fault.row, :] |= SIG_STUCK_0
         elif fault.kind is FaultKind.BIT_LINE:
-            self._stuck0[:, fault.col] = True
+            self._flags[:, fault.col] |= SIG_STUCK_0
         elif fault.kind is FaultKind.RETENTION:
-            self._retention[fault.row, fault.col] = True
+            self._flags[fault.row, fault.col] |= SIG_RETENTION
         elif fault.kind is FaultKind.COUPLING_INV:
             assert fault.aggressor is not None
             victims = self._couplings.setdefault(fault.aggressor, [])
@@ -123,7 +132,11 @@ class FaultyArray:
 
     def write(self, row: int, col: int, value: bool) -> None:
         self._check(row, col)
-        if self._transition[row, col] and value and not self._data[row, col]:
+        if (
+            self._flags.item(row, col) & SIG_TRANSITION
+            and value
+            and not self._data.item(row, col)
+        ):
             return  # 0->1 transition fails silently
         self._data[row, col] = value
         for victim in self._couplings.get((row, col), []):
@@ -131,24 +144,32 @@ class FaultyArray:
 
     def read(self, row: int, col: int) -> bool:
         self._check(row, col)
-        if self._stuck0[row, col]:
+        flags = self._flags.item(row, col)
+        if flags & SIG_STUCK_0:
             return False
-        if self._stuck1[row, col]:
+        if flags & SIG_STUCK_1:
             return True
-        return bool(self._data[row, col])
+        return self._data.item(row, col)
 
     def pause(self, seconds: float, retention_threshold_s: float = 0.1) -> None:
-        """Model a retention wait: leaky cells decay to 0 if the pause
-        *exceeds* their (degraded) retention.  A pause of exactly the
-        threshold is the last surviving refresh interval, not a failure."""
+        """Model a retention wait: leaky cells decay to 0 if
+        :meth:`decays` says the pause drains them."""
+        if self.decays(seconds, retention_threshold_s):
+            self._data[(self._flags & SIG_RETENTION) != 0] = False
+
+    @staticmethod
+    def decays(seconds: float, retention_threshold_s: float = 0.1) -> bool:
+        """Whether a pause of ``seconds`` drains a retention cell: only
+        one that *exceeds* the cell's (degraded) retention does.  A pause
+        of exactly the threshold is the last surviving refresh interval,
+        not a failure."""
         if seconds < 0:
             raise ConfigurationError("pause must be >= 0")
         if retention_threshold_s <= 0:
             raise ConfigurationError(
                 "retention_threshold_s must be positive"
             )
-        if seconds > retention_threshold_s:
-            self._data[self._retention] = False
+        return seconds > retention_threshold_s
 
     def _check(self, row: int, col: int) -> None:
         if not (0 <= row < self.rows and 0 <= col < self.cols):
@@ -156,23 +177,43 @@ class FaultyArray:
                 f"access ({row}, {col}) outside {self.rows}x{self.cols}"
             )
 
-    # -- ground truth --------------------------------------------------------
+    # -- cell classes --------------------------------------------------------
 
-    def footprint(self) -> np.ndarray:
-        """Mask of the cells that can behave unlike a healthy cell.
+    def signatures(self) -> tuple:
+        """``(cells, codes)``: the ascending flat (row-major) indices of
+        the cells that carry a stuck-at, transition or retention bit, and
+        each one's signature, its fault bits OR-ed with its stored value
+        (``SIG_VALUE``).  Every other cell's signature is its stored
+        value.  Coupling is not part of a signature;
+        :meth:`coupled_cells` lists the cells it touches."""
+        flags = self._flags.reshape(-1)
+        cells = np.flatnonzero(flags != 0)
+        return cells, flags[cells] | self._data.reshape(-1)[cells]
 
-        Every stuck-at, transition and retention cell (line faults
-        included) plus every coupling aggressor and victim.  Aggressors
-        outside the array are left out: no access ever reaches them.
-        Any other cell reads back exactly what was last written to it.
-        """
-        mask = self._stuck0 | self._stuck1 | self._transition | self._retention
+    def coupled_cells(self) -> np.ndarray:
+        """Ascending flat indices of every coupling victim and every
+        aggressor inside the array: the cells whose behaviour depends
+        on another cell."""
+        if not self._couplings:
+            return _NO_CELLS
+        cells: set = set()
         for (row, col), victims in self._couplings.items():
             if 0 <= row < self.rows and 0 <= col < self.cols:
-                mask[row, col] = True
-            for victim in victims:
-                mask[victim] = True
-        return mask
+                cells.add(row * self.cols + col)
+            cells.update(r * self.cols + c for r, c in victims)
+        return np.array(sorted(cells), dtype=np.intp)
+
+    @classmethod
+    def of_signatures(cls) -> "FaultyArray":
+        """A 1 x :data:`SIGNATURES` array whose cell ``k`` has
+        signature ``k``: one representative of every cell class."""
+        array = cls(rows=1, cols=SIGNATURES)
+        codes = np.arange(SIGNATURES, dtype=np.uint8)
+        array._flags[0] = codes & ~np.uint8(SIG_VALUE)
+        array._data[0] = (codes & SIG_VALUE) != 0
+        return array
+
+    # -- ground truth --------------------------------------------------------
 
     def faulty_cells(self) -> set:
         """Ground-truth set of (row, col) cells belonging to any fault."""
@@ -221,7 +262,8 @@ def inject_random_faults(
             f"n_line_faults ({n_line_faults}) needs {n_wordline} rows "
             f"and {n_bitline} cols but the array is {rows}x{cols}"
         )
-    rng = np.random.default_rng(seed)
+    # The stream of ``default_rng(seed)``, without its argument dispatch.
+    rng = np.random.Generator(np.random.PCG64(seed))
     kinds = [FaultKind.STUCK_AT_0, FaultKind.STUCK_AT_1, FaultKind.TRANSITION]
     if include_retention:
         kinds.append(FaultKind.RETENTION)

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.dft.faults import FaultyArray
+from repro.dft.faults import SIGNATURES, FaultyArray
 
 
 class Direction(enum.Enum):
@@ -86,7 +87,7 @@ class MarchTest:
         ):
             raise ConfigurationError("pause index out of range")
 
-    @property
+    @cached_property
     def ops_per_cell(self) -> int:
         """The 'kN' complexity figure."""
         return sum(element.ops_per_cell for element in self.elements)
@@ -107,19 +108,80 @@ class MarchTest:
         Returns a :class:`MarchResult` with the failing cells observed
         (cells where any read returned the unexpected value).
 
-        Only the array's fault footprint (:meth:`FaultyArray.footprint`)
-        goes through :meth:`FaultyArray.read` / :meth:`~FaultyArray.write`,
-        in each element's address order, so coupling faults see the
-        aggressor/victim sequence of a full walk.  Every other cell reads
-        back what was last written to it, so all healthy cells holding
-        one value share one outcome: each such group replays the
-        operation sequence once and is updated in bulk.  Failing cells
+        Only coupling aggressors and victims
+        (:meth:`FaultyArray.coupled_cells`) go through
+        :meth:`FaultyArray.read` / :meth:`~FaultyArray.write`, in each
+        element's address order, so they see the aggressor/victim
+        sequence of a full walk.  Every other cell, healthy or faulty,
+        behaves as its signature (:meth:`FaultyArray.signatures`:
+        stored value plus stuck-at, transition and retention bits)
+        dictates, so each signature replays the test once, on one
+        representative cell (:meth:`_outcomes`), and the outcome is
+        looked up for all cells of that class at once.  Failing cells
         enter ``failing_cells`` in the order a full cell-by-cell walk
         first flags them (:func:`repro.verify.march_reference` is that
         walk).
         """
-        footprint = array.footprint()
-        cells = [tuple(cell) for cell in np.argwhere(footprint).tolist()]
+        data = array._data.reshape(-1)
+        faulty, codes = array.signatures()
+        coupled = array.coupled_cells()
+        final, fails = self._outcomes(pause_s)
+        first_fail: dict = {}
+        if coupled.size:
+            uncoupled = ~np.isin(faulty, coupled)
+            faulty, codes = faulty[uncoupled], codes[uncoupled]
+            first_fail = self._walk(array, coupled.tolist(), pause_s)
+            walked = data[coupled]
+        # (element, flat address) of every failing cell, class by class:
+        # faulty signatures, then healthy cells holding 0 or 1 (which
+        # fail only under a march that reads before it writes), then the
+        # walked cells.
+        element = fails[codes]
+        failing = element >= 0
+        element, address = element[failing], faulty[failing]
+        if fails[0] >= 0 or fails[1] >= 0:
+            healthy = array._flags.reshape(-1) == 0
+            healthy[coupled] = False
+            for value in (0, 1):
+                if fails[value] >= 0:
+                    cells = np.flatnonzero(healthy & (data == value))
+                    address = np.append(address, cells)
+                    element = np.append(
+                        element, np.full(cells.size, fails[value])
+                    )
+        if first_fail:
+            address = np.append(address, list(first_fail))
+            element = np.append(element, list(first_fail.values()))
+        failing_cells: set = set()
+        if address.size:
+            address = address[
+                np.argsort(self._walk_rank(element, address, data.size))
+            ]
+            rows, cols = divmod(address, array.cols)
+            failing_cells = set(zip(rows.tolist(), cols.tolist()))
+        # Final contents: healthy cells by stored value, in bulk; then
+        # the faulty signatures and the walked cells.
+        if final[0] == final[1]:
+            data.fill(final[0])
+        elif final[0]:
+            np.logical_not(data, out=data)
+        data[faulty] = final[codes]
+        if coupled.size:
+            data[coupled] = walked
+        return MarchResult(
+            test=self,
+            failing_cells=failing_cells,
+            operations=self.ops_per_cell * data.size,
+        )
+
+    def _walk(self, array: FaultyArray, cells: list, pause_s: float) -> dict:
+        """Run the test on ``cells`` (ascending flat indices) one cell
+        and one operation at a time, in each element's address order.
+
+        Returns ``{cell: index of the element whose read first fails
+        it}`` in the order the walk flags them.
+        """
+        cells = [(cell, *divmod(cell, array.cols)) for cell in cells]
         first_fail: dict = {}
         for index, element in enumerate(self.elements):
             order = (
@@ -127,59 +189,65 @@ class MarchTest:
                 if element.direction is Direction.DOWN
                 else cells
             )
-            for row, col in order:
+            for cell, row, col in order:
                 for op in element.operations:
                     if op == "w0":
                         array.write(row, col, False)
                     elif op == "w1":
                         array.write(row, col, True)
                     elif array.read(row, col) is not (op == "r1"):
-                        first_fail.setdefault((row, col), index)
+                        first_fail.setdefault(cell, index)
             if self.pause_after_element == index and pause_s > 0:
                 array.pause(pause_s)
-        flagged = [
-            (index, row, col) for (row, col), index in first_fail.items()
-        ]
-        data, healthy = array._data, ~footprint
-        groups = [
-            (value, healthy & (data == value)) for value in (False, True)
-        ]
-        for value, group in groups:
-            final, index = self._replay(value)
-            data[group] = final
-            if index is not None:
-                flagged.extend(
-                    (index, row, col)
-                    for row, col in np.argwhere(group).tolist()
-                )
-        flagged.sort(key=lambda hit: self._walk_rank(hit, array.cols))
-        return MarchResult(
-            test=self,
-            failing_cells={(row, col) for _, row, col in flagged},
-            operations=self.operation_count(array.rows * array.cols),
+        return first_fail
+
+    def _outcomes(self, pause_s: float) -> tuple:
+        """``(final, fails)`` per signature for an uncoupled cell:
+        ``final[k]`` is the value a cell of signature ``k`` holds after
+        the test and ``fails[k]`` the index of the element whose read
+        first fails it, or -1.
+
+        Each signature is replayed once per test and pause outcome, on
+        :meth:`FaultyArray.of_signatures`'s representative cells, so
+        :class:`FaultyArray` alone defines how a cell behaves.
+        """
+        decays = pause_s > 0 and FaultyArray.decays(pause_s)
+        outcome = self._replays.get(decays)
+        if outcome is None:
+            representatives = FaultyArray.of_signatures()
+            first_fail = self._walk(
+                representatives, list(range(SIGNATURES)), pause_s
+            )
+            fails = np.full(SIGNATURES, -1, dtype=np.intp)
+            for signature, index in first_fail.items():
+                fails[signature] = index
+            outcome = (representatives._data[0].copy(), fails)
+            self._replays[decays] = outcome
+        return outcome
+
+    @cached_property
+    def _replays(self) -> dict:
+        """:meth:`_outcomes` memo, keyed by whether the pause decays
+        retention cells."""
+        return {}
+
+    @cached_property
+    def _descending(self) -> np.ndarray:
+        """Per element: whether it walks addresses in descending order."""
+        return np.array(
+            [element.direction is Direction.DOWN for element in self.elements]
         )
 
-    def _replay(self, value: bool) -> tuple:
-        """Final value of a healthy cell that starts at ``value``, and
-        the index of the element whose read first fails it (or None)."""
-        first_fail = None
-        for index, element in enumerate(self.elements):
-            for op in element.operations:
-                if op[0] == "w":
-                    value = op == "w1"
-                elif value is not (op == "r1") and first_fail is None:
-                    first_fail = index
-        return value, first_fail
-
-    def _walk_rank(self, hit: tuple, cols: int) -> tuple:
-        """Sort key placing ``(element, row, col)`` where a cell-by-cell
-        walk visits it: by element, then in that element's address
-        order (row-major, descending for ``DOWN``)."""
-        index, row, col = hit
-        address = row * cols + col
-        if self.elements[index].direction is Direction.DOWN:
-            address = -address
-        return index, address
+    def _walk_rank(
+        self, element: np.ndarray, address: np.ndarray, cells: int
+    ) -> np.ndarray:
+        """Sort keys placing hits (``element`` index, flat row-major
+        ``address``) where a cell-by-cell walk over ``cells`` cells
+        visits them: by element, then in that element's address order
+        (descending for ``DOWN``)."""
+        return element * cells + np.where(
+            self._descending[element], cells - 1 - address, address
+        )
 
 
 @dataclass(frozen=True)

@@ -86,17 +86,15 @@ def allocate_spares(
         rows_left = spare_rows - len(used_rows)
         cols_left = spare_cols - len(used_cols)
         by_row: dict = {}
-        by_col: dict = {}
         for r, c in remaining:
             by_row.setdefault(r, set()).add((r, c))
-            by_col.setdefault(c, set()).add((r, c))
         for row, cells in list(by_row.items()):
             if len(cells) > cols_left and rows_left > 0:
                 used_rows.add(row)
                 remaining -= cells
                 rows_left -= 1
                 changed = True
-        by_col = {}
+        by_col: dict = {}
         for r, c in remaining:
             by_col.setdefault(c, set()).add((r, c))
         for col, cells in list(by_col.items()):
@@ -156,6 +154,8 @@ def _exhaustive_cover(cells, rows, cols, rows_left, cols_left):
     """
     best = None
     for k in range(min(rows_left, len(rows)) + 1):
+        if best is not None and k >= best[0]:
+            break  # every cover from here on uses >= k lines
         for row_subset in itertools.combinations(rows, k):
             row_set = set(row_subset)
             needed_cols = {c for r, c in cells if r not in row_set}

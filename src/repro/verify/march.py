@@ -1,9 +1,12 @@
-"""The cell-by-cell march walk: reference oracle for the sparse march.
+"""The cell-by-cell march walk: reference oracle for the class-replay march.
 
-:meth:`repro.dft.march.MarchTest.run` walks only a die's fault footprint
-and updates every healthy cell in bulk.  :func:`march_reference` is the
-walk it replaces: every cell of every element, in address order, each
-operation through :meth:`FaultyArray.read` / :meth:`FaultyArray.write`.
+:meth:`repro.dft.march.MarchTest.run` walks only a die's coupling
+aggressors and victims and settles every other cell by its signature
+(stored value plus stuck-at, transition and retention bits), replaying
+each signature once on a representative cell.
+:func:`march_reference` is the walk it replaces: every cell of every
+element, in address order, each operation through
+:meth:`FaultyArray.read` / :meth:`FaultyArray.write`.
 :func:`check_march_sparse` runs both on identical arrays and diffs the
 failing cells (their insertion order included, which
 :func:`~repro.dft.redundancy.allocate_spares` breaks ties by), the
@@ -80,7 +83,8 @@ def gen_march_case(rng: random.Random) -> dict:
     """A random fault map, background and march (JSON-able).
 
     Shapes run from 1x1 to 12x12 and faults cover every
-    :class:`FaultKind`, self-coupling and duplicate couplings included.
+    :class:`FaultKind`, self-coupling, duplicate couplings and coupling
+    victims that carry another fault included.
     One case in four runs a random custom march, which may read a cell
     before writing it, so healthy cells fail too.
     """
@@ -97,6 +101,11 @@ def gen_march_case(rng: random.Random) -> dict:
             "col": rng.randrange(cols),
         }
         if fault["kind"] == FaultKind.COUPLING_INV.value:
+            if faults and rng.random() < 0.3:
+                # A victim that carries another fault (or sits on a
+                # dead line): walked, yet faulty on its own.
+                host = rng.choice(faults)
+                fault["row"], fault["col"] = host["row"], host["col"]
             self_coupled = rng.random() < 0.2
             fault["aggressor_row"] = (
                 fault["row"] if self_coupled else rng.randrange(rows)

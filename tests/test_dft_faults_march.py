@@ -303,14 +303,15 @@ class TestRandomFaultMap:
         assert all((wl.row, c) in array.faulty_cells() for c in range(8))
         assert all((r, bl.col) in array.faulty_cells() for r in range(8))
 
-    def test_footprint_matches_ground_truth_without_coupling(self):
+    def test_signature_cells_match_ground_truth_without_coupling(self):
         array = inject_random_faults(
             8, 8, n_cell_faults=10, n_line_faults=2, seed=4
         )
-        footprint = {
-            (int(r), int(c)) for r, c in zip(*array.footprint().nonzero())
-        }
-        assert footprint == array.faulty_cells()
+        cells, _ = array.signatures()
+        assert {divmod(cell, 8) for cell in cells.tolist()} == (
+            array.faulty_cells()
+        )
+        assert array.coupled_cells().size == 0
 
 
 class TestRetentionTime:

@@ -295,6 +295,23 @@ class TestVerifyCLI:
         assert "all passed" in out
         assert "evaluator_batch" in out
 
+    def test_march_sparse_subcommand(self, capsys):
+        code = verify_main(
+            [
+                "fuzz",
+                "--seed",
+                "0",
+                "--budget",
+                "8",
+                "--property",
+                "march_sparse",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "all passed" in out
+        assert "march_sparse: 8" in out
+
     def test_repro_cli_forwards(self, capsys):
         from repro.cli import main as repro_main
 
